@@ -10,18 +10,14 @@ steps      extremal tables for E6/E7/E8
 catalog    list the supported diagrams
 
 Exit status: 0 on success, 1 when a scan finds a counterexample or a
-classification mismatch, 2 on usage errors.  Set ``KACSCOPE_THREADS`` to
-scan diagrams in parallel; results are merged in submission order, so
-output bytes do not depend on the thread count.
+classification mismatch, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional
 
 from . import __version__
@@ -29,16 +25,6 @@ from . import ellreg as ellreg_mod
 from . import kac, thomae
 from .affine import AffineDiagram, build_spec, catalog, render_kac
 from .dynkin import factors_type_string
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("KACSCOPE_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -63,12 +49,6 @@ def _fraction_obj(fr) -> dict[str, int]:
     return {"num": fr.numerator, "den": fr.denominator}
 
 
-def _scan_with_crosscheck(diagram: AffineDiagram):
-    scan = thomae.scan_diagram(diagram)
-    match = ellreg_mod.crosscheck(diagram)
-    return scan, match
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -76,12 +56,14 @@ def _scan_with_crosscheck(diagram: AffineDiagram):
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     diagrams = _resolve_diagrams(args.spec, args.max_rank)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_with_crosscheck, diagrams))
-    else:
-        results = [_scan_with_crosscheck(d) for d in diagrams]
+    if not diagrams:
+        print(f"no supported diagram has rank <= {args.max_rank}; nothing to verify",
+              file=sys.stderr)
+        return 2
+    results = []
+    for diagram in diagrams:
+        scan = thomae.scan_diagram(diagram)
+        results.append((scan, ellreg_mod.crosscheck(diagram, scan)))
 
     failed = False
     if args.format == "json":

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from .affine import AffineDiagram, build_spec
 from .dynkin import factors_type_string
 from . import kac
-from .thomae import f_value
+from .thomae import DiagramScan, f_value
 
 
 @dataclass(frozen=True)
@@ -361,12 +361,12 @@ class Crosscheck:
         return set(self.scanned) - set(self.expected)
 
 
-def crosscheck(diagram: AffineDiagram) -> Crosscheck:
-    """Compare the predicted equality classes with an exhaustive scan."""
-    from .thomae import scan_diagram
-
+def crosscheck(diagram: AffineDiagram, scan: DiagramScan) -> Crosscheck:
+    """Compare the predicted equality classes with ``scan``, the
+    exhaustive scan of ``diagram``."""
+    if scan.spec != diagram.spec:
+        raise ValueError(f"scan of {scan.spec} given for {diagram.spec}")
     predicted = tuple((c.m, c.s) for c in expected_classes(diagram))
-    scan = scan_diagram(diagram)
     scanned = tuple((c.m, c.s) for c in scan.equality_classes)
     return Crosscheck(
         spec=diagram.spec,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .affine import AffineDiagram
 from .dynkin import FiniteFactor, factors_type_string, total_root_count
@@ -137,43 +137,102 @@ def proper_subsets(diagram: AffineDiagram) -> Iterator[frozenset[int]]:
             yield frozenset(combo)
 
 
+def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
+    """Root counts and label sums of every proper node subset, by bitmask.
+
+    Node ``diagram.nodes[i]`` is bit ``i`` of a mask.  Returns ``(r, c)``
+    with ``r[J] = |R_J|`` and ``c[J] = c_J`` for every mask
+    ``0 <= J < 2^N - 1``.  Masks are filled in increasing order, so each
+    recurrence reads entries already filled: ``c[J]`` adds the label of
+    J's lowest node to ``c`` of J without it, and ``r[J]`` adds the root
+    count of the connected component C of J holding that node to
+    ``r[J - C]``.  The root count of each component is computed once, by
+    the shape recognizer behind :meth:`Diagram.factors`, so an unsupported
+    shape still raises.  The tables live only as long as the caller holds
+    them.
+    """
+    nodes = diagram.nodes
+    index = {u: i for i, u in enumerate(nodes)}
+    neighbours = [0] * len(nodes)
+    for u, i in index.items():
+        for v, _mult in diagram.graph.adjacency[u]:
+            neighbours[i] |= 1 << index[v]
+    labels = [diagram.labels[u] for u in nodes]
+    full = (1 << len(nodes)) - 1
+    r = [0] * full
+    c = [0] * full
+    component_roots: dict[int, int] = {}
+    for J in range(1, full):
+        low = J & -J
+        i = low.bit_length() - 1
+        c[J] = c[J ^ low] + labels[i]
+        component = low
+        frontier = neighbours[i] & J & ~low
+        while frontier:
+            component |= frontier
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= neighbours[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & J & ~component
+        roots = component_roots.get(component)
+        if roots is None:
+            roots = total_root_count(diagram.factors(_members(nodes, component)))
+            component_roots[component] = roots
+        r[J] = roots + r[J ^ component]
+    return r, c
+
+
+def _members(nodes: tuple[int, ...], mask: int) -> frozenset[int]:
+    return frozenset(u for i, u in enumerate(nodes) if mask >> i & 1)
+
+
 def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
-    """Certify ``f(J) >= 0`` over every proper subset and collect equality."""
+    """Certify ``f(J) >= 0`` over every proper subset and collect equality.
+
+    ``min_f_zero_set`` is the first minimiser in the order of
+    :func:`proper_subsets`: fewest nodes, then the least sorted tuple.
+    """
     n = diagram.n_e
     label_sum = diagram.label_sum
+    nodes = diagram.nodes
+    r, c = subset_tables(diagram)
     min_f: Optional[int] = None
-    min_J: tuple[int, ...] = ()
+    minimisers: list[int] = []
     equality: dict[tuple[int, ...], EqualityClass] = {}
-    count = 0
-    for J in proper_subsets(diagram):
-        count += 1
-        factors = diagram.factors(J)
-        r_j = total_root_count(factors)
-        c_j = diagram.label_sum_of(J)
+    for J, (r_j, c_j) in enumerate(zip(r, c)):
         c_up = label_sum - c_j
         f = c_up * r_j - n * c_j
-        if J and (min_f is None or f < min_f):
-            min_f = f
-            min_J = tuple(sorted(J))
+        if J and (min_f is None or f <= min_f):
+            if f != min_f:
+                min_f = f
+                minimisers = []
+            minimisers.append(J)
         if f == 0:
-            s = kac.canonical(diagram, kac.from_zero_set(diagram, J))
+            members = _members(nodes, J)
+            s = kac.canonical(diagram, kac.from_zero_set(diagram, members))
             if s not in equality:
                 equality[s] = EqualityClass(
                     m=diagram.e * c_up,
                     s=s,
-                    fixed_type=factors_type_string(factors),
+                    fixed_type=factors_type_string(diagram.factors(members)),
                     fixed_dim=n + r_j,
                 )
     classes = tuple(
         sorted(equality.values(), key=lambda c: (-c.m, c.s))
     )
     assert min_f is not None
+    min_J = min(
+        (tuple(sorted(_members(nodes, J))) for J in minimisers),
+        key=lambda J: (len(J), J),
+    )
     return DiagramScan(
         spec=diagram.spec,
         h_e=diagram.coxeter,
         n_e=n,
         dim_g=diagram.base_dim,
-        subsets_checked=count,
+        subsets_checked=len(r),
         min_f=min_f,
         min_f_zero_set=min_J,
         equality_classes=classes,
@@ -219,75 +278,59 @@ def step1_table(diagram: AffineDiagram) -> dict[int, StepRow]:
     """
     _exceptional_inner(diagram)
     n = diagram.n_e
-    total = diagram.base_root_count
-    by_m: dict[int, list[tuple[int, str, frozenset[int]]]] = {}
-    for J in proper_subsets(diagram):
-        c_j = diagram.label_sum_of(J)
-        m = diagram.label_sum - c_j
-        if not 1 < m < n:
-            continue
-        factors = diagram.factors(J)
-        by_m.setdefault(m, []).append(
-            (total_root_count(factors), factors_type_string(factors), J)
-        )
-    table: dict[int, StepRow] = {}
-    for m, entries in sorted(by_m.items()):
-        r_min = min(r for r, _, _ in entries)
-        achievers = frozenset(t for r, t, _ in entries if r == r_min)
-        witnesses = {
-            kac.canonical(diagram, kac.from_zero_set(diagram, J))
-            for r, _, J in entries
-            if m * (r + n) == total
-        }
-        if len(witnesses) > 1:
-            raise AssertionError(
-                f"{diagram.spec}: multiple extremal classes at m={m}: {witnesses}"
-            )
-        table[m] = StepRow(
-            key=m,
-            value=r_min,
-            achievers=achievers,
-            witness=next(iter(witnesses)) if witnesses else None,
-        )
-    return table
+    return _extremal_table(diagram, "m", lambda m, r: (m, r) if 1 < m < n else None)
 
 
 def step2_table(diagram: AffineDiagram) -> dict[int, StepRow]:
     """Minimal complement sums ``m(r)`` for even ``10 <= r <= h - n``."""
     _exceptional_inner(diagram)
+    wanted = range(10, diagram.coxeter - diagram.n_e + 1, 2)
+    return _extremal_table(diagram, "r", lambda m, r: (r, m) if r in wanted else None)
+
+
+def _extremal_table(
+    diagram: AffineDiagram,
+    key_name: str,
+    row_of: Callable[[int, int], Optional[tuple[int, int]]],
+) -> dict[int, StepRow]:
+    """Rows keyed and valued by ``row_of(c^J, |R_J|) = (key, value)``.
+
+    Each row holds the least value over the nonempty proper zero sets
+    with that key (``row_of`` returns None to skip a zero set), the type
+    strings of the zero sets attaining it, and the class of the unique
+    zero set with ``c^J * (|R_J| + n) = |R|``, if there is one.
+    """
     n = diagram.n_e
     total = diagram.base_root_count
-    top = diagram.coxeter - n
-    wanted = range(10, top + 1, 2)
-    by_r: dict[int, list[tuple[int, str, frozenset[int]]]] = {r: [] for r in wanted}
-    if not wanted:
-        return {}
-    for J in proper_subsets(diagram):
-        factors = diagram.factors(J)
-        r = total_root_count(factors)
-        if r in by_r:
-            c_j = diagram.label_sum_of(J)
-            by_r[r].append(
-                (diagram.label_sum - c_j, factors_type_string(factors), J)
-            )
+    nodes = diagram.nodes
+    r, c = subset_tables(diagram)
+    groups: dict[int, list[tuple[int, bool, int]]] = {}
+    for J in range(1, len(r)):
+        m = diagram.label_sum - c[J]
+        row = row_of(m, r[J])
+        if row is not None:
+            key, value = row
+            groups.setdefault(key, []).append((value, m * (r[J] + n) == total, J))
     table: dict[int, StepRow] = {}
-    for r, entries in by_r.items():
-        if not entries:
-            continue
-        m_min = min(m for m, _, _ in entries)
-        achievers = frozenset(t for m, t, _ in entries if m == m_min)
+    for key, entries in sorted(groups.items()):
+        least = min(value for value, _, _ in entries)
+        achievers = frozenset(
+            factors_type_string(diagram.factors(_members(nodes, J)))
+            for value, _, J in entries
+            if value == least
+        )
         witnesses = {
-            kac.canonical(diagram, kac.from_zero_set(diagram, J))
-            for m, _, J in entries
-            if m * (r + n) == total
+            kac.canonical(diagram, kac.from_zero_set(diagram, _members(nodes, J)))
+            for _, extremal, J in entries
+            if extremal
         }
         if len(witnesses) > 1:
             raise AssertionError(
-                f"{diagram.spec}: multiple extremal classes at r={r}: {witnesses}"
+                f"{diagram.spec}: multiple extremal classes at {key_name}={key}: {witnesses}"
             )
-        table[r] = StepRow(
-            key=r,
-            value=m_min,
+        table[key] = StepRow(
+            key=key,
+            value=least,
             achievers=achievers,
             witness=next(iter(witnesses)) if witnesses else None,
         )

@@ -71,7 +71,7 @@ def test_criterion_2_equality_locus_matches_classification():
     """The scanned equality classes equal the predicted lists on every
     diagram, with exact exceptional counts and orders."""
     for d in catalog(12):
-        result = crosscheck(d)
+        result = crosscheck(d, scan_diagram(d))
         assert result.ok, (d.spec, result.missing, result.unexpected)
     expected_orders = {
         "E6": [12, 9, 6, 3],

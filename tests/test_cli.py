@@ -71,11 +71,12 @@ def test_json_reports_round_trip(capsys):
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
 
 
-def test_verify_threaded_output_identical(capsys, monkeypatch):
-    _, serial, _ = _run(capsys, "verify", "--max-rank", "5", "--format", "json")
-    monkeypatch.setenv("KACSCOPE_THREADS", "4")
-    _, threaded, _ = _run(capsys, "verify", "--max-rank", "5", "--format", "json")
-    assert serial == threaded
+def test_verify_without_diagrams_is_a_usage_error(capsys):
+    # an empty catalog certifies nothing, so it must not report success
+    code, out, err = _run(capsys, "verify", "--max-rank", "0")
+    assert code == 2
+    assert out == ""
+    assert "nothing to verify" in err
 
 
 def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):
@@ -92,10 +93,12 @@ def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):
         min_f_zero_set=real.min_f_zero_set, equality_classes=real.equality_classes,
     )
     monkeypatch.setattr(cli.thomae, "scan_diagram", lambda d: broken)
-    monkeypatch.setattr(
-        cli.ellreg_mod, "crosscheck",
-        lambda d: Crosscheck(spec="G2", ok=True, expected=(), scanned=()),
-    )
+
+    def matching(d, scan):
+        assert scan is broken  # verify hands over its own scan
+        return Crosscheck(spec="G2", ok=True, expected=(), scanned=())
+
+    monkeypatch.setattr(cli.ellreg_mod, "crosscheck", matching)
     code, out, _ = _run(capsys, "verify", "G2")
     assert code == 1
     assert "counterexample found" in out
@@ -106,7 +109,7 @@ def test_verify_flags_classification_mismatch(capsys, monkeypatch):
 
     monkeypatch.setattr(
         cli.ellreg_mod, "crosscheck",
-        lambda d: Crosscheck(spec=d.spec, ok=False, expected=(), scanned=()),
+        lambda d, scan: Crosscheck(spec=d.spec, ok=False, expected=(), scanned=()),
     )
     code, out, _ = _run(capsys, "verify", "G2")
     assert code == 1

@@ -16,7 +16,7 @@ from kacscope.ellreg import (
     tsv_rows,
 )
 from kacscope.kac import order_of, zero_set
-from kacscope.thomae import f_value
+from kacscope.thomae import f_value, scan_diagram
 
 GOLDEN = Path(__file__).parent / "golden" / "ellreg"
 
@@ -92,14 +92,20 @@ def test_principal_always_expected():
 
 def test_crosscheck_matches_scan_everywhere():
     for d in catalog(12):
-        result = crosscheck(d)
+        result = crosscheck(d, scan_diagram(d))
         assert result.ok, (d.spec, result.missing, result.unexpected)
         assert result.spec == d.spec
 
 
 def test_crosscheck_reports_are_empty_on_match():
-    r = crosscheck(build_spec("E8"))
+    d = build_spec("E8")
+    r = crosscheck(d, scan_diagram(d))
     assert not r.missing and not r.unexpected
+
+
+def test_crosscheck_rejects_a_scan_of_another_diagram():
+    with pytest.raises(ValueError):
+        crosscheck(build_spec("E8"), scan_diagram(build_spec("E7")))
 
 
 # ---------------------------------------------------------------------------
