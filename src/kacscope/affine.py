@@ -10,8 +10,11 @@ labelled graph.
 
 This module builds every supported diagram explicitly: node order, labels,
 bonds (with multiplicity and arrow tip), the Omega permutations, and the
-layout data used for rendering.  Everything downstream (subset scans,
-reductions, tables) consumes these graphs.
+layout data used for rendering.  A :class:`Diagram` is the bare labelled
+graph, which is all the certificate depends on; an :class:`AffineDiagram`
+is a ``Diagram`` plus name, Omega and layout.  Everything downstream
+(subset scans, reductions, tables) consumes these graphs, and the
+reduction moves turn an ``AffineDiagram`` into bare ``Diagram`` values.
 
 Node order conventions
 ----------------------
@@ -33,7 +36,7 @@ Rendered strings parenthesise off-chain nodes, so the B4 vector
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -206,55 +209,47 @@ def _check_admissible(ident: DiagramId) -> None:
         raise ValueError(f"unsupported diagram {ident.spec}")
 
 
-@dataclass(frozen=True)
-class AffineDiagram:
-    """A built diagram together with its symmetry and layout data.
+class AffineDiagram(Diagram):
+    """A built diagram: a :class:`Diagram` plus its name, symmetry and layout.
 
     ``omega`` lists the symmetry permutations as tuples p with p[i] the
-    image of node i.  ``layout`` is the render recipe: a sequence of
-    ``("node", i)``, ``("paren", (i, ...))`` and ``("bond", Bond, right)``
-    entries, where ``right`` is the chain node to the bond's right.
+    image of node i.  ``layout`` is the render recipe built from ``chain``
+    (the nodes drawn left to right) and ``hang`` (the nodes parenthesised
+    after a chain node): a sequence of ``("node", i)``, ``("paren", (i,
+    ...))`` and ``("bond", Bond, right)`` entries, where ``right`` is the
+    chain node to the bond's right.
     """
 
-    ident: DiagramId
-    graph: Diagram = field(compare=False)
-    omega: tuple[tuple[int, ...], ...] = field(compare=False)
-    layout: tuple = field(compare=False)
-    cyclic: bool = field(compare=False, default=False)
+    __slots__ = ("ident", "omega", "layout", "cyclic")
+
+    def __init__(
+        self,
+        ident: DiagramId,
+        labels: dict[int, int],
+        bonds: Sequence[Bond],
+        omega: tuple[tuple[int, ...], ...],
+        chain: Sequence[int],
+        hang: dict[int, tuple[int, ...]] | None = None,
+        cyclic: bool = False,
+    ):
+        super().__init__(ident.e, labels, bonds)
+        self.ident = ident
+        self.omega = omega
+        self.cyclic = cyclic
+        hang = hang or {}
+        chain = list(chain)
+        layout: list = []
+        for idx, u in enumerate(chain):
+            layout.append(("node", u))
+            if u in hang:
+                layout.append(("paren", tuple(hang[u])))
+            if idx + 1 < len(chain):
+                layout.append(("bond", self.bond_between(u, chain[idx + 1]), chain[idx + 1]))
+        self.layout = tuple(layout)
 
     @property
     def spec(self) -> str:
         return self.ident.spec
-
-    @property
-    def e(self) -> int:
-        return self.ident.e
-
-    @property
-    def n_e(self) -> int:
-        return self.graph.n_e
-
-    @property
-    def coxeter(self) -> int:
-        return self.graph.coxeter
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return self.graph.nodes
-
-    @property
-    def labels(self) -> dict[int, int]:
-        return self.graph.labels
-
-    @property
-    def label_sum(self) -> int:
-        return self.graph.label_sum
-
-    def label_sum_of(self, nodes) -> int:
-        return self.graph.label_sum_of(nodes)
-
-    def factors(self, subset) -> tuple:
-        return self.graph.factors(subset)
 
     @property
     def base_dim(self) -> int:
@@ -272,20 +267,6 @@ class AffineDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _layout(graph: Diagram, chain: Sequence[int], hang: dict[int, tuple[int, ...]] | None = None) -> tuple:
-    """Render recipe for a chain with optional hanging (parenthesised) nodes."""
-    hang = hang or {}
-    entries: list = []
-    chain = list(chain)
-    for idx, u in enumerate(chain):
-        entries.append(("node", u))
-        if u in hang:
-            entries.append(("paren", tuple(hang[u])))
-        if idx + 1 < len(chain):
-            entries.append(("bond", graph.bond_between(u, chain[idx + 1]), chain[idx + 1]))
-    return tuple(entries)
-
-
 def _identity(n_nodes: int) -> tuple[int, ...]:
     return tuple(range(n_nodes))
 
@@ -293,14 +274,13 @@ def _identity(n_nodes: int) -> tuple[int, ...]:
 def _build_a_untwisted(n: int) -> AffineDiagram:
     ident = DiagramId(1, "A", n)
     if n == 1:
-        graph = Diagram(1, {0: 1, 1: 1}, [Bond(0, 1, 4, None)])
-        return AffineDiagram(ident, graph, (_identity(2), (1, 0)), _layout(graph, [0, 1]))
+        return AffineDiagram(ident, {0: 1, 1: 1}, [Bond(0, 1, 4, None)],
+                             (_identity(2), (1, 0)), [0, 1])
     labels = {i: 1 for i in range(n + 1)}
     bonds = [Bond(i, i + 1) for i in range(n)] + [Bond(n, 0)]
-    graph = Diagram(1, labels, bonds)
     size = n + 1
     omega = tuple(tuple((i + k) % size for i in range(size)) for k in range(size))
-    return AffineDiagram(ident, graph, omega, _layout(graph, range(size)), cyclic=True)
+    return AffineDiagram(ident, labels, bonds, omega, range(size), cyclic=True)
 
 
 def _build_b(n: int) -> AffineDiagram:
@@ -310,10 +290,9 @@ def _build_b(n: int) -> AffineDiagram:
     bonds = [Bond(0, 2), Bond(1, 2)]
     bonds += [Bond(i, i + 1) for i in range(2, n - 1)]
     bonds.append(Bond(n - 1, n, 2, n))
-    graph = Diagram(1, labels, bonds)
     swap = (1, 0) + tuple(range(2, n + 1))
-    layout = _layout(graph, [0] + list(range(2, n + 1)), {0: (1,)})
-    return AffineDiagram(ident, graph, (_identity(n + 1), swap), layout)
+    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), swap),
+                         [0] + list(range(2, n + 1)), {0: (1,)})
 
 
 def _build_c(n: int) -> AffineDiagram:
@@ -323,9 +302,8 @@ def _build_c(n: int) -> AffineDiagram:
     bonds = [Bond(0, 1, 2, 1)]
     bonds += [Bond(i, i + 1) for i in range(1, n - 1)]
     bonds.append(Bond(n - 1, n, 2, n - 1))
-    graph = Diagram(1, labels, bonds)
     flip = tuple(n - i for i in range(n + 1))
-    return AffineDiagram(ident, graph, (_identity(n + 1), flip), _layout(graph, range(n + 1)))
+    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), flip), range(n + 1))
 
 
 def _d_reversal(n: int, overrides: dict[int, int]) -> tuple[int, ...]:
@@ -344,7 +322,6 @@ def _build_d(n: int) -> AffineDiagram:
     bonds = [Bond(0, 2), Bond(1, 2)]
     bonds += [Bond(i, i + 1) for i in range(2, n - 2)]
     bonds += [Bond(n - 2, n - 1), Bond(n - 2, n)]
-    graph = Diagram(1, labels, bonds)
 
     tip_swap = list(range(n + 1))
     tip_swap[0], tip_swap[1] = 1, 0
@@ -358,8 +335,8 @@ def _build_d(n: int) -> AffineDiagram:
         rho2 = tuple(rho[rho[i]] for i in range(n + 1))
         rho3 = tuple(rho[rho2[i]] for i in range(n + 1))
         omega = (_identity(n + 1), rho, rho2, rho3)
-    layout = _layout(graph, [0] + list(range(2, n - 1)) + [n - 1], {0: (1,), n - 1: (n,)})
-    return AffineDiagram(ident, graph, omega, layout)
+    return AffineDiagram(ident, labels, bonds, omega,
+                         [0] + list(range(2, n - 1)) + [n - 1], {0: (1,), n - 1: (n,)})
 
 
 def _build_e(n: int) -> AffineDiagram:
@@ -369,37 +346,28 @@ def _build_e(n: int) -> AffineDiagram:
         bonds = [Bond(0, 1), Bond(1, 2), Bond(2, 3), Bond(3, 4), Bond(2, 5), Bond(5, 6)]
         rot = (4, 3, 2, 5, 6, 1, 0)
         rot2 = tuple(rot[rot[i]] for i in range(7))
-        graph = Diagram(1, labels, bonds)
-        layout = _layout(graph, [0, 1, 2, 3, 4], {2: (5, 6)})
-        return AffineDiagram(ident, graph, (_identity(7), rot, rot2), layout)
+        return AffineDiagram(ident, labels, bonds, (_identity(7), rot, rot2),
+                             [0, 1, 2, 3, 4], {2: (5, 6)})
     if n == 7:
         labels = {0: 1, 1: 2, 2: 3, 3: 4, 4: 3, 5: 2, 6: 1, 7: 2}
         bonds = [Bond(i, i + 1) for i in range(6)] + [Bond(3, 7)]
         flip = (6, 5, 4, 3, 2, 1, 0, 7)
-        graph = Diagram(1, labels, bonds)
-        layout = _layout(graph, [0, 1, 2, 3, 4, 5, 6], {3: (7,)})
-        return AffineDiagram(ident, graph, (_identity(8), flip), layout)
+        return AffineDiagram(ident, labels, bonds, (_identity(8), flip),
+                             [0, 1, 2, 3, 4, 5, 6], {3: (7,)})
     labels = {0: 1, 1: 2, 2: 3, 3: 4, 4: 5, 5: 6, 6: 4, 7: 2, 8: 3}
     bonds = [Bond(i, i + 1) for i in range(7)] + [Bond(5, 8)]
-    graph = Diagram(1, labels, bonds)
-    layout = _layout(graph, [0, 1, 2, 3, 4, 5, 6, 7], {5: (8,)})
-    return AffineDiagram(ident, graph, (_identity(9),), layout)
+    return AffineDiagram(ident, labels, bonds, (_identity(9),), [0, 1, 2, 3, 4, 5, 6, 7], {5: (8,)})
 
 
 def _build_f4() -> AffineDiagram:
-    ident = DiagramId(1, "F", 4)
     labels = {0: 1, 1: 2, 2: 3, 3: 4, 4: 2}
     bonds = [Bond(0, 1), Bond(1, 2), Bond(2, 3, 2, 3), Bond(3, 4)]
-    graph = Diagram(1, labels, bonds)
-    return AffineDiagram(ident, graph, (_identity(5),), _layout(graph, range(5)))
+    return AffineDiagram(DiagramId(1, "F", 4), labels, bonds, (_identity(5),), range(5))
 
 
 def _build_g2() -> AffineDiagram:
-    ident = DiagramId(1, "G", 2)
-    labels = {0: 1, 1: 2, 2: 3}
     bonds = [Bond(0, 1), Bond(1, 2, 3, 2)]
-    graph = Diagram(1, labels, bonds)
-    return AffineDiagram(ident, graph, (_identity(3),), _layout(graph, range(3)))
+    return AffineDiagram(DiagramId(1, "G", 2), {0: 1, 1: 2, 2: 3}, bonds, (_identity(3),), range(3))
 
 
 def _twisted_d_graph(ident: DiagramId, n: int) -> AffineDiagram:
@@ -407,9 +375,8 @@ def _twisted_d_graph(ident: DiagramId, n: int) -> AffineDiagram:
     bonds = [Bond(0, 1, 2, 0)]
     bonds += [Bond(i, i + 1) for i in range(1, n - 1)]
     bonds.append(Bond(n - 1, n, 2, n))
-    graph = Diagram(2, labels, bonds)
     flip = tuple(n - i for i in range(n + 1))
-    return AffineDiagram(ident, graph, (_identity(n + 1), flip), _layout(graph, range(n + 1)))
+    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), flip), range(n + 1))
 
 
 def _build_a_twisted(base: int) -> AffineDiagram:
@@ -417,15 +384,13 @@ def _build_a_twisted(base: int) -> AffineDiagram:
     if base % 2 == 0:
         n = base // 2
         if n == 1:
-            graph = Diagram(2, {0: 1, 1: 2}, [Bond(0, 1, 4, 1)])
-            return AffineDiagram(ident, graph, (_identity(2),), _layout(graph, [0, 1]))
+            return AffineDiagram(ident, {0: 1, 1: 2}, [Bond(0, 1, 4, 1)], (_identity(2),), [0, 1])
         labels = {0: 1}
         labels.update({i: 2 for i in range(1, n + 1)})
         bonds = [Bond(0, 1, 2, 1)]
         bonds += [Bond(i, i + 1) for i in range(1, n - 1)]
         bonds.append(Bond(n - 1, n, 2, n))
-        graph = Diagram(2, labels, bonds)
-        return AffineDiagram(ident, graph, (_identity(n + 1),), _layout(graph, range(n + 1)))
+        return AffineDiagram(ident, labels, bonds, (_identity(n + 1),), range(n + 1))
     n = (base + 1) // 2
     if n == 2:
         # The twist of A3 degenerates to the three-node chain with both
@@ -437,26 +402,20 @@ def _build_a_twisted(base: int) -> AffineDiagram:
     bonds = [Bond(0, 2), Bond(1, 2)]
     bonds += [Bond(i, i + 1) for i in range(2, n - 1)]
     bonds.append(Bond(n - 1, n, 2, n - 1))
-    graph = Diagram(2, labels, bonds)
     swap = (1, 0) + tuple(range(2, n + 1))
-    layout = _layout(graph, [0] + list(range(2, n + 1)), {0: (1,)})
-    return AffineDiagram(ident, graph, (_identity(n + 1), swap), layout)
+    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), swap),
+                         [0] + list(range(2, n + 1)), {0: (1,)})
 
 
 def _build_e6_twisted() -> AffineDiagram:
-    ident = DiagramId(2, "E", 6)
     labels = {0: 1, 1: 2, 2: 3, 3: 2, 4: 1}
     bonds = [Bond(0, 1), Bond(1, 2), Bond(2, 3, 2, 2), Bond(3, 4)]
-    graph = Diagram(2, labels, bonds)
-    return AffineDiagram(ident, graph, (_identity(5),), _layout(graph, range(5)))
+    return AffineDiagram(DiagramId(2, "E", 6), labels, bonds, (_identity(5),), range(5))
 
 
 def _build_d4_triality() -> AffineDiagram:
-    ident = DiagramId(3, "D", 4)
-    labels = {0: 1, 1: 2, 2: 1}
     bonds = [Bond(0, 1), Bond(1, 2, 3, 1)]
-    graph = Diagram(3, labels, bonds)
-    return AffineDiagram(ident, graph, (_identity(3),), _layout(graph, range(3)))
+    return AffineDiagram(DiagramId(3, "D", 4), {0: 1, 1: 2, 2: 1}, bonds, (_identity(3),), range(3))
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,14 @@ ellreg     emit the predicted equality classification
 steps      extremal tables for E6/E7/E8
 catalog    list the supported diagrams
 
+Each takes ``--out FILE`` and ``--format text|json``; ellreg also renders
+``tsv``.  ``--unicode`` (bonds drawn as arrows) is taken by the four that
+render Kac vectors: enumerate, check, ellreg and steps.
+
 Exit status: 0 on success, 1 when a scan finds a counterexample or a
-classification mismatch, 2 on usage errors.
+classification mismatch, or check finds the bound violated, 2 on usage
+errors, 3 on internal errors (a subdiagram the classifier rejects, or a
+failed self-check of the class generators or the reduction moves).
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from . import __version__
 from . import ellreg as ellreg_mod
 from . import kac, thomae
 from .affine import AffineDiagram, build_spec, catalog, render_kac
-from .dynkin import factors_type_string
+from .dynkin import UnsupportedSubdiagramError, factors_type_string
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -223,16 +229,13 @@ def _cmd_ellreg(args: argparse.Namespace) -> int:
                         "diagram": diagram.spec,
                         "m": entry.m,
                         "kac": _kac_text(entry.s),
-                        "J_type": factors_type_string(diagram.graph.factors(J)),
+                        "J_type": factors_type_string(diagram.factors(J)),
                         "provenance": entry.provenance,
                     }
                 )
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
     elif args.format == "tsv":
-        lines = [ellreg_mod.TSV_HEADER]
-        for diagram in diagrams:
-            lines.extend(ellreg_mod.tsv_rows(diagram))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(ellreg_mod.tsv_document(diagrams), args.out)
     else:
         lines = []
         for diagram in diagrams:
@@ -354,12 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kacscope {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, spec_nargs: str) -> None:
+    def common(p: argparse.ArgumentParser, spec_nargs, formats=("text", "json"), unicode=False):
         if spec_nargs:
             p.add_argument("spec", nargs=spec_nargs, help="diagram such as B6, 2D5, 3D4, E8")
-        p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--unicode", action="store_true", help="render bonds with arrows")
+        if unicode:
+            p.add_argument("--unicode", action="store_true", help="render bonds with arrows")
 
     p = sub.add_parser("verify", help="scan diagrams and certify the bound")
     common(p, "*")
@@ -367,22 +371,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="torsion classes of one order")
-    common(p, 1)
+    common(p, 1, unicode=True)
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check", help="evaluate the bound for one Kac vector")
-    common(p, 1)
+    common(p, 1, unicode=True)
     p.add_argument("--kac", required=True, help="comma-separated coordinates")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("ellreg", help="predicted equality classification")
-    common(p, "*")
+    common(p, "*", formats=("text", "json", "tsv"), unicode=True)
     p.add_argument("--max-rank", type=int, default=12)
     p.set_defaults(func=_cmd_ellreg)
 
     p = sub.add_parser("steps", help="extremal tables (E6/E7/E8)")
-    common(p, 1)
+    common(p, 1, unicode=True)
     p.set_defaults(func=_cmd_steps)
 
     p = sub.add_parser("catalog", help="list supported diagrams")
@@ -398,6 +402,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (UnsupportedSubdiagramError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -123,26 +123,25 @@ def total_root_count(factors: Iterable[FiniteFactor]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _connected_components(
+def connected_components(
     nodes: Sequence[int], adjacency: Mapping[int, Sequence[tuple[int, int]]]
 ) -> list[list[int]]:
-    node_set = set(nodes)
-    seen: set[int] = set()
+    """Components of the subgraph induced on ``nodes``, each sorted, in the
+    order of their first node in ``nodes``."""
+    left = set(nodes)
     components: list[list[int]] = []
     for start in nodes:
-        if start in seen:
+        if start not in left:
             continue
+        left.remove(start)
         comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            u = stack.pop()
+        for u in comp:  # grows while it is walked: a breadth-first search
             for v, _mult in adjacency.get(u, ()):
-                if v in node_set and v not in seen:
-                    seen.add(v)
+                if v in left:
+                    left.remove(v)
                     comp.append(v)
-                    stack.append(v)
-        components.append(sorted(comp))
+        comp.sort()
+        components.append(comp)
     return components
 
 
@@ -240,6 +239,6 @@ def classify_nodes(
     Dynkin shape.
     """
     factors: list[FiniteFactor] = []
-    for comp in _connected_components(nodes, adjacency):
+    for comp in connected_components(nodes, adjacency):
         factors.extend(_classify_component(comp, adjacency))
     return sort_factors(factors)

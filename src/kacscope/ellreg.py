@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .affine import AffineDiagram, build_spec
+from .affine import AffineDiagram
 from .dynkin import factors_type_string
 from . import kac
 from .thomae import DiagramScan, f_value
@@ -384,7 +384,7 @@ def tsv_rows(diagram: AffineDiagram) -> list[str]:
     rows = []
     for entry in expected_classes(diagram):
         J = kac.zero_set(diagram, entry.s)
-        type_string = factors_type_string(diagram.graph.factors(J))
+        type_string = factors_type_string(diagram.factors(J))
         kac_text = ",".join(str(v) for v in entry.s)
         rows.append(
             f"{diagram.spec}\t{entry.m}\t{kac_text}\t{type_string}\t{entry.provenance}"
@@ -392,8 +392,9 @@ def tsv_rows(diagram: AffineDiagram) -> list[str]:
     return rows
 
 
-def tsv_document(specs: list[str]) -> str:
+def tsv_document(diagrams: list[AffineDiagram]) -> str:
+    """The header and the classification rows of every diagram, in order."""
     lines = [TSV_HEADER]
-    for spec in specs:
-        lines.extend(tsv_rows(build_spec(spec)))
+    for diagram in diagrams:
+        lines.extend(tsv_rows(diagram))
     return "\n".join(lines) + "\n"

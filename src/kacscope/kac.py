@@ -32,8 +32,7 @@ __all__ = [
 
 
 def order_of(diagram: AffineDiagram, s: Sequence[int]) -> int:
-    labels = diagram.graph.labels
-    return diagram.e * sum(labels[i] * s[i] for i in diagram.nodes)
+    return diagram.e * sum(diagram.labels[i] * s[i] for i in diagram.nodes)
 
 
 def zero_set(diagram: AffineDiagram, s: Sequence[int]) -> frozenset[int]:
@@ -85,7 +84,7 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
         return []
     target = m // diagram.e
     nodes = diagram.nodes
-    labels = [diagram.graph.labels[i] for i in nodes]
+    labels = [diagram.labels[i] for i in nodes]
     found: set[tuple[int, ...]] = set()
     prefix = [0] * len(nodes)
 
@@ -118,7 +117,7 @@ def solution_count(diagram: AffineDiagram, m: int) -> int:
     if m <= 0 or m % diagram.e:
         return 0
     target = m // diagram.e
-    labels = [diagram.graph.labels[i] for i in diagram.nodes]
+    labels = [diagram.labels[i] for i in diagram.nodes]
 
     def raw(t: int) -> int:
         dp = [0] * (t + 1)

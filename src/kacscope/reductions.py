@@ -35,39 +35,23 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .affine import AffineDiagram, Bond, Diagram
-from .dynkin import total_root_count
+from .dynkin import connected_components, total_root_count
+from .thomae import f_value, zero_set_data
 
 
 # ---------------------------------------------------------------------------
-# f on bare graphs
+# f and runs on bare graphs
 # ---------------------------------------------------------------------------
 
 
-def graph_f(graph: Diagram, J: frozenset[int]) -> int:
-    """``c^J * |R_J| - n * c_J`` evaluated on a bare labelled graph."""
-    c_j = graph.label_sum_of(J)
-    r_j = total_root_count(graph.factors(J))
-    return (graph.label_sum - c_j) * r_j - graph.n_e * c_j
+# f on the contracted graphs is thomae's f on named diagrams: both are
+# Diagram values.  ``reduce_to_z`` calls it under this name.
+graph_f = f_value
 
 
 def components(graph: Diagram, J: frozenset[int]) -> list[frozenset[int]]:
     """Connected components of ``J`` in the diagram, sorted by least node."""
-    seen: set[int] = set()
-    out: list[frozenset[int]] = []
-    for start in sorted(J):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, _ in graph.adjacency[u]:
-                if v in J and v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        out.append(frozenset(comp))
-    return out
+    return [frozenset(c) for c in connected_components(sorted(J), graph.adjacency)]
 
 
 def interior_components(graph: Diagram, J: frozenset[int]) -> list[frozenset[int]]:
@@ -130,8 +114,7 @@ def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
 
 def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
     """Exact decrease of ``f`` when node ``i`` is contracted away."""
-    c_j = graph.label_sum_of(J)
-    r_j = total_root_count(graph.factors(J))
+    r_j, c_j, _c_up = zero_set_data(graph, J)
     return graph.labels[i] * r_j - c_j
 
 
@@ -232,7 +215,7 @@ def balance_step(
     q1, q2 = sizes[0], sizes[-1]
 
     order = spine(graph)
-    boundary = set().union(*boundary_components(graph, J)) if boundary_components(graph, J) else set()
+    boundary = set().union(*boundary_components(graph, J))
     free_idx = [t for t, u in enumerate(order) if u not in boundary]
     if free_idx != list(range(free_idx[0], free_idx[-1] + 1)):
         raise ValueError("boundary runs must sit at the spine ends")
@@ -307,7 +290,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     the move's closed form; any disagreement raises.  The result always
     lies in ``Z`` and its ``f`` value never exceeds the starting one.
     """
-    if getattr(diagram, "cyclic", False):
+    if diagram.cyclic:
         raise ValueError("cycle diagrams are not reduced; their bound is direct")
     if diagram.ident.family not in "ABCD" or diagram.e == 3:
         raise ValueError(
@@ -316,7 +299,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         )
     J = frozenset(J)
     start = tuple(sorted(J))
-    graph = diagram.graph
+    graph = diagram
     if not J or not J < frozenset(graph.labels):
         raise ValueError("J must be a nonempty proper subset of the nodes")
 
@@ -496,7 +479,7 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     c = interior_labels.pop() if interior_labels else 0
 
     inner = interior_components(graph, J)
-    outer = [comp for comp in components(graph, J) if not comp <= interior]
+    outer = boundary_components(graph, J)
     sizes = sorted(len(comp) for comp in inner)
     distinct = sorted(set(sizes))
     if len(distinct) > 2 or (len(distinct) == 2 and distinct[1] - distinct[0] != 1):
@@ -568,20 +551,16 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
     is returned rather than a wrong closed form.
     """
     ident = diagram.ident
-    graph = diagram.graph
-    if not graph.interior():
+    if not diagram.interior():
         return None  # two-node diagram: no spine for the case taxonomy
     try:
-        g = greek_decomposition(graph, J)
+        g = greek_decomposition(diagram, J)
     except ValueError:
         return None  # non-constant interior label or spread-out run sizes
     q, x, y = g.q, g.x, g.y
-    n = graph.n_e
-    c_j = graph.label_sum_of(J)
-    c_up = graph.label_sum - c_j
-    r_j = total_root_count(graph.factors(J))
-    comps = components(graph, J)
-    outer = [comp for comp in comps if not comp <= graph.interior()]
+    n = diagram.n_e
+    r_j, c_j, c_up = zero_set_data(diagram, J)
+    outer = boundary_components(diagram, J)
 
     def confirmed(name: str, params: dict[str, int], alpha: int, gamma: int,
                   checks: list[bool]) -> Optional[CaseMatch]:

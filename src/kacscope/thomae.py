@@ -24,29 +24,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .affine import AffineDiagram
-from .dynkin import FiniteFactor, factors_type_string, total_root_count
+from .affine import AffineDiagram, Diagram
+from .dynkin import factors_type_string, total_root_count
 from . import kac
 
 
-def zero_set_data(diagram: AffineDiagram, J: frozenset[int]) -> tuple[int, int, int]:
-    """Return ``(|R_J|, c_J, c^J)`` for a proper subset ``J`` of nodes."""
-    nodes = frozenset(diagram.nodes)
+def zero_set_data(diagram: Diagram, J: frozenset[int], factors=None) -> tuple[int, int, int]:
+    """Return ``(|R_J|, c_J, c^J)`` for a proper subset ``J`` of nodes.
+
+    ``factors``, when the caller has already classified ``J``, saves
+    classifying it a second time.
+    """
     J = frozenset(J)
-    if not J <= nodes:
+    if not J.issubset(diagram.labels):
         raise ValueError(f"not a node subset: {sorted(J)}")
-    if J == nodes:
+    if len(J) == len(diagram.labels):
         raise ValueError("zero set must be a proper subset of the nodes")
-    factors = diagram.factors(J)
-    r_j = total_root_count(factors)
+    if factors is None:
+        factors = diagram.factors(J)
     c_j = diagram.label_sum_of(J)
-    c_up = diagram.label_sum - c_j
-    return r_j, c_j, c_up
+    return total_root_count(factors), c_j, diagram.label_sum - c_j
 
 
-def f_value(diagram: AffineDiagram, J: frozenset[int]) -> int:
+def f_value(diagram: Diagram, J: frozenset[int], factors=None) -> int:
     """The integer certificate ``c^J * |R_J| - n_e * c_J``."""
-    r_j, c_j, c_up = zero_set_data(diagram, J)
+    r_j, c_j, c_up = zero_set_data(diagram, J, factors)
     return c_up * r_j - diagram.n_e * c_j
 
 
@@ -90,7 +92,7 @@ def check_class(diagram: AffineDiagram, s: tuple[int, ...]) -> ClassReport:
         fixed_dim=diagram.n_e + r_j,
         tau=Fraction(1, m),
         bound=Fraction(diagram.n_e + r_j, diagram.base_root_count),
-        f=f_value(diagram, J),
+        f=f_value(diagram, J, factors),
     )
 
 
@@ -155,7 +157,7 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
     index = {u: i for i, u in enumerate(nodes)}
     neighbours = [0] * len(nodes)
     for u, i in index.items():
-        for v, _mult in diagram.graph.adjacency[u]:
+        for v, _mult in diagram.adjacency[u]:
             neighbours[i] |= 1 << index[v]
     labels = [diagram.labels[u] for u in nodes]
     full = (1 << len(nodes)) - 1

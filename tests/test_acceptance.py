@@ -165,7 +165,7 @@ def test_criterion_5_bilinear_identity_on_z():
     # the exceptional inner types (non-constant interior label) fall back
     # to their finite tables
     for d in (x for x in catalog(12) if x.ident.family in "ABCD"):
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             sizes = sorted({len(c) for c in interior_components(g, J)})
             if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
@@ -201,7 +201,7 @@ def test_criterion_6_refinement_reaches_z_monotonically():
 
     vexing = 0
     for d in _classical(12):
-        g = d.graph
+        g = d
         if all(len(g.adjacency[u]) < 3 for u in g.nodes):
             continue  # switches only arise at forks
         for J in _nonempty_proper(d):

@@ -100,8 +100,8 @@ def test_omega_permutations_preserve_structure():
                 assert d.labels[perm[i]] == d.labels[i]
             # adjacency (with multiplicities) is preserved
             for i in d.nodes:
-                image = sorted((perm[j], m) for j, m in d.graph.adjacency[i])
-                assert image == sorted(d.graph.adjacency[perm[i]])
+                image = sorted((perm[j], m) for j, m in d.adjacency[i])
+                assert image == sorted(d.adjacency[perm[i]])
 
 
 def test_omega_sizes():

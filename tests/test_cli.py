@@ -170,6 +170,47 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.strip() or out.strip()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "G2", "--format", "tsv"),  # only ellreg renders tsv
+        ("catalog", "--unicode"),  # catalog renders no bonds
+        ("verify", "G2", "--unicode"),
+    ],
+)
+def test_options_a_subcommand_ignores_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_classifier_fault_is_an_internal_error(capsys, monkeypatch):
+    # a shape the classifier rejects is a fault of the program, not a
+    # usage error, although the exception subclasses ValueError
+    from kacscope.dynkin import UnsupportedSubdiagramError
+
+    def broken(d):
+        raise UnsupportedSubdiagramError([0, 1, 2], "contains a cycle")
+
+    monkeypatch.setattr(cli.thomae, "scan_diagram", broken)
+    code, out, err = _run(capsys, "verify", "G2")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: component [0, 1, 2]")
+
+
+def test_failed_self_check_is_an_internal_error(capsys, monkeypatch):
+    def broken(d, scan):
+        raise AssertionError("G2: duplicate class (1, 1, 1)")
+
+    monkeypatch.setattr(cli.ellreg_mod, "crosscheck", broken)
+    code, out, err = _run(capsys, "verify", "G2")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: G2: duplicate class (1, 1, 1)\n"
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 

@@ -124,7 +124,7 @@ def test_tsv_rows_match_golden(spec):
 
 
 def test_tsv_document_concatenates():
-    doc = tsv_document(["G2", "3D4"])
+    doc = tsv_document([build_spec("G2"), build_spec("3D4")])
     lines = doc.strip().split("\n")
     assert lines[0] == TSV_HEADER
     assert len(lines) == 1 + 3 + 3

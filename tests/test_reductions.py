@@ -7,7 +7,7 @@ import itertools
 
 import pytest
 
-from kacscope.affine import build_spec, catalog
+from kacscope.affine import Diagram, build_spec, catalog
 from kacscope.reductions import (
     balance_step,
     contract,
@@ -52,8 +52,9 @@ def _nonempty_proper(d):
 
 def test_graph_f_matches_f_value():
     for d in _acyclic(8):
+        bare = Diagram(d.e, d.labels, d.bonds)
         for J in _nonempty_proper(d):
-            assert graph_f(d.graph, J) == f_value(d, J)
+            assert graph_f(bare, J) == f_value(d, J)
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +64,7 @@ def test_graph_f_matches_f_value():
 def test_contraction_concrete():
     d = build_spec("B6")
     J = frozenset({1, 2, 4})
-    g = d.graph
+    g = d
     pair = contractible_pair(g, J)
     assert pair == (5, 6)
     drop = contraction_drop(g, J, pair[0])
@@ -76,7 +77,7 @@ def test_contraction_concrete():
 def test_contraction_drop_exact_everywhere():
     checked = 0
     for d in _acyclic(7):
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             pair = contractible_pair(g, J)
             if pair is None:
@@ -93,7 +94,7 @@ def test_contraction_drop_exact_everywhere():
 def test_contraction_preserves_zero_set_factors():
     d = build_spec("D7")
     J = frozenset({2, 5})
-    g = d.graph
+    g = d
     pair = contractible_pair(g, J)
     g2 = contract(g, J, *pair)
     # J is untouched: same induced subdiagram before and after
@@ -108,7 +109,7 @@ def test_contraction_preserves_zero_set_factors():
 def test_balance_step_exact():
     checked = 0
     for d in _classical(9):
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             if contractible_pair(g, J) is not None:
                 continue
@@ -127,14 +128,14 @@ def test_balance_step_exact():
 
 
 def test_in_z_examples():
-    g = build_spec("C5").graph
+    g = build_spec("C5")
     # membership needs every off-J node to resist contraction, so sparse
     # zero sets are not yet terminal
     assert not in_Z(g, frozenset({2}))
     assert not in_Y(g, frozenset({2}))
     assert in_Z(g, frozenset({0, 2, 4}))
     assert in_Z(g, frozenset({1, 3, 5}))
-    b6 = build_spec("B6").graph
+    b6 = build_spec("B6")
     assert in_Z(b6, frozenset({3, 5}))
     assert not in_Z(b6, frozenset({3, 6}))
 
@@ -149,7 +150,7 @@ def test_reduce_to_z_trace_shape():
     d = build_spec("B6")
     tr = reduce_to_z(d, {1, 2, 4})
     assert tr.spec == "B6"
-    assert tr.f_start == graph_f(d.graph, frozenset({1, 2, 4}))
+    assert tr.f_start == graph_f(d, frozenset({1, 2, 4}))
     assert tr.f_final == graph_f(tr.final_graph, tr.final_J)
     assert tr.f_start == tr.f_final + sum(s.drop for s in tr.steps)
     assert in_Z(tr.final_graph, tr.final_J)
@@ -178,7 +179,7 @@ def test_reduce_to_z_everywhere_monotone():
 
 def test_switch_concrete_strict_drop():
     d = build_spec("D8")
-    g = d.graph
+    g = d
     J = frozenset({4, 5})
     sites = switch_sites(g, J)
     assert (6, 7, 5) in sites
@@ -197,7 +198,7 @@ def test_switch_drop_formula_exact():
     seen_vexing = 0
     checked = 0
     for d in _classical(9):
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             c_up = g.label_sum - sum(g.labels[i] for i in J)
             for (i, j, k) in switch_sites(g, J):
@@ -230,7 +231,7 @@ def test_greek_identity_small_sweep():
 
     checked = 0
     for d in _classical(9):
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             sizes = sorted({len(c) for c in interior_components(g, J)})
             if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
@@ -246,7 +247,7 @@ def test_greek_beta_matches_alpha_shift():
     from kacscope.reductions import interior_components
 
     for d in _classical(8):
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             sizes = sorted({len(c) for c in interior_components(g, J)})
             if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
@@ -263,7 +264,7 @@ def test_greek_beta_matches_alpha_shift():
 def test_greek_two_node_diagrams():
     for spec in ("A1", "2A2"):
         d = build_spec(spec)
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             data = greek_decomposition(g, J)
             assert data.x == 0 and data.y == 0
@@ -304,7 +305,7 @@ def test_case_names_are_closed():
 
 def test_cases_agree_with_decomposition():
     for d in _classical(9):
-        g = d.graph
+        g = d
         for J in _nonempty_proper(d):
             m = match_case(d, J)
             if m is None:
