@@ -10,7 +10,7 @@ order-``m`` torsion automorphism occupies at least a ``1/m`` fraction of
 
 from .affine import AffineDiagram, Diagram, DiagramId, build_spec, catalog, parse_spec, render_kac
 from .dynkin import FiniteFactor, UnsupportedSubdiagramError, factors_type_string
-from .ellreg import Crosscheck, ExpectedClass, crosscheck, expected_classes
+from .ellreg import ClassRow, Crosscheck, crosscheck, expected_classes
 from .kac import enumerate_classes, is_admissible, order_of, zero_set
 from .reductions import (
     GreekData,
@@ -27,11 +27,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineDiagram",
     "ClassReport",
+    "ClassRow",
     "Crosscheck",
     "Diagram",
     "DiagramId",
     "DiagramScan",
-    "ExpectedClass",
     "FiniteFactor",
     "GreekData",
     "ReductionTrace",

@@ -50,6 +50,22 @@ class ExpectedClass:
     provenance: str
 
 
+@dataclass(frozen=True)
+class ClassRow:
+    """A validated predicted class with the type of its zero set: the one
+    record that the TSV, JSON and text classification outputs render."""
+
+    diagram: str
+    m: int
+    s: tuple[int, ...]
+    J_type: str
+    provenance: str
+
+    def tsv(self) -> str:
+        kac_text = ",".join(str(v) for v in self.s)
+        return f"{self.diagram}\t{self.m}\t{kac_text}\t{self.J_type}\t{self.provenance}"
+
+
 def _assemble(*parts) -> tuple[int, ...]:
     out: list[int] = []
     for part in parts:
@@ -279,13 +295,13 @@ _EXCEPTIONAL: dict[str, tuple[tuple[int, tuple[int, ...]], ...]] = {
 # ---------------------------------------------------------------------------
 
 
-def expected_classes(diagram: AffineDiagram) -> list[ExpectedClass]:
+def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
     """Predicted equality classes for ``diagram``, validated and sorted.
 
     Each entry's vector is checked to be admissible, of the stated order,
-    and to have ``f = 0`` on its zero set; vectors are put in canonical
-    form under the diagram symmetry.  Sorted by decreasing order, then by
-    vector.
+    and to have ``f = 0`` on its zero set, whose type the row records;
+    vectors are put in canonical form under the diagram symmetry (which
+    keeps that type).  Sorted by decreasing order, then by vector.
     """
     ident = diagram.ident
     if diagram.spec in _EXCEPTIONAL:
@@ -313,7 +329,7 @@ def expected_classes(diagram: AffineDiagram) -> list[ExpectedClass]:
     else:  # pragma: no cover - the diagram-name grammar admits nothing else
         raise ValueError(f"no classification data for {diagram.spec}")
 
-    out: list[ExpectedClass] = []
+    out: list[ClassRow] = []
     seen: set[tuple[int, ...]] = set()
     for entry in raw:
         s = entry.s
@@ -328,7 +344,9 @@ def expected_classes(diagram: AffineDiagram) -> list[ExpectedClass]:
                 f"{diagram.spec}: vector {s} has order "
                 f"{kac.order_of(diagram, s)}, expected {entry.m}"
             )
-        if f_value(diagram, kac.zero_set(diagram, s)) != 0:
+        J = kac.zero_set(diagram, s)
+        factors = diagram.factors(J)
+        if f_value(diagram, J, factors) != 0:
             raise AssertionError(
                 f"{diagram.spec}: vector {s} does not attain the bound"
             )
@@ -336,7 +354,9 @@ def expected_classes(diagram: AffineDiagram) -> list[ExpectedClass]:
         if canon in seen:
             raise AssertionError(f"{diagram.spec}: duplicate class {canon}")
         seen.add(canon)
-        out.append(ExpectedClass(entry.m, canon, entry.provenance))
+        out.append(ClassRow(
+            diagram.spec, entry.m, canon, factors_type_string(factors), entry.provenance
+        ))
     out.sort(key=lambda c: (-c.m, c.s))
     return out
 
@@ -381,15 +401,7 @@ TSV_HEADER = "diagram\tm\tkac\tJ_type\tprovenance"
 
 def tsv_rows(diagram: AffineDiagram) -> list[str]:
     """Classification rows for one diagram in tab-separated form."""
-    rows = []
-    for entry in expected_classes(diagram):
-        J = kac.zero_set(diagram, entry.s)
-        type_string = factors_type_string(diagram.factors(J))
-        kac_text = ",".join(str(v) for v in entry.s)
-        rows.append(
-            f"{diagram.spec}\t{entry.m}\t{kac_text}\t{type_string}\t{entry.provenance}"
-        )
-    return rows
+    return [row.tsv() for row in expected_classes(diagram)]
 
 
 def tsv_document(diagrams: list[AffineDiagram]) -> str:

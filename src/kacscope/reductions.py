@@ -303,9 +303,9 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     if not J or not J < frozenset(graph.labels):
         raise ValueError("J must be a nonempty proper subset of the nodes")
 
-    f = graph_f(graph, J)
-    f_start = f
     factors0 = graph.factors(J)
+    f = graph_f(graph, J, factors0)
+    f_start = f
     steps: list[ReductionStep] = []
 
     while True:
@@ -315,9 +315,10 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         i, j = pair
         predicted = contraction_drop(graph, J, i)
         graph = contract(graph, J, i, j)
-        if graph.factors(J) != factors0:
+        factors = graph.factors(J)
+        if factors != factors0:
             raise AssertionError("contraction changed the root system of J")
-        new_f = graph_f(graph, J)
+        new_f = graph_f(graph, J, factors)
         if f - new_f != predicted:
             raise AssertionError(
                 f"contraction of node {i}: predicted drop {predicted}, got {f - new_f}"
@@ -478,8 +479,10 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     # factor of x or y, both zero, so any value is exact — use 0
     c = interior_labels.pop() if interior_labels else 0
 
-    inner = interior_components(graph, J)
-    outer = boundary_components(graph, J)
+    inner: list[frozenset[int]] = []
+    outer: list[frozenset[int]] = []
+    for comp in components(graph, J):
+        (inner if comp <= interior else outer).append(comp)
     sizes = sorted(len(comp) for comp in inner)
     distinct = sorted(set(sizes))
     if len(distinct) > 2 or (len(distinct) == 2 and distinct[1] - distinct[0] != 1):

@@ -76,9 +76,13 @@ class ClassReport:
 
 
 def check_class(diagram: AffineDiagram, s: tuple[int, ...]) -> ClassReport:
-    """Evaluate the bound for the torsion class with Kac coordinates ``s``."""
-    if not kac.is_admissible(s):
-        raise ValueError(f"inadmissible Kac coordinates: {s}")
+    """Evaluate the bound for the torsion class with Kac coordinates ``s``,
+    which must be admissible with one entry per node (else ``ValueError``)."""
+    if len(s) != diagram.n_e + 1 or not kac.is_admissible(s):
+        raise ValueError(
+            f"{','.join(str(v) for v in s)!r} is not an admissible Kac vector for "
+            f"{diagram.spec} ({diagram.n_e + 1} non-negative entries with gcd 1)"
+        )
     m = kac.order_of(diagram, s)
     J = kac.zero_set(diagram, s)
     factors = diagram.factors(J)

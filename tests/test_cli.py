@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,8 @@ import pytest
 from kacscope import cli
 
 GOLDEN = Path(__file__).parent / "golden" / "ellreg"
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, *argv):
@@ -209,6 +214,61 @@ def test_failed_self_check_is_an_internal_error(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: G2: duplicate class (1, 1, 1)\n"
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = _run(capsys, "check", "G2", "--kac", "1,1,1", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("cannot write --out file: ")
+    assert str(target) in err
+    assert not target.exists()
+
+
+def test_process_exit_status_and_stderr(tmp_path):
+    # the real process, not main() in-process: exit status and stderr as
+    # a shell sees them, with no traceback
+    target = tmp_path / "missing" / "report.txt"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kacscope.cli", "verify", "G2", "--out", str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot write --out file: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# golden output of every subcommand
+
+GOLDEN_COMMANDS = {
+    "verify.txt": ("verify",),
+    "verify_G2_F4_E8_2A9.json": ("verify", "G2", "F4", "E8", "2A9", "--format", "json"),
+    "catalog.txt": ("catalog",),
+    "catalog.json": ("catalog", "--format", "json"),
+    "steps_E8_unicode.txt": ("steps", "E8", "--unicode"),
+    "steps_E7.json": ("steps", "E7", "--format", "json"),
+    "enumerate_B5_6_unicode.txt": ("enumerate", "B5", "--order", "6", "--unicode"),
+    "enumerate_B5_6.json": ("enumerate", "B5", "--order", "6", "--format", "json"),
+    "check_F4_0-0-1-0-0.txt": ("check", "F4", "--kac", "0,0,1,0,0"),
+    "check_F4_0-0-1-0-0.json": ("check", "F4", "--kac", "0,0,1,0,0", "--format", "json"),
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.name for p in GOLDEN_CLI.iterdir()) == sorted(GOLDEN_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_matches_golden(capsys, name):
+    code, out, err = _run(capsys, *GOLDEN_COMMANDS[name])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_CLI / name).read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

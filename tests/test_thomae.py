@@ -46,6 +46,14 @@ def test_report_inadmissible_rejected():
         check_class(g2, (2, 2, 2))
 
 
+@pytest.mark.parametrize("s", [(1, 1), (1, 1, 1, 5), ()])
+def test_report_rejects_a_vector_of_the_wrong_length(s):
+    # one coordinate per node: a longer vector must not be truncated, a
+    # shorter one must not index past its end
+    with pytest.raises(ValueError, match="3 non-negative entries"):
+        check_class(build_spec("G2"), s)
+
+
 # Order-2 and order-3 points with well-known fixed subalgebras.  In each
 # block the first class is the equality case; the second is the larger
 # fixed subalgebra at the same order, which the bound keeps strictly
