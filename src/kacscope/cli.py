@@ -122,14 +122,32 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 # ---------------------------------------------------------------------------
 
 
+# the most raw Kac vectors enumerate walks (A11 at order 12 has 1.3 M,
+# A12 at order 13 has 5.2 M)
+MAX_SOLUTIONS = 2_000_000
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> Report:
     diagram = build_spec(args.spec[0])
+    if args.order <= 0:
+        raise ValueError(f"--order must be a positive integer, got {args.order}")
+    count = kac.solution_count(diagram, args.order)
+    if count > MAX_SOLUTIONS:
+        raise ValueError(
+            f"{diagram.spec} has {count:,} raw Kac vectors of order {args.order}, "
+            f"more than the {MAX_SOLUTIONS:,} that enumerate walks"
+        )
     classes = kac.enumerate_classes(diagram, args.order)
     # one small record per class: a class list can be long, so the
-    # reports are not kept, and the text renders from these records
+    # reports are not kept, and the text renders from these records;
+    # classes share zero sets, so each zero set is classified once
     records = []
+    factors_of: dict[frozenset[int], list] = {}
     for s in classes:
-        report = thomae.check_class(diagram, s)
+        J = kac.zero_set(diagram, s)
+        if J not in factors_of:
+            factors_of[J] = diagram.factors(J)
+        report = thomae.check_class(diagram, s, factors_of[J])
         records.append(
             {
                 "kac": _kac_text(s),

@@ -75,18 +75,40 @@ def canonical(diagram: AffineDiagram, s: Sequence[int]) -> tuple[int, ...]:
 def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
     """All classes of order exactly m, as sorted canonical representatives.
 
-    Empty when m is not a positive multiple of the twist e.  Beware that
-    the raw solution count grows quickly on low-label diagrams (untwisted
-    A above rank ~12 with m near the Coxeter number); use
-    :func:`solution_count` to estimate before enumerating.
+    A depth-first walk over the label-weighted compositions of m / e
+    reaches every raw vector of order m, in increasing lexicographic
+    order.  An admissible vector is kept only when it is the least tuple
+    of its Omega orbit: for each non-identity p in Omega, s[p[i]] is
+    compared with s[i] position by position, and s is rejected at the
+    first position where the permuted value is smaller (p moves it to a
+    lesser tuple) and passes p at the first position where it is larger.
+    The kept vectors are therefore exactly ``canonical(diagram, s)`` over
+    the orbits, already sorted, and no orbit is built.
+
+    Empty when m is not a positive multiple of the twist e.  The cost is
+    still one leaf per raw vector, and the raw solution count grows
+    quickly on low-label diagrams (untwisted A above rank ~12 with m near
+    the Coxeter number); use :func:`solution_count` to estimate before
+    enumerating.
     """
     if m <= 0 or m % diagram.e:
         return []
     target = m // diagram.e
     nodes = diagram.nodes
     labels = [diagram.labels[i] for i in nodes]
-    found: set[tuple[int, ...]] = set()
+    perms = [p for p in diagram.omega if p != nodes]
+    found: list[tuple[int, ...]] = []
     prefix = [0] * len(nodes)
+
+    def is_least(s: tuple[int, ...]) -> bool:
+        for p in perms:
+            for i, x in enumerate(s):
+                y = s[p[i]]
+                if y != x:
+                    if y < x:
+                        return False
+                    break
+        return True
 
     def fill(idx: int, remaining: int) -> None:
         if idx == len(nodes) - 1:
@@ -94,8 +116,8 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
             if remaining % c == 0:
                 prefix[idx] = remaining // c
                 s = tuple(prefix)
-                if is_admissible(s):
-                    found.add(canonical(diagram, s))
+                if is_least(s) and is_admissible(s):
+                    found.append(s)
             return
         c = labels[idx]
         for val in range(remaining // c + 1):
@@ -103,7 +125,7 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
             fill(idx + 1, remaining - c * val)
 
     fill(0, target)
-    return sorted(found)
+    return found
 
 
 def solution_count(diagram: AffineDiagram, m: int) -> int:

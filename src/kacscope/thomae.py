@@ -75,9 +75,12 @@ class ClassReport:
         return self.tau == self.bound
 
 
-def check_class(diagram: AffineDiagram, s: tuple[int, ...]) -> ClassReport:
+def check_class(diagram: AffineDiagram, s: tuple[int, ...], factors=None) -> ClassReport:
     """Evaluate the bound for the torsion class with Kac coordinates ``s``,
-    which must be admissible with one entry per node (else ``ValueError``)."""
+    which must be admissible with one entry per node (else ``ValueError``).
+
+    ``factors``, when the caller has already classified the zero set of
+    ``s``, saves classifying it again."""
     if len(s) != diagram.n_e + 1 or not kac.is_admissible(s):
         raise ValueError(
             f"{','.join(str(v) for v in s)!r} is not an admissible Kac vector for "
@@ -85,7 +88,8 @@ def check_class(diagram: AffineDiagram, s: tuple[int, ...]) -> ClassReport:
         )
     m = kac.order_of(diagram, s)
     J = kac.zero_set(diagram, s)
-    factors = diagram.factors(J)
+    if factors is None:
+        factors = diagram.factors(J)
     r_j = total_root_count(factors)
     return ClassReport(
         spec=diagram.spec,

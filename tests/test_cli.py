@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,9 @@ GOLDEN_COMMANDS = {
     "steps_E7.json": ("steps", "E7", "--format", "json"),
     "enumerate_B5_6_unicode.txt": ("enumerate", "B5", "--order", "6", "--unicode"),
     "enumerate_B5_6.json": ("enumerate", "B5", "--order", "6", "--format", "json"),
+    "enumerate_A5_6.json": ("enumerate", "A5", "--order", "6", "--format", "json"),
+    "enumerate_D6_6_unicode.txt": ("enumerate", "D6", "--order", "6", "--unicode"),
+    "enumerate_2A5_4.json": ("enumerate", "2A5", "--order", "4", "--format", "json"),
     "check_F4_0-0-1-0-0.txt": ("check", "F4", "--kac", "0,0,1,0,0"),
     "check_F4_0-0-1-0-0.json": ("check", "F4", "--kac", "0,0,1,0,0", "--format", "json"),
 }
@@ -292,6 +296,30 @@ def test_enumerate_json(capsys):
     assert kacs == {"1,0,0,1", "0,0,1,0"}
     eq = {entry["kac"]: entry["is_equality"] for entry in doc["classes"]}
     assert eq["1,0,0,1"] is True and eq["0,0,1,0"] is False
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_enumerate_non_positive_order_is_a_usage_error(capsys, order):
+    code, out, err = _run(capsys, "enumerate", "G2", "--order", order)
+    assert (code, out) == (2, "")
+    assert err == f"--order must be a positive integer, got {order}\n"
+
+
+def test_enumerate_order_off_the_twist_has_no_classes(capsys):
+    # 2A5 has e = 2, so no class has an odd order: a true empty answer
+    code, out, err = _run(capsys, "enumerate", "2A5", "--order", "3")
+    assert (code, out, err) == (0, "2A5: 0 class(es) of order 3\n", "")
+
+
+def test_enumerate_refuses_too_many_vectors_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "enumerate", "A16", "--order", "17")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "A16 has 1,166,803,093 raw Kac vectors of order 17, "
+        "more than the 2,000,000 that enumerate walks\n"
+    )
 
 
 # ---------------------------------------------------------------------------

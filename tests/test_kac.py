@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import itertools
+from math import gcd
+
 import pytest
 
 from kacscope.affine import build_spec, catalog
@@ -112,3 +115,29 @@ def test_principal_class_is_all_ones():
         classes = enumerate_classes(d, h)
         ones = tuple(1 for _ in d.nodes)
         assert canonical(d, ones) in classes
+
+
+def _brute_force_classes(d, m):
+    """Canonical representatives of every admissible vector of order m,
+    from all choices of the first n coordinates (the last one is then
+    fixed by the order)."""
+    if m % d.e:
+        return []
+    target = m // d.e
+    labels = [d.labels[i] for i in d.nodes]
+    found = set()
+    for head in itertools.product(*(range(target // c + 1) for c in labels[:-1])):
+        rest = target - sum(c * x for c, x in zip(labels, head))
+        if rest >= 0 and rest % labels[-1] == 0:
+            s = head + (rest // labels[-1],)
+            if gcd(*s) == 1:
+                found.add(canonical(d, s))
+    return sorted(found)
+
+
+def test_enumerate_classes_matches_brute_force_orbits():
+    """The least-in-orbit test against the orbit oracle on every diagram up
+    to rank 8 and every order up to 4."""
+    for d in catalog(8):
+        for m in range(1, 5):
+            assert enumerate_classes(d, m) == _brute_force_classes(d, m), (d.spec, m)

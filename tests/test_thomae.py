@@ -54,6 +54,14 @@ def test_report_rejects_a_vector_of_the_wrong_length(s):
         check_class(build_spec("G2"), s)
 
 
+@pytest.mark.parametrize("spec,m", [("A5", 6), ("D6", 6), ("2A5", 4), ("E6", 6), ("3D4", 6)])
+def test_report_with_given_factors_matches_report_without(spec, m):
+    d = build_spec(spec)
+    for s in enumerate_classes(d, m):
+        J = frozenset(i for i, x in enumerate(s) if x == 0)
+        assert check_class(d, s, d.factors(J)) == check_class(d, s), s
+
+
 # Order-2 and order-3 points with well-known fixed subalgebras.  In each
 # block the first class is the equality case; the second is the larger
 # fixed subalgebra at the same order, which the bound keeps strictly
