@@ -60,17 +60,15 @@ class Bond:
     """An edge of the diagram.
 
     ``mult`` is the bond multiplicity (1..4).  For ``mult >= 2``, ``tip``
-    is the node the arrow points toward; it is None only for the symmetric
-    quadruple bond of the rank-one untwisted A diagram.
+    is the node the arrow points toward; it is None for the symmetric
+    quadruple bond of the rank-one untwisted A diagram, and on every bond
+    that a contraction made.
     """
 
     u: int
     v: int
     mult: int = 1
     tip: int | None = None
-
-    def other(self, node: int) -> int:
-        return self.v if node == self.u else self.u
 
 
 class Diagram:
@@ -80,23 +78,23 @@ class Diagram:
     diagrams that no longer carry a name, and every quantity entering the
     certified inequality (label sums, root counts of induced subdiagrams,
     n_e = #nodes - 1) is computed from the graph alone.
+
+    A diagram is not changed after construction, so ``interior``, the
+    frozenset of nodes of degree >= 2, is derived once, in ``__init__``.
     """
 
-    __slots__ = ("e", "labels", "bonds", "adjacency", "_bond_of")
+    __slots__ = ("e", "labels", "bonds", "adjacency", "interior")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
         self.labels = dict(labels)
         self.bonds = tuple(bonds)
         adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in self.labels}
-        bond_of: dict[tuple[int, int], Bond] = {}
         for b in self.bonds:
             adjacency[b.u].append((b.v, b.mult))
             adjacency[b.v].append((b.u, b.mult))
-            bond_of[(b.u, b.v)] = b
-            bond_of[(b.v, b.u)] = b
         self.adjacency = adjacency
-        self._bond_of = bond_of
+        self.interior = frozenset(u for u, nb in adjacency.items() if len(nb) >= 2)
 
     # -- basic data ------------------------------------------------------
 
@@ -118,14 +116,10 @@ class Diagram:
         return self.e * self.label_sum
 
     def bond_between(self, u: int, v: int) -> Bond | None:
-        return self._bond_of.get((u, v))
+        return next((b for b in self.bonds if {b.u, b.v} == {u, v}), None)
 
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
-
-    def interior(self) -> frozenset[int]:
-        """Nodes of degree >= 2."""
-        return frozenset(u for u in self.labels if self.degree(u) >= 2)
 
     # -- subset arithmetic -------------------------------------------------
 

@@ -42,15 +42,6 @@ from .thomae import DiagramScan, f_value
 
 
 @dataclass(frozen=True)
-class ExpectedClass:
-    """One predicted equality class: order, Kac vector, generating rule."""
-
-    m: int
-    s: tuple[int, ...]
-    provenance: str
-
-
-@dataclass(frozen=True)
 class ClassRow:
     """A validated predicted class with the type of its zero set: the one
     record that the TSV, JSON and text classification outputs render."""
@@ -77,16 +68,20 @@ def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
 
 
+# a generated class before validation: order, Kac vector, generating rule
+_Generated = tuple[int, tuple[int, ...], str]
+
+
 # ---------------------------------------------------------------------------
 # classical generators
 # ---------------------------------------------------------------------------
 
 
-def _classes_a_untwisted(n: int) -> list[ExpectedClass]:
-    return [ExpectedClass(n + 1, (1,) * (n + 1), "principal")]
+def _classes_a_untwisted(n: int) -> list[_Generated]:
+    return [(n + 1, (1,) * (n + 1), "principal")]
 
 
-def _classes_2a_even(base: int) -> list[ExpectedClass]:
+def _classes_2a_even(base: int) -> list[_Generated]:
     n = base // 2
     out = []
     for div in _divisors(2 * n + 1):            # div = 2k + 1
@@ -94,18 +89,18 @@ def _classes_2a_even(base: int) -> list[ExpectedClass]:
         d = (2 * n + 1) // div
         s = _assemble((1,), *(((0,) * (2 * k) + (1,)) for _ in range((d - 1) // 2)),
                       (0,) * k)
-        out.append(ExpectedClass(2 * d, s, f"divisor d={d} of {2 * n + 1}"))
+        out.append((2 * d, s, f"divisor d={d} of {2 * n + 1}"))
     for k in _divisors(n):
         d = n // k
         if d % 2 == 0 or d == 1:                # d = 1 duplicates the family above
             continue
         s = _assemble((1,), *(((0,) * (2 * k - 1) + (1,)) for _ in range((d - 1) // 2)),
                       (0,) * k)
-        out.append(ExpectedClass(2 * d, s, f"divisor d={d} of {n}"))
+        out.append((2 * d, s, f"divisor d={d} of {n}"))
     return out
 
 
-def _classes_2a_odd(base: int) -> list[ExpectedClass]:
+def _classes_2a_odd(base: int) -> list[_Generated]:
     n = (base + 1) // 2
     out = []
     seen: set[tuple[int, ...]] = set()
@@ -120,7 +115,7 @@ def _classes_2a_odd(base: int) -> list[ExpectedClass]:
                           (1,))
         if s not in seen:
             seen.add(s)
-            out.append(ExpectedClass(2 * d, s, f"divisor d={d} of {2 * n - 1}"))
+            out.append((2 * d, s, f"divisor d={d} of {2 * n - 1}"))
     for k in _divisors(n):
         d = n // k
         if d % 2 == 0:
@@ -137,11 +132,11 @@ def _classes_2a_odd(base: int) -> list[ExpectedClass]:
                           (1,))
         if s not in seen:
             seen.add(s)
-            out.append(ExpectedClass(2 * d, s, f"divisor d={d} of {n}"))
+            out.append((2 * d, s, f"divisor d={d} of {n}"))
     return out
 
 
-def _classes_b(n: int) -> list[ExpectedClass]:
+def _classes_b(n: int) -> list[_Generated]:
     out = []
     for k in _divisors(n):
         if k == 1:
@@ -156,26 +151,26 @@ def _classes_b(n: int) -> list[ExpectedClass]:
             s = _assemble((0,) * ((k + 1) // 2),
                           *(((1,) + (0,) * (k - 1)) for _ in range(n // k - 1)),
                           (1,), (0,) * ((k - 1) // 2))
-        out.append(ExpectedClass(2 * n // k, s, f"divisor k={k} of {n}"))
+        out.append((2 * n // k, s, f"divisor k={k} of {n}"))
     return out
 
 
-def _classes_c(n: int) -> list[ExpectedClass]:
+def _classes_c(n: int) -> list[_Generated]:
     out = []
     for k in _divisors(n):
         s = _assemble((1,), *(((0,) * (k - 1) + (1,)) for _ in range(n // k)))
-        out.append(ExpectedClass(2 * n // k, s, f"divisor k={k} of {n}"))
+        out.append((2 * n // k, s, f"divisor k={k} of {n}"))
     return out
 
 
-def _classes_d(n: int) -> list[ExpectedClass]:
+def _classes_d(n: int) -> list[_Generated]:
     out = []
     seen: set[tuple[int, ...]] = set()
 
     def emit(m: int, s: tuple[int, ...], why: str) -> None:
         if s not in seen:
             seen.add(s)
-            out.append(ExpectedClass(m, s, why))
+            out.append((m, s, why))
 
     for k in _divisors(n):
         if k % 2:
@@ -201,7 +196,7 @@ def _classes_d(n: int) -> list[ExpectedClass]:
     return out
 
 
-def _classes_2d(base: int) -> list[ExpectedClass]:
+def _classes_2d(base: int) -> list[_Generated]:
     n = base - 1
     out = []
     seen: set[tuple[int, ...]] = set()
@@ -209,7 +204,7 @@ def _classes_2d(base: int) -> list[ExpectedClass]:
     def emit(m: int, s: tuple[int, ...], why: str) -> None:
         if s not in seen:
             seen.add(s)
-            out.append(ExpectedClass(m, s, why))
+            out.append((m, s, why))
 
     for k in _divisors(n):
         if k % 2:
@@ -305,9 +300,7 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
     """
     ident = diagram.ident
     if diagram.spec in _EXCEPTIONAL:
-        raw = [
-            ExpectedClass(m, s, "table") for m, s in _EXCEPTIONAL[diagram.spec]
-        ]
+        raw = [(m, s, "table") for m, s in _EXCEPTIONAL[diagram.spec]]
     elif ident.e == 1 and ident.family == "A":
         raw = _classes_a_untwisted(ident.base_rank)
     elif ident.e == 2 and ident.family == "A" and ident.base_rank % 2 == 0:
@@ -331,18 +324,17 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
 
     out: list[ClassRow] = []
     seen: set[tuple[int, ...]] = set()
-    for entry in raw:
-        s = entry.s
+    for m, s, provenance in raw:
         if len(s) != diagram.n_e + 1:
             raise AssertionError(
                 f"{diagram.spec}: generated vector {s} has wrong length"
             )
         if not kac.is_admissible(s):
             raise AssertionError(f"{diagram.spec}: inadmissible vector {s}")
-        if kac.order_of(diagram, s) != entry.m:
+        if kac.order_of(diagram, s) != m:
             raise AssertionError(
                 f"{diagram.spec}: vector {s} has order "
-                f"{kac.order_of(diagram, s)}, expected {entry.m}"
+                f"{kac.order_of(diagram, s)}, expected {m}"
             )
         J = kac.zero_set(diagram, s)
         factors = diagram.factors(J)
@@ -354,9 +346,7 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
         if canon in seen:
             raise AssertionError(f"{diagram.spec}: duplicate class {canon}")
         seen.add(canon)
-        out.append(ClassRow(
-            diagram.spec, entry.m, canon, factors_type_string(factors), entry.provenance
-        ))
+        out.append(ClassRow(diagram.spec, m, canon, factors_type_string(factors), provenance))
     out.sort(key=lambda c: (-c.m, c.s))
     return out
 

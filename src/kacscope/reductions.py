@@ -32,7 +32,7 @@ one-line certificate and never needs reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .affine import AffineDiagram, Bond, Diagram
 from .dynkin import connected_components, total_root_count
@@ -49,32 +49,27 @@ from .thomae import f_value, zero_set_data
 graph_f = f_value
 
 
-def components(graph: Diagram, J: frozenset[int]) -> list[frozenset[int]]:
-    """Connected components of ``J`` in the diagram, sorted by least node."""
-    return [frozenset(c) for c in connected_components(sorted(J), graph.adjacency)]
-
-
-def interior_components(graph: Diagram, J: frozenset[int]) -> list[frozenset[int]]:
-    interior = graph.interior()
-    return [c for c in components(graph, J) if c <= interior]
-
-
-def boundary_components(graph: Diagram, J: frozenset[int]) -> list[frozenset[int]]:
-    interior = graph.interior()
-    return [c for c in components(graph, J) if not c <= interior]
+def runs_of(
+    graph: Diagram, J: frozenset[int]
+) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """The connected components of ``J``, split into interior runs (all
+    nodes of degree >= 2) and boundary runs, each sorted by least node."""
+    inner: list[frozenset[int]] = []
+    outer: list[frozenset[int]] = []
+    for comp in map(frozenset, connected_components(sorted(J), graph.adjacency)):
+        (inner if comp <= graph.interior else outer).append(comp)
+    return inner, outer
 
 
 def run_sizes(graph: Diagram, J: frozenset[int]) -> list[int]:
     """Sizes of the interior runs of ``J``, descending."""
-    return sorted((len(c) for c in interior_components(graph, J)), reverse=True)
+    return sorted(map(len, runs_of(graph, J)[0]), reverse=True)
 
 
 def d_value(graph: Diagram, J: frozenset[int]) -> int:
     """Largest size difference between two interior runs (0 if fewer than 2)."""
     sizes = run_sizes(graph, J)
-    if len(sizes) < 2:
-        return 0
-    return sizes[0] - sizes[-1]
+    return sizes[0] - sizes[-1] if sizes else 0
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +84,7 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
     neighbour ``j`` is interior.  Returns None when no move applies; that
     is the terminal set ``Y``.
     """
-    interior = graph.interior()
+    interior = graph.interior
     for b in sorted(graph.bonds, key=lambda b: (min(b.u, b.v), max(b.u, b.v))):
         u, v = min(b.u, b.v), max(b.u, b.v)
         if u in J or v in J:
@@ -104,12 +99,8 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
     return None
 
 
-def in_Y(graph: Diagram, J: frozenset[int]) -> bool:
-    return contractible_pair(graph, J) is None
-
-
 def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
-    return in_Y(graph, J) and d_value(graph, J) <= 1
+    return contractible_pair(graph, J) is None and d_value(graph, J) <= 1
 
 
 def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
@@ -122,42 +113,29 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
     """Delete the off-``J`` node ``i``, keeping the diagram connected.
 
     A degree-two ``i`` is replaced by a single bond joining its two
-    neighbours; the surviving bond keeps the higher multiplicity, and an
-    arrow that pointed at ``i`` now points at the far endpoint.  When the
+    neighbours; the surviving bond keeps the higher multiplicity.  When the
     two dying bonds are both multiple the replacement is the symmetric
     quadruple bond.  A degree-three ``i`` hands its pendant tips to ``j``.
     ``J`` itself, and hence the root system it spans, is untouched.
     """
     if i in J or j in J:
         raise ValueError("contraction applies to off-J nodes only")
-    if graph.bond_between(i, j) is None:
+    mult_to = dict(graph.adjacency[i])
+    if j not in mult_to:
         raise ValueError(f"nodes {i} and {j} are not adjacent")
-    deg = graph.degree(i)
+    deg = len(mult_to)
     kept = [b for b in graph.bonds if i not in (b.u, b.v)]
     if deg == 2:
-        (k,) = [v for v, _ in graph.adjacency[i] if v != j]
-        b_ij = graph.bond_between(i, j)
-        b_ik = graph.bond_between(i, k)
-        lo, hi = min(j, k), max(j, k)
-        if b_ij.mult > 1 and b_ik.mult > 1:
-            new = Bond(lo, hi, 4, None)
-        elif b_ij.mult == 1 and b_ik.mult == 1:
-            new = Bond(lo, hi, 1, None)
-        else:
-            dying = b_ij if b_ij.mult > 1 else b_ik
-            a = dying.other(i)
-            tip = a if dying.tip == a else (j if a == k else k)
-            new = Bond(lo, hi, dying.mult, tip)
-        kept.append(new)
+        (k,) = [v for v in mult_to if v != j]
+        mults = (mult_to[j], mult_to[k])
+        kept.append(Bond(min(j, k), max(j, k), 4 if min(mults) > 1 else max(mults)))
     elif deg == 3:
         if graph.degree(j) < 2:
             raise ValueError("a fork may only be contracted toward the interior")
-        pendants = [v for v, _ in graph.adjacency[i] if v != j]
-        for t in pendants:
-            b = graph.bond_between(i, t)
-            if graph.degree(t) != 1 or b.mult != 1:
+        for t in (v for v in mult_to if v != j):
+            if graph.degree(t) != 1 or mult_to[t] != 1:
                 raise ValueError(f"node {i} is not a plain fork")
-            kept.append(Bond(min(t, j), max(t, j), 1, None))
+            kept.append(Bond(min(t, j), max(t, j)))
     else:
         raise ValueError(f"node {i} has degree {deg}; contraction needs 2 or 3")
     labels = {u: c for u, c in graph.labels.items() if u != i}
@@ -172,7 +150,7 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
 def spine(graph: Diagram) -> list[int]:
     """Interior nodes in path order (the interior of every supported
     diagram is a path; contracted forks may leave a single hub)."""
-    interior = graph.interior()
+    interior = graph.interior
     if not interior:
         return []
     nb = {
@@ -209,13 +187,14 @@ def balance_step(
     ``2 * c^J * (q1 - q2 - 1)``; every other quantity entering ``f``
     (``n``, ``c_J``, ``c^J``, the boundary components) is unchanged.
     """
-    sizes = run_sizes(graph, J)
-    if len(sizes) < 2 or sizes[0] - sizes[-1] < 2:
+    inner, outer = runs_of(graph, J)
+    sizes = sorted(map(len, inner), reverse=True)
+    if not sizes or sizes[0] - sizes[-1] < 2:
         raise ValueError("balancing needs two interior runs differing by >= 2")
     q1, q2 = sizes[0], sizes[-1]
 
     order = spine(graph)
-    boundary = set().union(*boundary_components(graph, J))
+    boundary = set().union(*outer)
     free_idx = [t for t, u in enumerate(order) if u not in boundary]
     if free_idx != list(range(free_idx[0], free_idx[-1] + 1)):
         raise ValueError("boundary runs must sit at the spine ends")
@@ -239,7 +218,7 @@ def balance_step(
     if sorted(runs, reverse=True) != sizes:
         raise ValueError("interior runs do not all lie in the free region")
 
-    new_sizes = sorted(runs, reverse=True)
+    new_sizes = list(sizes)
     new_sizes[0] -= 1
     new_sizes[-1] += 1
     new_sizes.sort(reverse=True)
@@ -328,7 +307,8 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         steps.append(ReductionStep("contract", f"removed node {i}", predicted, new_f))
         f = new_f
 
-    while d_value(graph, J) >= 2:
+    sizes = run_sizes(graph, J)
+    while sizes and sizes[0] - sizes[-1] >= 2:
         new_J, predicted = balance_step(graph, J)
         new_f = graph_f(graph, new_J)
         if f - new_f != predicted:
@@ -337,11 +317,11 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
             )
         if predicted <= 0:
             raise AssertionError("balancing must strictly decrease f")
-        steps.append(
-            ReductionStep("balance", f"runs {run_sizes(graph, J)} -> {run_sizes(graph, new_J)}", predicted, new_f)
-        )
+        new_sizes = run_sizes(graph, new_J)
+        steps.append(ReductionStep("balance", f"runs {sizes} -> {new_sizes}", predicted, new_f))
         J = new_J
         f = new_f
+        sizes = new_sizes
 
     if not in_Z(graph, J):
         raise AssertionError("reduction terminated outside Z")
@@ -375,7 +355,7 @@ def switch_sites(graph: Diagram, J: frozenset[int]) -> list[tuple[int, int, int]
     ``i`` an off-``J`` fork, ``j`` an off-``J`` pendant tip of ``i`` and
     ``k`` the interior neighbour of ``i``, with ``k`` in ``J``."""
     sites = []
-    interior = graph.interior()
+    interior = graph.interior
     for i in sorted(graph.labels):
         if i in J or graph.degree(i) != 3:
             continue
@@ -403,8 +383,8 @@ def switch_step(
     """
     if i in J or j in J or k not in J:
         return None
-    comp = next(c for c in components(graph, J) if k in c)
-    if not comp <= graph.interior():
+    comp = next((c for c in runs_of(graph, J)[0] if k in c), None)
+    if comp is None:
         return None  # run reaches the far boundary; not this move's shape
     q = len(comp) - 1
     far_tip = next(
@@ -471,19 +451,15 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     otherwise.  The interior label must be constant, which holds for every
     supported diagram and survives contraction.
     """
-    interior = graph.interior()
-    interior_labels = {graph.labels[u] for u in interior}
+    interior_labels = {graph.labels[u] for u in graph.interior}
     if len(interior_labels) > 1:
         raise ValueError("interior label is not constant")
     # a two-node graph has no interior: every term involving c carries a
     # factor of x or y, both zero, so any value is exact — use 0
     c = interior_labels.pop() if interior_labels else 0
 
-    inner: list[frozenset[int]] = []
-    outer: list[frozenset[int]] = []
-    for comp in components(graph, J):
-        (inner if comp <= interior else outer).append(comp)
-    sizes = sorted(len(comp) for comp in inner)
+    inner, outer = runs_of(graph, J)
+    sizes = sorted(map(len, inner))
     distinct = sorted(set(sizes))
     if len(distinct) > 2 or (len(distinct) == 2 and distinct[1] - distinct[0] != 1):
         raise ValueError(f"interior run sizes {distinct} are not two consecutive values")
@@ -554,7 +530,7 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
     is returned rather than a wrong closed form.
     """
     ident = diagram.ident
-    if not diagram.interior():
+    if not diagram.interior:
         return None  # two-node diagram: no spine for the case taxonomy
     try:
         g = greek_decomposition(diagram, J)
@@ -563,7 +539,7 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
     q, x, y = g.q, g.x, g.y
     n = diagram.n_e
     r_j, c_j, c_up = zero_set_data(diagram, J)
-    outer = boundary_components(diagram, J)
+    outer = runs_of(diagram, J)[1]
 
     def confirmed(name: str, params: dict[str, int], alpha: int, gamma: int,
                   checks: list[bool]) -> Optional[CaseMatch]:

@@ -19,8 +19,8 @@ from kacscope.reductions import (
     graph_f,
     greek_decomposition,
     in_Z,
-    interior_components,
     reduce_to_z,
+    runs_of,
     switch_sites,
     switch_step,
 )
@@ -143,13 +143,13 @@ def test_criterion_4_coxeter_identity_rank_16():
 def _glossary_z(graph, J):
     """No two adjacent off-J interior nodes, and the interior runs of J
     have at most two consecutive sizes."""
-    interior = graph.interior()
+    interior = graph.interior
     off = [u for u in graph.nodes if u not in J and u in interior]
     for u in off:
         for v, _ in graph.adjacency[u]:
             if v in interior and v not in J and v > u:
                 return False
-    sizes = sorted({len(c) for c in interior_components(graph, J)})
+    sizes = sorted({len(c) for c in runs_of(graph, J)[0]})
     if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
         return False
     return True
@@ -167,7 +167,7 @@ def test_criterion_5_bilinear_identity_on_z():
     for d in (x for x in catalog(12) if x.ident.family in "ABCD"):
         g = d
         for J in _nonempty_proper(d):
-            sizes = sorted({len(c) for c in interior_components(g, J)})
+            sizes = sorted({len(c) for c in runs_of(g, J)[0]})
             if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
                 assert not _glossary_z(g, J), (d.spec, sorted(J))
                 continue

@@ -3,11 +3,13 @@ tip switches, the reduced class Z, and the quadratic form bookkeeping."""
 
 from __future__ import annotations
 
+import gzip
 import itertools
+from pathlib import Path
 
 import pytest
 
-from kacscope.affine import Diagram, build_spec, catalog
+from kacscope.affine import Bond, Diagram, build_spec, catalog
 from kacscope.reductions import (
     balance_step,
     contract,
@@ -16,14 +18,16 @@ from kacscope.reductions import (
     d_value,
     graph_f,
     greek_decomposition,
-    in_Y,
     in_Z,
     match_case,
     reduce_to_z,
+    runs_of,
     switch_sites,
     switch_step,
 )
-from kacscope.thomae import f_value, proper_subsets, zero_set_data
+from kacscope.thomae import f_value, proper_subsets, subset_tables, zero_set_data
+
+TRACE_GOLDEN = Path(__file__).parent / "golden" / "reduce_classical9.tsv.gz"
 
 
 def _acyclic(max_rank):
@@ -102,6 +106,22 @@ def test_contraction_preserves_zero_set_factors():
     assert sum(g2.labels[i] for i in J) == cJ_before
 
 
+def test_arrows_never_reach_root_counts():
+    """Reversing any arrow leaves every |R_J| unchanged, so the bonds that
+    a contraction makes need no arrow."""
+    reversed_arrows = 0
+    for d in catalog(12):
+        roots, _ = subset_tables(d)
+        for t, b in enumerate(d.bonds):
+            if b.mult < 2 or b.tip is None:
+                continue
+            flipped = Bond(b.u, b.v, b.mult, b.u if b.tip == b.v else b.v)
+            bonds = d.bonds[:t] + (flipped,) + d.bonds[t + 1:]
+            assert subset_tables(Diagram(d.e, d.labels, bonds))[0] == roots, (d.spec, b)
+            reversed_arrows += 1
+    assert reversed_arrows == 73
+
+
 # ---------------------------------------------------------------------------
 # balancing
 
@@ -132,7 +152,7 @@ def test_in_z_examples():
     # membership needs every off-J node to resist contraction, so sparse
     # zero sets are not yet terminal
     assert not in_Z(g, frozenset({2}))
-    assert not in_Y(g, frozenset({2}))
+    assert contractible_pair(g, frozenset({2})) is not None
     assert in_Z(g, frozenset({0, 2, 4}))
     assert in_Z(g, frozenset({1, 3, 5}))
     b6 = build_spec("B6")
@@ -156,12 +176,35 @@ def test_reduce_to_z_trace_shape():
     assert in_Z(tr.final_graph, tr.final_J)
 
 
+def _trace_line(tr) -> str:
+    """One trace as a tab-separated line: spec, start, f_start, the steps
+    (kind|detail|drop|f_after, joined by ';'), final J, f_final, the final
+    labels and the final bonds as u-v*mult.  Arrow tips are left out."""
+    g = tr.final_graph
+    return "\t".join([
+        tr.spec,
+        ",".join(map(str, tr.start)),
+        str(tr.f_start),
+        ";".join(f"{s.kind}|{s.detail}|{s.drop}|{s.f_after}" for s in tr.steps),
+        ",".join(map(str, sorted(tr.final_J))),
+        str(tr.f_final),
+        ",".join(f"{u}:{g.labels[u]}" for u in sorted(g.labels)),
+        ",".join(f"{b.u}-{b.v}*{b.mult}" for b in g.bonds),
+    ])
+
+
 def test_reduce_to_z_everywhere_monotone():
     """Every starting zero set reduces to the terminal class with
-    non-increasing f along the way, so positivity transfers backwards."""
+    non-increasing f along the way, so positivity transfers backwards;
+    and every trace equals its recorded line in ``TRACE_GOLDEN``."""
+    with gzip.open(TRACE_GOLDEN, "rt", encoding="utf-8") as fh:
+        golden = fh.read().splitlines()
+    traces = 0
     for d in _classical(9):
         for J in _nonempty_proper(d):
             tr = reduce_to_z(d, J)
+            assert _trace_line(tr) == golden[traces], (d.spec, sorted(J))
+            traces += 1
             assert in_Z(tr.final_graph, tr.final_J), (d.spec, sorted(J))
             f = tr.f_start
             for step in tr.steps:
@@ -171,6 +214,7 @@ def test_reduce_to_z_everywhere_monotone():
             assert f == tr.f_final
             assert tr.f_final >= 0
             assert tr.f_start >= tr.f_final
+    assert traces == len(golden) == 7_214
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +271,11 @@ def test_switch_drop_formula_exact():
 
 
 def test_greek_identity_small_sweep():
-    from kacscope.reductions import interior_components
-
     checked = 0
     for d in _classical(9):
         g = d
         for J in _nonempty_proper(d):
-            sizes = sorted({len(c) for c in interior_components(g, J)})
+            sizes = sorted({len(c) for c in runs_of(g, J)[0]})
             if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
                 continue
             data = greek_decomposition(g, J)
@@ -244,12 +286,10 @@ def test_greek_identity_small_sweep():
 
 def test_greek_beta_matches_alpha_shift():
     """beta equals alpha recomputed with every run one node longer."""
-    from kacscope.reductions import interior_components
-
     for d in _classical(8):
         g = d
         for J in _nonempty_proper(d):
-            sizes = sorted({len(c) for c in interior_components(g, J)})
+            sizes = sorted({len(c) for c in runs_of(g, J)[0]})
             if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
                 continue
             data = greek_decomposition(g, J)
@@ -344,3 +384,12 @@ def test_chain_family_comparisons(n):
                 assert fc == 2 * fd + 2 * n
             if 0 in J and n not in J:
                 assert 2 * fd == fc + rc - n
+
+
+if __name__ == "__main__":
+    # Re-record TRACE_GOLDEN (only with a change meant to alter traces):
+    #   PYTHONPATH=src python tests/test_reductions.py
+    lines = [_trace_line(reduce_to_z(d, J)) for d in _classical(9) for J in _nonempty_proper(d)]
+    with open(TRACE_GOLDEN, "wb") as raw:
+        with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
+            fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
