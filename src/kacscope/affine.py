@@ -130,6 +130,11 @@ class Diagram:
         """Finite factors of the subdiagram induced on ``subset``."""
         return classify_nodes(sorted(subset), self.adjacency)
 
+    def induced_bonds(self, subset) -> tuple[Bond, ...]:
+        """The bonds with both ends in ``subset``, in stored order.  They
+        alone decide :meth:`factors` of ``subset``."""
+        return tuple(b for b in self.bonds if b.u in subset and b.v in subset)
+
 
 # ---------------------------------------------------------------------------
 # diagram identities

@@ -16,6 +16,7 @@ path is reported as ``B_k`` whether its arrow points in or out (``B_k`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 
@@ -39,7 +40,7 @@ class FiniteFactor:
     family: str
     rank: int
 
-    @property
+    @cached_property
     def root_count(self) -> int:
         return _ROOT_COUNTS[self.family](self.rank)
 
@@ -57,10 +58,12 @@ _ROOT_COUNTS = {
 }
 
 
+@lru_cache(maxsize=None)
 def canonical_factors(family: str, rank: int) -> tuple[FiniteFactor, ...]:
     """Normalise a (family, rank) pair to canonical factors.
 
-    Returns a tuple because ``D2`` splits into two ``A1`` factors.
+    Returns a tuple because ``D2`` splits into two ``A1`` factors.  The
+    result is cached: factors are frozen, so every caller can share them.
 
     >>> canonical_factors("D", 3)
     (FiniteFactor(family='A', rank=3),)

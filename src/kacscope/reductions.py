@@ -81,31 +81,45 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
     """A pair ``(i, j)`` of adjacent off-``J`` nodes where ``i`` may be deleted.
 
     ``i`` must either have degree two, or be a degree-three fork whose
-    neighbour ``j`` is interior.  Returns None when no move applies; that
-    is the terminal set ``Y``.
+    neighbour ``j`` is interior.  Of the bonds where a move applies, the
+    one least by ``(min, max)`` of its ends gives the pair.  Returns None
+    when no move applies; that is the terminal set ``Y``.
     """
     interior = graph.interior
-    for b in sorted(graph.bonds, key=lambda b: (min(b.u, b.v), max(b.u, b.v))):
-        u, v = min(b.u, b.v), max(b.u, b.v)
-        if u in J or v in J:
+    least = pair = None
+    for b in graph.bonds:
+        u, v = (b.u, b.v) if b.u < b.v else (b.v, b.u)
+        if u in J or v in J or (least is not None and (u, v) >= least):
             continue
-        du, dv = graph.degree(u), graph.degree(v)
-        if du == 2:
-            return u, v
-        if dv == 2:
-            return v, u
-        if u in interior and v in interior:
-            return u, v
-    return None
+        if graph.degree(u) == 2:
+            pair = u, v
+        elif graph.degree(v) == 2:
+            pair = v, u
+        elif u in interior and v in interior:
+            pair = u, v
+        else:
+            continue
+        least = u, v
+    return pair
 
 
 def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
     return contractible_pair(graph, J) is None and d_value(graph, J) <= 1
 
 
-def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
-    """Exact decrease of ``f`` when node ``i`` is contracted away."""
-    r_j, c_j, _c_up = zero_set_data(graph, J)
+def contraction_drop(
+    graph: Diagram, J: frozenset[int], i: int, factors=None
+) -> int:
+    """Exact decrease of ``f`` when the off-``J`` node ``i`` is contracted
+    away.
+
+    ``factors``, when the caller has already classified ``J`` on this
+    graph (or on one with the same bonds inside ``J``), saves classifying
+    it again.
+    """
+    if i in J:
+        raise ValueError("contraction applies to off-J nodes only")
+    r_j, c_j, _c_up = zero_set_data(graph, J, factors)
     return graph.labels[i] * r_j - c_j
 
 
@@ -264,10 +278,22 @@ class ReductionTrace:
 def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     """Run contractions, then balancing, verifying every predicted drop.
 
-    ``J`` must be a nonempty proper subset of the nodes.  Each step's
-    actual change of ``f`` is recomputed from scratch and compared with
-    the move's closed form; any disagreement raises.  The result always
-    lies in ``Z`` and its ``f`` value never exceeds the starting one.
+    ``J`` must be a nonempty proper subset of the nodes.  ``J`` is
+    classified once, on the starting diagram.  After each contraction:
+
+    * the bonds induced on ``J`` must equal, as ``Bond`` values in stored
+      order, those of the starting diagram.  The factors of ``J`` depend on
+      nothing else, so equal induced bonds mean the root system of ``J``
+      is unchanged, and the starting factors stand in for reclassifying
+      ``J``;
+    * ``f`` is recomputed from the new graph's labels and node count with
+      those factors, and its decrease must equal the predicted drop
+      ``c_i * |R_J| - c_J`` and be positive.
+
+    After each balancing step ``f`` is recomputed from scratch, and its
+    decrease must equal the predicted drop and be positive.  Any
+    disagreement raises ``AssertionError``.  The result must lie in ``Z``,
+    and its ``f`` value never exceeds the starting one.
     """
     if diagram.cyclic:
         raise ValueError("cycle diagrams are not reduced; their bound is direct")
@@ -283,6 +309,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         raise ValueError("J must be a nonempty proper subset of the nodes")
 
     factors0 = graph.factors(J)
+    inside0 = graph.induced_bonds(J)
     f = graph_f(graph, J, factors0)
     f_start = f
     steps: list[ReductionStep] = []
@@ -292,12 +319,11 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         if pair is None:
             break
         i, j = pair
-        predicted = contraction_drop(graph, J, i)
+        predicted = contraction_drop(graph, J, i, factors0)
         graph = contract(graph, J, i, j)
-        factors = graph.factors(J)
-        if factors != factors0:
+        if graph.induced_bonds(J) != inside0:
             raise AssertionError("contraction changed the root system of J")
-        new_f = graph_f(graph, J, factors)
+        new_f = graph_f(graph, J, factors0)
         if f - new_f != predicted:
             raise AssertionError(
                 f"contraction of node {i}: predicted drop {predicted}, got {f - new_f}"
@@ -379,17 +405,22 @@ def switch_step(
     of the fork, the drop is exactly ``2 * (q + s - 1) * c^J`` — negative
     at ``q = 0, s = 0`` (the swap welds the in-``J`` tip into a longer
     run), and zero precisely at ``q = 0, s = 1`` and on the vexing
-    configuration ``q = 1, s = 0``.
+    configuration ``q = 1, s = 0``.  Raises ``ValueError`` when ``i`` is
+    not a fork with two pendant tips, ``j`` one of them.
     """
     if i in J or j in J or k not in J:
         return None
+    tips = [v for v, _ in graph.adjacency[i] if graph.degree(v) == 1]
+    if graph.degree(i) != 3 or len(tips) != 2 or j not in tips:
+        raise ValueError(
+            f"({i}, {j}, {k}) is not a switch site: node {i} must be a fork "
+            f"with two pendant tips, {j} one of them"
+        )
     comp = next((c for c in runs_of(graph, J)[0] if k in c), None)
     if comp is None:
         return None  # run reaches the far boundary; not this move's shape
     q = len(comp) - 1
-    far_tip = next(
-        v for v, _ in graph.adjacency[i] if graph.degree(v) == 1 and v != j
-    )
+    far_tip = tips[0] if tips[1] == j else tips[1]
     s = 0 if far_tip in J else 1
     c_up = graph.label_sum - graph.label_sum_of(J)
     drop = 2 * (q + s - 1) * c_up

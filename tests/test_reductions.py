@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import gzip
 import itertools
+import re
 from pathlib import Path
 
 import pytest
 
+from kacscope import reductions
 from kacscope.affine import Bond, Diagram, build_spec, catalog
 from kacscope.reductions import (
     balance_step,
@@ -93,6 +95,121 @@ def test_contraction_drop_exact_everywhere():
             assert contraction_drop(g, J, i) >= 0
             checked += 1
     assert checked > 200
+
+
+def test_contraction_drop_rejects_node_in_J():
+    with pytest.raises(ValueError, match="off-J nodes only"):
+        contraction_drop(build_spec("D6"), frozenset({2}), 2)
+
+
+def _sorted_contractible_pair(graph, J):
+    """The reference search: sort the bonds by (min, max) of their ends
+    and take the first one where a contraction applies."""
+    interior = graph.interior
+    for b in sorted(graph.bonds, key=lambda b: (min(b.u, b.v), max(b.u, b.v))):
+        u, v = min(b.u, b.v), max(b.u, b.v)
+        if u in J or v in J:
+            continue
+        du, dv = graph.degree(u), graph.degree(v)
+        if du == 2:
+            return u, v
+        if dv == 2:
+            return v, u
+        if u in interior and v in interior:
+            return u, v
+    return None
+
+
+def test_contractible_pair_matches_sorted_oracle(monkeypatch):
+    """The one-pass search against the sorted one on every state that
+    ``reduce_to_z`` visits over the classical diagrams to rank 9."""
+    one_pass = reductions.contractible_pair
+    states = 0
+
+    def checked(graph, J):
+        nonlocal states
+        pair = one_pass(graph, J)
+        assert pair == _sorted_contractible_pair(graph, J), (graph.bonds, sorted(J))
+        states += 1
+        return pair
+
+    monkeypatch.setattr(reductions, "contractible_pair", checked)
+    for d in _classical(9):
+        for J in _nonempty_proper(d):
+            reductions.reduce_to_z(d, J)
+    assert states == 25_407
+
+
+@pytest.mark.parametrize("spec", ["B6", "D7", "2A9"])
+def test_contractible_pair_ignores_bond_order(spec):
+    """Bonds stored last to first, every other one written high end first,
+    give the same pairs as the built diagram."""
+    d = build_spec(spec)
+    shuffled = Diagram(d.e, d.labels, [
+        Bond(b.v, b.u, b.mult, b.tip) if t % 2 else b
+        for t, b in enumerate(reversed(d.bonds))
+    ])
+    assert any(b.u > b.v for b in shuffled.bonds)
+    for J in _nonempty_proper(d):
+        pair = contractible_pair(shuffled, J)
+        assert pair == _sorted_contractible_pair(shuffled, J) == contractible_pair(d, J)
+
+
+def test_induced_bonds_agree_with_reclassification():
+    """The induced-bond check of ``reduce_to_z`` against the
+    reclassification it replaced, after every contraction over the
+    classical diagrams to rank 8, and on the same graph with one bond
+    inside ``J`` dropped."""
+    steps = tampered = 0
+    for d in _classical(8):
+        for J in _nonempty_proper(d):
+            factors0, inside0 = d.factors(J), d.induced_bonds(J)
+            g = d
+            while (pair := contractible_pair(g, J)) is not None:
+                g = contract(g, J, *pair)
+                same_bonds = g.induced_bonds(J) == inside0
+                assert same_bonds == (g.factors(J) == factors0)
+                assert same_bonds, (d.spec, sorted(J), pair)
+                steps += 1
+                if inside0:
+                    dropped = Diagram(g.e, g.labels, [b for b in g.bonds if b != inside0[0]])
+                    assert dropped.induced_bonds(J) != inside0
+                    assert dropped.factors(J) != factors0
+                    tampered += 1
+    assert (steps, tampered) == (4_569, 2_794)
+
+
+@pytest.mark.parametrize("change", ["drop", "multiply"])
+def test_reduce_to_z_catches_a_changed_bond_in_J(monkeypatch, change):
+    real = reductions.contract
+
+    def tampering(graph, J, i, j):
+        g = real(graph, J, i, j)
+        b = g.induced_bonds(J)[0]
+        bonds = [c for c in g.bonds if c != b]
+        if change == "multiply":
+            bonds.append(Bond(b.u, b.v, b.mult + 1, b.v))
+        return Diagram(g.e, g.labels, bonds)
+
+    monkeypatch.setattr(reductions, "contract", tampering)
+    with pytest.raises(AssertionError, match="root system of J"):
+        reduce_to_z(build_spec("B6"), {1, 2, 4})
+
+
+def test_reduce_to_z_catches_a_changed_label_in_J(monkeypatch):
+    """A label inside ``J`` is invisible to the induced bonds but not to
+    the recomputed ``f``: the predicted drop no longer matches."""
+    real = reductions.contract
+
+    def relabelling(graph, J, i, j):
+        g = real(graph, J, i, j)
+        labels = dict(g.labels)
+        labels[min(J)] += 1
+        return Diagram(g.e, labels, g.bonds)
+
+    monkeypatch.setattr(reductions, "contract", relabelling)
+    with pytest.raises(AssertionError, match="predicted drop"):
+        reduce_to_z(build_spec("B6"), {1, 2, 4})
 
 
 def test_contraction_preserves_zero_set_factors():
@@ -233,6 +350,13 @@ def test_switch_concrete_strict_drop():
     assert not res.vexing
     assert graph_f(g, J) - graph_f(g, res.new_J) == 20
     assert res.new_J == (J - {5}) | {6}
+
+
+@pytest.mark.parametrize("site, J", [((3, 5, 2), {2}), ((2, 4, 3), {3})])
+def test_switch_step_rejects_a_non_fork(site, J):
+    """``i`` must be a fork with two pendant tips and ``j`` one of them."""
+    with pytest.raises(ValueError, match=re.escape(str(site))):
+        switch_step(build_spec("D6"), frozenset(J), *site)
 
 
 def test_switch_drop_formula_exact():
