@@ -131,23 +131,25 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
     diagram = build_spec(args.spec[0])
     if args.order <= 0:
         raise ValueError(f"--order must be a positive integer, got {args.order}")
-    count = kac.solution_count(diagram, args.order)
+    # the lower bound costs O(sqrt(order)); the exact count, whose cost
+    # grows with the order, runs only when the bound settles nothing
+    count, exact = kac.solution_lower_bound(diagram, args.order)
+    if not exact and count <= MAX_SOLUTIONS:
+        count, exact = kac.solution_count(diagram, args.order), True
     if count > MAX_SOLUTIONS:
         raise ValueError(
-            f"{diagram.spec} has {count:,} raw Kac vectors of order {args.order}, "
-            f"more than the {MAX_SOLUTIONS:,} that enumerate walks"
+            f"{diagram.spec} has {'' if exact else 'at least '}{count:,} raw Kac "
+            f"vectors of order {args.order}, more than the {MAX_SOLUTIONS:,} "
+            f"that enumerate walks"
         )
     classes = kac.enumerate_classes(diagram, args.order)
     # one small record per class: a class list can be long, so the
     # reports are not kept, and the text renders from these records;
-    # classes share zero sets, so each zero set is classified once
+    # classes share zero sets, and one memo gives each its fields once
     records = []
-    factors_of: dict[frozenset[int], list] = {}
+    memo: dict = {}
     for s in classes:
-        J = kac.zero_set(diagram, s)
-        if J not in factors_of:
-            factors_of[J] = diagram.factors(J)
-        report = thomae.check_class(diagram, s, factors_of[J])
+        report = thomae.check_class(diagram, s, memo)
         records.append(
             {
                 "kac": _kac_text(s),

@@ -13,8 +13,8 @@ of the subdiagram induced on J.
 
 from __future__ import annotations
 
-from math import gcd
-from typing import Iterable, Iterator, Sequence
+from math import comb, gcd
+from typing import Iterable, Optional, Sequence
 
 from .affine import AffineDiagram
 
@@ -28,6 +28,7 @@ __all__ = [
     "canonical",
     "enumerate_classes",
     "solution_count",
+    "solution_lower_bound",
 ]
 
 
@@ -76,55 +77,78 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
     """All classes of order exactly m, as sorted canonical representatives.
 
     A depth-first walk over the label-weighted compositions of m / e
-    reaches every raw vector of order m, in increasing lexicographic
-    order.  An admissible vector is kept only when it is the least tuple
-    of its Omega orbit: for each non-identity p in Omega, s[p[i]] is
-    compared with s[i] position by position, and s is rejected at the
-    first position where the permuted value is smaller (p moves it to a
-    lesser tuple) and passes p at the first position where it is larger.
-    The kept vectors are therefore exactly ``canonical(diagram, s)`` over
-    the orbits, already sorted, and no orbit is built.
+    fills the coordinates in order, so the vectors it completes come in
+    increasing lexicographic order.  A vector is kept only when it is
+    admissible and the least tuple of its Omega orbit: for each
+    non-identity p in Omega, s[p[i]] is compared with s[i] position by
+    position, s is rejected at the first position where the permuted
+    value is smaller (p moves it to a lesser tuple), and passes p at the
+    first position where it is larger.  The kept vectors are therefore
+    exactly ``canonical(diagram, s)`` over the orbits, already sorted,
+    and no orbit is built.
 
-    Empty when m is not a positive multiple of the twist e.  The cost is
-    still one leaf per raw vector, and the raw solution count grows
-    quickly on low-label diagrams (untwisted A above rank ~12 with m near
-    the Coxeter number); use :func:`solution_count` to estimate before
-    enumerating.
+    The comparisons run on the prefix as it is filled.  Position i is
+    decided once both i and p[i] are filled; each p carries the first
+    position it has not yet decided, and after each value is placed it
+    moves over decided ties.  A decided position where the permuted
+    value is smaller cuts the branch, since every completion of the
+    prefix would be rejected; one where it is larger drops p, since every
+    completion passes it.  The walk thus skips the subtrees of non-least
+    prefixes instead of visiting each of their vectors.
+
+    Empty when m is not a positive multiple of the twist e.  The number
+    of compositions still grows quickly on low-label diagrams (untwisted
+    A above rank ~12 with m near the Coxeter number); use
+    :func:`solution_lower_bound` and :func:`solution_count` to size the
+    walk before enumerating.
     """
     if m <= 0 or m % diagram.e:
         return []
-    target = m // diagram.e
     nodes = diagram.nodes
+    last = len(nodes) - 1
     labels = [diagram.labels[i] for i in nodes]
-    perms = [p for p in diagram.omega if p != nodes]
+    # per non-identity p: the depth at which each position is decided,
+    # max(i, p[i]), then a sentinel past the last depth; and the first
+    # position still open (all comparisons before it are ties)
+    start = [
+        (p, tuple(max(i, p[i]) for i in nodes) + (len(nodes),), 0)
+        for p in diagram.omega
+        if p != nodes
+    ]
     found: list[tuple[int, ...]] = []
     prefix = [0] * len(nodes)
 
-    def is_least(s: tuple[int, ...]) -> bool:
-        for p in perms:
-            for i, x in enumerate(s):
-                y = s[p[i]]
+    def advance(open_perms: list, idx: int) -> Optional[list]:
+        """Decide what the prefix up to ``idx`` settles: None when some p
+        already moves it lower, else the p still open."""
+        carried = []
+        for p, decided_at, i in open_perms:
+            while decided_at[i] <= idx:
+                y, x = prefix[p[i]], prefix[i]
                 if y != x:
                     if y < x:
-                        return False
+                        return None
                     break
-        return True
+                i += 1
+            else:
+                carried.append((p, decided_at, i))
+        return carried
 
-    def fill(idx: int, remaining: int) -> None:
-        if idx == len(nodes) - 1:
-            c = labels[idx]
+    def fill(idx: int, remaining: int, open_perms: list) -> None:
+        c = labels[idx]
+        if idx == last:
             if remaining % c == 0:
                 prefix[idx] = remaining // c
-                s = tuple(prefix)
-                if is_least(s) and is_admissible(s):
-                    found.append(s)
+                if advance(open_perms, idx) is not None and is_admissible(prefix):
+                    found.append(tuple(prefix))
             return
-        c = labels[idx]
         for val in range(remaining // c + 1):
             prefix[idx] = val
-            fill(idx + 1, remaining - c * val)
+            carried = advance(open_perms, idx)
+            if carried is not None:
+                fill(idx + 1, remaining - c * val, carried)
 
-    fill(0, target)
+    fill(0, m // diagram.e, start)
     return found
 
 
@@ -134,11 +158,10 @@ def solution_count(diagram: AffineDiagram, m: int) -> int:
     Computed by dynamic programming over the label-weighted composition
     count, with gcd handled by Moebius inversion over the divisors of the
     weight target: vectors with gcd d of weight t correspond to arbitrary
-    vectors of weight t/d.
+    vectors of weight t/d.  The cost grows with m, not with the count.
     """
     if m <= 0 or m % diagram.e:
         return 0
-    target = m // diagram.e
     labels = [diagram.labels[i] for i in diagram.nodes]
 
     def raw(t: int) -> int:
@@ -149,25 +172,51 @@ def solution_count(diagram: AffineDiagram, m: int) -> int:
                 dp[w] += dp[w - c]
         return dp[t]
 
-    total = 0
-    for d in range(1, target + 1):
-        if target % d == 0:
-            total += _moebius(d) * raw(target // d)
-    return total
+    return sum(mu * raw(q) for q, mu in _moebius_quotients(m // diagram.e))
 
 
-def _moebius(n: int) -> int:
-    if n == 1:
-        return 1
-    result = 1
+def solution_lower_bound(diagram: AffineDiagram, m: int) -> tuple[int, bool]:
+    """A lower bound on :func:`solution_count` in O(sqrt(m / e)) steps,
+    and whether it is exact.
+
+    For a label a, take the k nodes with label at most a, node 0 among
+    them (its label is 1 on every diagram built here).  The vectors of
+    weight t = m / e supported on these nodes whose entries off node 0
+    sum to at most t // a, with s_0 taking up the rest of the weight,
+    number C(t // a + k - 1, k - 1); dividing one by a common factor of
+    its entries gives such a vector of a lesser weight, so Moebius
+    inversion counts the admissible ones.  The bound is the largest such
+    count over the labels a.  It is exact when every node but node 0 has
+    the same label (untwisted A, twisted A of even rank, twisted D): the
+    vectors counted at that label are then all the vectors of weight t.
+    """
+    if m <= 0 or m % diagram.e:
+        return 0, True
+    labels = [diagram.labels[i] for i in diagram.nodes]
+    quotients = _moebius_quotients(m // diagram.e)
+    bound = 0
+    for a in set(labels):
+        k = sum(1 for c in labels if c <= a)
+        bound = max(bound, sum(mu * comb(q // a + k - 1, k - 1) for q, mu in quotients))
+    return bound, len(set(labels[1:])) <= 1
+
+
+def _moebius_quotients(t: int) -> list[tuple[int, int]]:
+    """``(t // d, mu(d))`` over the squarefree divisors d of t, the only
+    divisors with mu(d) != 0, built from the primes of t found by trial
+    division up to sqrt(t)."""
+    primes = []
+    rest = t
     p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
+    while p * p <= rest:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
         p += 1
-    if n > 1:
-        result = -result
-    return result
+    if rest > 1:
+        primes.append(rest)
+    divisors = [(1, 1)]
+    for p in primes:
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    return [(t // d, mu) for d, mu in divisors]

@@ -75,32 +75,49 @@ class ClassReport:
         return self.tau == self.bound
 
 
-def check_class(diagram: AffineDiagram, s: tuple[int, ...], factors=None) -> ClassReport:
+def check_class(
+    diagram: AffineDiagram, s: tuple[int, ...], memo: Optional[dict] = None
+) -> ClassReport:
     """Evaluate the bound for the torsion class with Kac coordinates ``s``,
     which must be admissible with one entry per node (else ``ValueError``).
 
-    ``factors``, when the caller has already classified the zero set of
-    ``s``, saves classifying it again."""
+    The fields that depend only on the zero set J of ``s`` (its sorted
+    tuple, the fixed type and dimension, the bound and ``f``) are taken
+    from ``memo``, a dict the caller holds for one diagram and passes to
+    every class it checks; on a miss J is classified once and its fields
+    are stored there.  The order, ``tau`` and the comparison are computed
+    for every class."""
     if len(s) != diagram.n_e + 1 or not kac.is_admissible(s):
         raise ValueError(
             f"{','.join(str(v) for v in s)!r} is not an admissible Kac vector for "
             f"{diagram.spec} ({diagram.n_e + 1} non-negative entries with gcd 1)"
         )
-    m = kac.order_of(diagram, s)
     J = kac.zero_set(diagram, s)
-    if factors is None:
+    if memo is None:
+        memo = {}
+    fields = memo.get(J)
+    if fields is None:
         factors = diagram.factors(J)
-    r_j = total_root_count(factors)
+        fixed_dim = diagram.n_e + total_root_count(factors)
+        fields = memo[J] = (
+            tuple(sorted(J)),
+            factors_type_string(factors),
+            fixed_dim,
+            Fraction(fixed_dim, diagram.base_root_count),
+            f_value(diagram, J, factors),
+        )
+    zero_set, fixed_type, fixed_dim, bound, f = fields
+    m = kac.order_of(diagram, s)
     return ClassReport(
         spec=diagram.spec,
         m=m,
         s=tuple(s),
-        zero_set=tuple(sorted(J)),
-        fixed_type=factors_type_string(factors),
-        fixed_dim=diagram.n_e + r_j,
+        zero_set=zero_set,
+        fixed_type=fixed_type,
+        fixed_dim=fixed_dim,
         tau=Fraction(1, m),
-        bound=Fraction(diagram.n_e + r_j, diagram.base_root_count),
-        f=f_value(diagram, J, factors),
+        bound=bound,
+        f=f,
     )
 
 

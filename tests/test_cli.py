@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from kacscope import cli
+from kacscope import cli, kac
+from kacscope.affine import catalog
 
 GOLDEN = Path(__file__).parent / "golden" / "ellreg"
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
@@ -318,6 +319,50 @@ def test_enumerate_refuses_too_many_vectors_quickly(capsys):
     assert (code, out) == (2, "")
     assert err == (
         "A16 has 1,166,803,093 raw Kac vectors of order 17, "
+        "more than the 2,000,000 that enumerate walks\n"
+    )
+
+
+def test_enumerate_guard_refuses_exactly_what_the_count_refuses(monkeypatch):
+    # the guard decides on the lower bound where it can and on the exact
+    # count otherwise; over every diagram up to rank 12 and every order up
+    # to 60 (all three paths occur) it must refuse exactly the orders with
+    # more raw vectors than the limit.  The walk is stubbed out, and the
+    # subcommand is called with one parsed namespace (building the parser
+    # would dominate): only the decision is under test.
+    monkeypatch.setattr(kac, "enumerate_classes", lambda diagram, m: [])
+    args = cli.build_parser().parse_args(["enumerate", "G2", "--order", "1"])
+    for d in catalog(12):
+        for m in range(1, 61):
+            args.spec, args.order = [d.spec], m
+            try:
+                args.func(args)
+                refused = False
+            except ValueError as exc:
+                assert "raw Kac vectors" in str(exc)
+                refused = True
+            assert refused == (kac.solution_count(d, m) > cli.MAX_SOLUTIONS), (d.spec, m)
+
+
+@pytest.mark.parametrize(
+    "spec,order,count",
+    [
+        # two unit labels: the bound is the count, 4,000,000
+        ("A1", "10000000", "4,000,000"),
+        # labels 1..6: only a lower bound, far above the limit
+        ("E8", "10000000", "at least 1,470,877,589,176,251,859,308,828,562,941,594,327,383,097,242"),
+        # labels 1, 2, 3: the bound (1,758,749) is under the limit, so the
+        # exact count decides
+        ("G2", "5623", "2,637,655"),
+    ],
+)
+def test_enumerate_refusal_cost_does_not_grow_with_the_order(capsys, spec, order, count):
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "enumerate", spec, "--order", order)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == (
+        f"{spec} has {count} raw Kac vectors of order {order}, "
         "more than the 2,000,000 that enumerate walks\n"
     )
 

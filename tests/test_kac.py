@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,6 +15,7 @@ from kacscope.kac import (
     orbit,
     order_of,
     solution_count,
+    solution_lower_bound,
     zero_set,
 )
 
@@ -141,3 +143,119 @@ def test_enumerate_classes_matches_brute_force_orbits():
     for d in catalog(8):
         for m in range(1, 5):
             assert enumerate_classes(d, m) == _brute_force_classes(d, m), (d.spec, m)
+
+
+def _leaf_only_classes(d, m):
+    """The walk before prefix pruning: every composition of m / e is
+    completed, and only then tested for being least in its orbit."""
+    if m <= 0 or m % d.e:
+        return []
+    nodes = d.nodes
+    labels = [d.labels[i] for i in nodes]
+    perms = [p for p in d.omega if p != nodes]
+    found = []
+    prefix = [0] * len(nodes)
+
+    def is_least(s):
+        for p in perms:
+            for i, x in enumerate(s):
+                y = s[p[i]]
+                if y != x:
+                    if y < x:
+                        return False
+                    break
+        return True
+
+    def fill(idx, remaining):
+        if idx == len(nodes) - 1:
+            c = labels[idx]
+            if remaining % c == 0:
+                prefix[idx] = remaining // c
+                s = tuple(prefix)
+                if is_least(s) and is_admissible(s):
+                    found.append(s)
+            return
+        c = labels[idx]
+        for val in range(remaining // c + 1):
+            prefix[idx] = val
+            fill(idx + 1, remaining - c * val)
+
+    fill(0, m // d.e)
+    return found
+
+
+def test_pruned_walk_matches_leaf_only_walk():
+    """Same list, same order, as the walk that tests every completed
+    vector, on every diagram up to rank 10 and every order up to 10."""
+    for d in catalog(10):
+        for m in range(1, 11):
+            assert enumerate_classes(d, m) == _leaf_only_classes(d, m), (d.spec, m)
+
+
+def _fixed_count(d, p, m):
+    """Admissible vectors of order m constant on the cycles of p: vectors
+    over the cycles, each weighted by its label sum, with the gcd handled
+    by Moebius inversion as in :func:`solution_count`."""
+    weights, seen = [], set()
+    for start in d.nodes:
+        if start not in seen:
+            weight, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                weight += d.labels[i]
+                i = p[i]
+            weights.append(weight)
+
+    def raw(t):
+        dp = [1] + [0] * t
+        for w in weights:
+            for x in range(w, t + 1):
+                dp[x] += dp[x - w]
+        return dp[t]
+
+    def moebius(n):
+        result, q = 1, 2
+        while q * q <= n:
+            if n % q == 0:
+                n //= q
+                if n % q == 0:
+                    return 0
+                result = -result
+            q += 1
+        return -result if n > 1 else result
+
+    t = m // d.e
+    return sum(moebius(k) * raw(t // k) for k in range(1, t + 1) if t % k == 0)
+
+
+def test_class_count_matches_burnside():
+    """|classes| = (1/|Omega|) * sum over p of |Fix(p)|, counted on the
+    cycle structure of each p without enumerating a vector."""
+    pairs = 0
+    for d in catalog(8):
+        for m in range(d.e, 13, d.e):
+            burnside = Fraction(sum(_fixed_count(d, p, m) for p in d.omega), len(d.omega))
+            assert burnside.denominator == 1, (d.spec, m)
+            assert len(enumerate_classes(d, m)) == burnside, (d.spec, m)
+            pairs += 1
+    assert pairs == 460
+
+
+def test_lower_bound_never_exceeds_the_count():
+    """On every diagram up to rank 12 and every order up to 60 the bound
+    is at most the count, and equal to it where it says it is exact."""
+    for d in catalog(12):
+        for m in range(1, 61):
+            bound, exact = solution_lower_bound(d, m)
+            count = solution_count(d, m)
+            assert bound <= count, (d.spec, m)
+            if exact:
+                assert bound == count, (d.spec, m)
+
+
+def test_lower_bound_is_the_count_on_unit_labels():
+    a16 = build_spec("A16")
+    assert solution_lower_bound(a16, 17) == (1_166_803_093, True)
+    assert solution_lower_bound(build_spec("A1"), 10_000_000) == (4_000_000, True)
+    bound, exact = solution_lower_bound(build_spec("E8"), 60)
+    assert not exact and 0 < bound < solution_count(build_spec("E8"), 60)

@@ -57,9 +57,26 @@ def test_report_rejects_a_vector_of_the_wrong_length(s):
 @pytest.mark.parametrize("spec,m", [("A5", 6), ("D6", 6), ("2A5", 4), ("E6", 6), ("3D4", 6)])
 def test_report_with_given_factors_matches_report_without(spec, m):
     d = build_spec(spec)
+    memo: dict = {}
     for s in enumerate_classes(d, m):
-        J = frozenset(i for i, x in enumerate(s) if x == 0)
-        assert check_class(d, s, d.factors(J)) == check_class(d, s), s
+        assert check_class(d, s, memo) == check_class(d, s), s
+
+
+@pytest.mark.parametrize("spec,orders", [("D6", (4, 6)), ("2A5", (4, 6)), ("E6", (3, 6))])
+def test_one_memo_serves_several_orders(spec, orders):
+    # the memo holds only what depends on the zero set: classes of two
+    # orders that share a zero set share its entry, and each still gets
+    # its own order and tau
+    d = build_spec(spec)
+    memo: dict = {}
+    zero_sets = []
+    for m in orders:
+        classes = enumerate_classes(d, m)
+        for s in classes:
+            assert check_class(d, s, memo) == check_class(d, s), (m, s)
+        zero_sets.append({frozenset(i for i, x in enumerate(s) if x == 0) for s in classes})
+    assert zero_sets[0] & zero_sets[1]
+    assert set(memo) == zero_sets[0] | zero_sets[1]
 
 
 # Order-2 and order-3 points with well-known fixed subalgebras.  In each
