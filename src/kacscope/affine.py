@@ -80,14 +80,15 @@ class Diagram:
     n_e = #nodes - 1) is computed from the graph alone.
 
     A diagram is not changed after construction, so ``interior``, the
-    frozenset of nodes of degree >= 2, is derived once, in ``__init__``.
+    frozenset of nodes of degree >= 2, is derived once, in ``__init__``,
+    and ``labels`` is stored in node order.
     """
 
     __slots__ = ("e", "labels", "bonds", "adjacency", "interior")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
-        self.labels = dict(labels)
+        self.labels = dict(sorted(labels.items()))
         self.bonds = tuple(bonds)
         adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in self.labels}
         for b in self.bonds:
@@ -100,7 +101,7 @@ class Diagram:
 
     @property
     def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.labels))
+        return tuple(self.labels)
 
     @property
     def n_e(self) -> int:
@@ -219,7 +220,7 @@ class AffineDiagram(Diagram):
     chain node to the bond's right.
     """
 
-    __slots__ = ("ident", "omega", "layout", "cyclic")
+    __slots__ = ("ident", "omega", "layout")
 
     def __init__(
         self,
@@ -229,12 +230,10 @@ class AffineDiagram(Diagram):
         omega: tuple[tuple[int, ...], ...],
         chain: Sequence[int],
         hang: dict[int, tuple[int, ...]] | None = None,
-        cyclic: bool = False,
     ):
         super().__init__(ident.e, labels, bonds)
         self.ident = ident
         self.omega = omega
-        self.cyclic = cyclic
         hang = hang or {}
         chain = list(chain)
         layout: list = []
@@ -249,6 +248,12 @@ class AffineDiagram(Diagram):
     @property
     def spec(self) -> str:
         return self.ident.spec
+
+    @property
+    def cyclic(self) -> bool:
+        """Untwisted A of rank >= 2: the cycle, whose closing bond is implied."""
+        ident = self.ident
+        return ident.e == 1 and ident.family == "A" and ident.base_rank >= 2
 
     @property
     def base_dim(self) -> int:
@@ -279,7 +284,7 @@ def _build_a_untwisted(n: int) -> AffineDiagram:
     bonds = [Bond(i, i + 1) for i in range(n)] + [Bond(n, 0)]
     size = n + 1
     omega = tuple(tuple((i + k) % size for i in range(size)) for k in range(size))
-    return AffineDiagram(ident, labels, bonds, omega, range(size), cyclic=True)
+    return AffineDiagram(ident, labels, bonds, omega, range(size))
 
 
 def _build_b(n: int) -> AffineDiagram:

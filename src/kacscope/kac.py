@@ -33,17 +33,19 @@ __all__ = [
 
 
 def order_of(diagram: AffineDiagram, s: Sequence[int]) -> int:
-    return diagram.e * sum(diagram.labels[i] * s[i] for i in diagram.nodes)
+    return diagram.e * sum(c * s[i] for i, c in diagram.labels.items())
 
 
 def zero_set(diagram: AffineDiagram, s: Sequence[int]) -> frozenset[int]:
-    return frozenset(i for i in diagram.nodes if s[i] == 0)
+    return frozenset(i for i in diagram.labels if s[i] == 0)
 
 
 def from_zero_set(diagram: AffineDiagram, J: Iterable[int]) -> tuple[int, ...]:
     """The order-minimal vector vanishing exactly on J: ones elsewhere."""
     J = set(J)
-    if not set(diagram.nodes) - J:
+    if not J.issubset(diagram.labels):
+        raise ValueError(f"not a node subset: {sorted(J)}")
+    if len(J) == len(diagram.labels):
         raise ValueError("the zero set must be a proper subset of the nodes")
     return tuple(0 if i in J else 1 for i in diagram.nodes)
 

@@ -32,7 +32,7 @@ one-line certificate and never needs reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .affine import AffineDiagram, Bond, Diagram
 from .dynkin import connected_components, total_root_count
@@ -382,7 +382,7 @@ def switch_sites(graph: Diagram, J: frozenset[int]) -> list[tuple[int, int, int]
     ``k`` the interior neighbour of ``i``, with ``k`` in ``J``."""
     sites = []
     interior = graph.interior
-    for i in sorted(graph.labels):
+    for i in graph.nodes:
         if i in J or graph.degree(i) != 3:
             continue
         tips = [v for v, _ in graph.adjacency[i] if graph.degree(v) == 1]
@@ -406,15 +406,17 @@ def switch_step(
     at ``q = 0, s = 0`` (the swap welds the in-``J`` tip into a longer
     run), and zero precisely at ``q = 0, s = 1`` and on the vexing
     configuration ``q = 1, s = 0``.  Raises ``ValueError`` when ``i`` is
-    not a fork with two pendant tips, ``j`` one of them.
+    not a fork with two pendant tips, ``j`` one of them and ``k`` its
+    interior neighbour.
     """
     if i in J or j in J or k not in J:
         return None
-    tips = [v for v, _ in graph.adjacency[i] if graph.degree(v) == 1]
-    if graph.degree(i) != 3 or len(tips) != 2 or j not in tips:
+    nbrs = [v for v, _ in graph.adjacency[i]]
+    tips = [v for v in nbrs if graph.degree(v) == 1]
+    if len(nbrs) != 3 or len(tips) != 2 or j not in tips or k not in nbrs or k in tips:
         raise ValueError(
             f"({i}, {j}, {k}) is not a switch site: node {i} must be a fork "
-            f"with two pendant tips, {j} one of them"
+            f"with two pendant tips, {j} one of them and {k} its interior neighbour"
         )
     comp = next((c for c in runs_of(graph, J)[0] if k in c), None)
     if comp is None:
@@ -543,321 +545,194 @@ class CaseMatch:
     gamma: int
 
 
-def _single(comps: list[frozenset[int]], node: int) -> Optional[frozenset[int]]:
-    for comp in comps:
-        if node in comp:
-            return comp
+# The closed-form cases: name -> (c, params, boundary, greek).  ``c`` is the
+# interior label and ``params`` the boundary parameters the case reports (an
+# absent run counts as 0).  ``boundary(p, r)`` is what the boundary runs add
+# to (|R_J|, c^J, n, c_J), and ``greek(p, q, r)`` is (alpha, gamma).
+_Form = Callable[..., tuple[int, ...]]
+_CASES: dict[str, tuple[int, str, _Form, _Form]] = {
+    "2A-even terminal run": (
+        2, "r", lambda p, r: (2 * r * r, 1, r, 2 * r),
+        lambda p, q, r: ((q - 2 * r) * (q - 2 * r - 1), 0),
+    ),
+    "C interior runs": (
+        2, "", lambda p, r: (0, 0, 0, 0),
+        lambda p, q, r: (0, 0),
+    ),
+    "2D two terminal runs": (
+        1, "pr", lambda p, r: (2 * p * p + 2 * r * r, 1, p + r, p + r),
+        lambda p, q, r: ((p - r) ** 2 + (p + r - q) * (p + r - q + 1), (p - r) ** 2),
+    ),
+    "2A-odd fork run": (
+        2, "p", lambda p, r: (2 * p * (p - 1), 1, p, 2 * (p - 1)),
+        lambda p, q, r: ((2 * p - q) * (2 * p - q - 1), 0),
+    ),
+    "2A-odd one-tip run": (
+        2, "p", lambda p, r: (p * (p + 1), 2, 1 + p, 2 * p - 1),
+        lambda p, q, r: (2 * (p - q + 1) ** 2 + q, p + 1),
+    ),
+    "2A-odd interior runs": (
+        2, "", lambda p, r: (0, 1, 1, 0),
+        lambda p, q, r: ((q - 1) * (q - 2), 0),
+    ),
+    "B fork and terminal runs": (
+        2, "pr", lambda p, r: (2 * p * (p - 1) + 2 * r * r, 2, p + r, 2 * (p + r - 1)),
+        lambda p, q, r: (
+            2 * (p - r) * (p - r - 1) + 2 * (p + r - q) ** 2, 2 * (p - r) * (p - r - 1)
+        ),
+    ),
+    # alpha is the x-coefficient of c^J*|R_J| - n*c_J expanded through the
+    # four identities; the final 2(1-q)(1+r) term is forced by that
+    # expansion.  Without a terminal run r is 0.
+    "B one-tip and terminal runs": (
+        2, "pr", lambda p, r: (p * (p + 1) + 2 * r * r, 3, p + r + 1, 2 * p + 2 * r - 1),
+        lambda p, q, r: (
+            2 * (p - q) * (p - q + 1) + (q - r) ** 2 + 3 * r * r + 2 * p
+            + 2 * (1 - q) * (1 + r),
+            (2 * r - p - 1) ** 2 + 3 * r,
+        ),
+    ),
+    "B terminal run": (
+        2, "r", lambda p, r: (2 * r * r, 2, r + 1, 2 * r),
+        lambda p, q, r: (2 * (q - r - 1) ** 2 + 2 * r * (r - 1), 2 * r * (r - 1)),
+    ),
+    "D two full forks": (
+        2, "pr", lambda p, r: (2 * p * (p - 1) + 2 * r * (r - 1), 2, p + r, 2 * (p + r - 2)),
+        lambda p, q, r: (2 * (p - r) ** 2 + 2 * (p + r - q) * (p + r - q - 1), 2 * (p - r) ** 2),
+    ),
+    "D two half forks": (
+        2, "pr", lambda p, r: (p * (p - 1) + r * (r - 1), 4, p + r, 2 * (p + r - 3)),
+        lambda p, q, r: (
+            2 * (p - q) ** 2 + 2 * (r - q) ** 2 + 2 * q, 2 * (p - r) ** 2 + 2 * (p + r)
+        ),
+    ),
+    "D one full fork": (
+        2, "p", lambda p, r: (2 * p * (p - 1), 2, 1 + p, 2 * (p - 1)),
+        lambda p, q, r: (2 * ((p - q + 1) ** 2 + (p - 2) * (p - 1) + (q - 2)), 2 * (p - 1) ** 2),
+    ),
+    "D one half fork": (
+        2, "p", lambda p, r: (p * (p - 1), 3, 1 + p, 2 * p - 3),
+        lambda p, q, r: (2 * (p - q) ** 2 + (q - 1) ** 2 + 1, (p - 1) ** 2 + 2),
+    ),
+    "D interior runs": (
+        2, "", lambda p, r: (0, 2, 2, 0),
+        lambda p, q, r: (2 * (q - 1) * (q - 2), 0),
+    ),
+}
+
+# A boundary run the case needs: its parameter, the tips it must hold (the
+# first one finds it) and what its node count adds to give the parameter.
+_Run = tuple[str, tuple[int, ...], int]
+
+
+def _pattern(diagram: AffineDiagram, J: frozenset[int]) -> Optional[tuple[str, list[_Run]]]:
+    """The case that the tips of ``J`` select, and the boundary runs it
+    needs; None for a tip pattern the case analysis delegates elsewhere
+    (by a label-comparison argument or a switch)."""
+    ident, n = diagram.ident, diagram.n_e
+    kind = (ident.e, ident.family)
+    if kind == (2, "A") and ident.base_rank % 2 == 0:
+        # Chain 0 => 1 -- ... -- (n-1) => n with labels 1,2,...,2.
+        if 0 not in J and n in J:
+            return "2A-even terminal run", [("r", (n,), 0)]
+    elif kind == (1, "C"):
+        if 0 not in J and n not in J:
+            return "C interior runs", []
+    elif kind == (2, "D"):
+        if 0 in J and n in J:
+            return "2D two terminal runs", [("p", (0,), 0), ("r", (n,), 0)]
+    elif kind == (2, "A") and ident.base_rank >= 5:
+        # Fork tips {0, 1}, branch 2, chain to a unit-label terminal n.  Base
+        # rank 3 is left out: that twisted diagram is a three-node chain,
+        # not the fork these tip patterns assume.
+        tips = tuple(t for t in (0, 1) if t in J)
+        if n not in J:
+            name = ("2A-odd interior runs", "2A-odd one-tip run", "2A-odd fork run")[len(tips)]
+            return name, [("p", tips, 0)] if tips else []
+    elif kind == (1, "B"):
+        # Fork tips {0, 1}, branch 2, double bond into the terminal n.
+        tips = tuple(t for t in (0, 1) if t in J)
+        term: list[_Run] = [("r", (n,), 0)] if n in J else []
+        if len(tips) == 1:
+            return "B one-tip and terminal runs", [("p", tips, 0)] + term
+        if term:
+            if tips:
+                return "B fork and terminal runs", [("p", tips, 0)] + term
+            return "B terminal run", term
+    elif kind == (1, "D"):
+        # Tips {0, 1} at the left end and {n-1, n} at the right; the fuller
+        # side gives p.  A half fork's parameter is one more than its run's
+        # node count.
+        left = tuple(t for t in (0, 1) if t in J)
+        right = tuple(t for t in (n - 1, n) if t in J)
+        if len(left) < len(right):
+            left, right = right, left
+        name = {
+            (2, 2): "D two full forks",
+            (1, 1): "D two half forks",
+            (2, 0): "D one full fork",
+            (1, 0): "D one half fork",
+            (0, 0): "D interior runs",
+        }.get((len(left), len(right)))
+        if name is not None:
+            return name, [(v, t, 2 - len(t)) for v, t in (("p", left), ("r", right)) if t]
     return None
+
+
+def _run_params(outer: list[frozenset[int]], wanted: list[_Run]) -> Optional[dict[str, int]]:
+    """``p`` and ``r`` from the ``wanted`` runs among the boundary runs
+    ``outer`` (0 for one not wanted); None unless each wanted run exists,
+    holds its tips and is distinct from the others, and together they are
+    all of ``outer``."""
+    found: list[frozenset[int]] = []
+    size = {"p": 0, "r": 0}
+    for param, tips, offset in wanted:
+        run = next((comp for comp in outer if tips[0] in comp), None)
+        if run is None or not run.issuperset(tips) or run in found:
+            return None
+        found.append(run)
+        size[param] = len(run) + offset
+    return size if set(found) == set(outer) else None
 
 
 def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]:
     """Recognise a reduced configuration on a classical diagram.
 
-    Returns the matching closed form, or None when the tip pattern is one
-    the case analysis delegates elsewhere (by a label-comparison argument
-    or a switch).  All of the case's counting identities are verified
-    before a match is returned; a failed identity means the configuration
-    is not in the case's normal form (e.g. not fully contracted) and None
-    is returned rather than a wrong closed form.
+    Returns the matching closed form from ``_CASES``, or None when the tip
+    pattern is one the case analysis delegates elsewhere.  The runs the
+    case needs must each hold their tips, be distinct and make up all the
+    boundary runs of ``J``; then the case's four counting identities for
+    ``|R_J|``, ``c^J``, ``n`` and ``c_J`` are verified against
+    :func:`zero_set_data`.  A failed check means the configuration is not
+    in the case's normal form (e.g. not fully contracted) and None is
+    returned rather than a wrong closed form.
     """
-    ident = diagram.ident
     if not diagram.interior:
         return None  # two-node diagram: no spine for the case taxonomy
     try:
         g = greek_decomposition(diagram, J)
     except ValueError:
         return None  # non-constant interior label or spread-out run sizes
+    pattern = _pattern(diagram, J)
+    if pattern is None:
+        return None
+    name, wanted = pattern
+    size = _run_params(runs_of(diagram, J)[1], wanted)
+    if size is None:
+        return None
     q, x, y = g.q, g.x, g.y
     n = diagram.n_e
     r_j, c_j, c_up = zero_set_data(diagram, J)
-    outer = runs_of(diagram, J)[1]
-
-    def confirmed(name: str, params: dict[str, int], alpha: int, gamma: int,
-                  checks: list[bool]) -> Optional[CaseMatch]:
-        if all(checks):
-            return CaseMatch(name=name, params=params, alpha=alpha, gamma=gamma)
+    c, names, boundary, greek = _CASES[name]
+    p, r = size["p"], size["r"]
+    r_b, c_up_b, n_b, c_b = boundary(p, r)
+    if (r_j, c_up, n, c_j) != (
+        r_b + q * (q - 1) * x + q * (q + 1) * y,
+        c_up_b + c * (x + y),
+        n_b + q * x + (q + 1) * y,
+        c_b + c * ((q - 1) * x + q * y),
+    ):
         return None
-
-    if ident.e == 2 and ident.family == "A" and ident.base_rank % 2 == 0:
-        # Chain 0 => 1 -- ... -- (n-1) => n with labels 1,2,...,2.
-        if 0 not in J and n in J:
-            comp = _single(outer, n)
-            if comp is None or len(outer) != 1:
-                return None
-            r = len(comp)
-            return confirmed(
-                "2A-even terminal run",
-                {"r": r, "q": q, "x": x, "y": y},
-                alpha=(q - 2 * r) * (q - 2 * r - 1),
-                gamma=0,
-                checks=[
-                    r_j == 2 * r * r + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 1 + 2 * x + 2 * y,
-                    n == r + q * x + (q + 1) * y,
-                    c_j == 2 * r + 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        return None
-
-    if ident.e == 1 and ident.family == "C":
-        if 0 not in J and n not in J:
-            if outer:
-                return None
-            return confirmed(
-                "C interior runs",
-                {"q": q, "x": x, "y": y},
-                alpha=0,
-                gamma=0,
-                checks=[
-                    r_j == q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 2 * x + 2 * y,
-                    n == q * x + (q + 1) * y,
-                    c_j == 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        return None
-
-    if ident.e == 2 and ident.family == "D":
-        if 0 in J and n in J:
-            left, right = _single(outer, 0), _single(outer, n)
-            if left is None or right is None or len(outer) != 2 or left == right:
-                return None
-            p, r = len(left), len(right)
-            return confirmed(
-                "2D two terminal runs",
-                {"p": p, "r": r, "q": q, "x": x, "y": y},
-                alpha=(p - r) ** 2 + (p + r - q) * (p + r - q + 1),
-                gamma=(p - r) ** 2,
-                checks=[
-                    r_j == 2 * p * p + 2 * r * r + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 1 + x + y,
-                    n == p + r + q * x + (q + 1) * y,
-                    c_j == p + r + (q - 1) * x + q * y,
-                ],
-            )
-        return None
-
-    # base rank 3 is excluded: that twisted diagram is a three-node chain,
-    # not the fork these tip patterns assume
-    if ident.e == 2 and ident.family == "A" and ident.base_rank % 2 == 1 and ident.base_rank >= 5:
-        # Fork tips {0, 1}, branch 2, chain to a unit-label terminal n.
-        if n in J:
-            return None
-        tips_in = [t for t in (0, 1) if t in J]
-        if len(tips_in) == 2:
-            comp = _single(outer, 0)
-            if comp is None or 1 not in comp or len(outer) != 1:
-                return None
-            p = len(comp)
-            return confirmed(
-                "2A-odd fork run",
-                {"p": p, "q": q, "x": x, "y": y},
-                alpha=(2 * p - q) * (2 * p - q - 1),
-                gamma=0,
-                checks=[
-                    r_j == 2 * p * (p - 1) + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 1 + 2 * x + 2 * y,
-                    n == p + q * x + (q + 1) * y,
-                    c_j == 2 * (p - 1) + 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        if len(tips_in) == 1:
-            comp = _single(outer, tips_in[0])
-            if comp is None or len(outer) != 1:
-                return None
-            p = len(comp)
-            return confirmed(
-                "2A-odd one-tip run",
-                {"p": p, "q": q, "x": x, "y": y},
-                alpha=2 * (p - q + 1) ** 2 + q,
-                gamma=p + 1,
-                checks=[
-                    r_j == p * (p + 1) + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 2 + 2 * x + 2 * y,
-                    n == 1 + p + q * x + (q + 1) * y,
-                    c_j == 2 * p - 1 + 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        if outer:
-            return None
-        return confirmed(
-            "2A-odd interior runs",
-            {"q": q, "x": x, "y": y},
-            alpha=(q - 1) * (q - 2),
-            gamma=0,
-            checks=[
-                r_j == q * (q - 1) * x + q * (q + 1) * y,
-                c_up == 1 + 2 * x + 2 * y,
-                n == 1 + q * x + (q + 1) * y,
-                c_j == 2 * (q - 1) * x + 2 * q * y,
-            ],
-        )
-
-    if ident.e == 1 and ident.family == "B":
-        # Fork tips {0, 1}, branch 2, double bond into the terminal n.
-        tips_in = [t for t in (0, 1) if t in J]
-        term = _single(outer, n) if n in J else None
-        r = len(term) if term is not None else 0
-        if len(tips_in) == 2:
-            comp = _single(outer, 0)
-            if comp is None or 1 not in comp:
-                return None
-            if len(outer) != (2 if term is not None else 1) or r == 0:
-                return None
-            p = len(comp)
-            return confirmed(
-                "B fork and terminal runs",
-                {"p": p, "r": r, "q": q, "x": x, "y": y},
-                alpha=2 * (p - r) * (p - r - 1) + 2 * (p + r - q) ** 2,
-                gamma=2 * (p - r) * (p - r - 1),
-                checks=[
-                    r_j == 2 * p * (p - 1) + 2 * r * r + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 2 * (1 + x + y),
-                    n == p + r + q * x + (q + 1) * y,
-                    c_j == 2 * (p + r - 1) + 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        if len(tips_in) == 1:
-            comp = _single(outer, tips_in[0])
-            if comp is None:
-                return None
-            if len(outer) != (2 if term is not None else 1):
-                return None
-            if term is not None and comp == term:
-                return None
-            p = len(comp)
-            # the x-coefficient of c^J*|R_J| - n*c_J expanded through the
-            # four data identities below; the final 2(1-q)(1+r) term is
-            # forced by that expansion
-            return confirmed(
-                "B one-tip and terminal runs",
-                {"p": p, "r": r, "q": q, "x": x, "y": y},
-                alpha=2 * (p - q) * (p - q + 1) + (q - r) ** 2 + 3 * r * r + 2 * p
-                + 2 * (1 - q) * (1 + r),
-                gamma=(2 * r - p - 1) ** 2 + 3 * r,
-                checks=[
-                    r_j == p * (p + 1) + 2 * r * r + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 3 + 2 * x + 2 * y,
-                    n == p + r + 1 + q * x + (q + 1) * y,
-                    c_j == 2 * p + 2 * r - 1 + 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        if term is None or len(outer) != 1 or r < 1:
-            return None
-        return confirmed(
-            "B terminal run",
-            {"r": r, "q": q, "x": x, "y": y},
-            alpha=2 * (q - r - 1) ** 2 + 2 * r * (r - 1),
-            gamma=2 * r * (r - 1),
-            checks=[
-                r_j == 2 * r * r + q * (q - 1) * x + q * (q + 1) * y,
-                c_up == 2 + 2 * x + 2 * y,
-                n == r + 1 + q * x + (q + 1) * y,
-                c_j == 2 * r + 2 * (q - 1) * x + 2 * q * y,
-            ],
-        )
-
-    if ident.e == 1 and ident.family == "D":
-        left_tips = [t for t in (0, 1) if t in J]
-        right_tips = [t for t in (n - 1, n) if t in J]
-        a_cnt, b_cnt = len(left_tips), len(right_tips)
-        # Orient so the fuller side comes first.
-        if (a_cnt, b_cnt) < (b_cnt, a_cnt):
-            left_tips, right_tips = right_tips, left_tips
-            a_cnt, b_cnt = b_cnt, a_cnt
-            left_anchor, right_anchor = n, 0
-        else:
-            left_anchor, right_anchor = 0, n
-
-        if (a_cnt, b_cnt) == (2, 2):
-            lcomp = _single(outer, left_tips[0])
-            rcomp = _single(outer, right_tips[0])
-            if (
-                lcomp is None or rcomp is None or lcomp == rcomp
-                or left_tips[1] not in lcomp or right_tips[1] not in rcomp
-                or len(outer) != 2
-            ):
-                return None
-            p, r = len(lcomp), len(rcomp)
-            return confirmed(
-                "D two full forks",
-                {"p": p, "r": r, "q": q, "x": x, "y": y},
-                alpha=2 * (p - r) ** 2 + 2 * (p + r - q) * (p + r - q - 1),
-                gamma=2 * (p - r) ** 2,
-                checks=[
-                    r_j == 2 * p * (p - 1) + 2 * r * (r - 1) + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 2 + 2 * x + 2 * y,
-                    n == p + r + q * x + (q + 1) * y,
-                    c_j == 2 * (p + r - 2 + (q - 1) * x + q * y),
-                ],
-            )
-        if (a_cnt, b_cnt) == (1, 1):
-            lcomp = _single(outer, left_tips[0])
-            rcomp = _single(outer, right_tips[0])
-            if lcomp is None or rcomp is None or lcomp == rcomp or len(outer) != 2:
-                return None
-            p, r = len(lcomp) + 1, len(rcomp) + 1
-            return confirmed(
-                "D two half forks",
-                {"p": p, "r": r, "q": q, "x": x, "y": y},
-                alpha=2 * (p - q) ** 2 + 2 * (r - q) ** 2 + 2 * q,
-                gamma=2 * (p - r) ** 2 + 2 * (p + r),
-                checks=[
-                    r_j == p * (p - 1) + r * (r - 1) + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 2 * (2 + x + y),
-                    n == p + r + q * x + (q + 1) * y,
-                    c_j == 2 * (p + r - 3 + (q - 1) * x + q * y),
-                ],
-            )
-        if (a_cnt, b_cnt) == (2, 0):
-            lcomp = _single(outer, left_tips[0])
-            if lcomp is None or left_tips[1] not in lcomp or len(outer) != 1:
-                return None
-            p = len(lcomp)
-            return confirmed(
-                "D one full fork",
-                {"p": p, "q": q, "x": x, "y": y},
-                alpha=2 * ((p - q + 1) ** 2 + (p - 2) * (p - 1) + (q - 2)),
-                gamma=2 * (p - 1) ** 2,
-                checks=[
-                    r_j == 2 * p * (p - 1) + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 2 * (1 + x + y),
-                    n == 1 + p + q * x + (q + 1) * y,
-                    c_j == 2 * (p - 1 + (q - 1) * x + q * y),
-                ],
-            )
-        if (a_cnt, b_cnt) == (1, 0):
-            lcomp = _single(outer, left_tips[0])
-            if lcomp is None or len(outer) != 1:
-                return None
-            p = len(lcomp) + 1
-            return confirmed(
-                "D one half fork",
-                {"p": p, "q": q, "x": x, "y": y},
-                alpha=2 * (p - q) ** 2 + (q - 1) ** 2 + 1,
-                gamma=(p - 1) ** 2 + 2,
-                checks=[
-                    r_j == p * (p - 1) + q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 3 + 2 * x + 2 * y,
-                    n == 1 + p + q * x + (q + 1) * y,
-                    c_j == 2 * p - 3 + 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        if (a_cnt, b_cnt) == (0, 0):
-            if outer:
-                return None
-            return confirmed(
-                "D interior runs",
-                {"q": q, "x": x, "y": y},
-                alpha=2 * (q - 1) * (q - 2),
-                gamma=0,
-                checks=[
-                    r_j == q * (q - 1) * x + q * (q + 1) * y,
-                    c_up == 2 + 2 * x + 2 * y,
-                    n == 2 + q * x + (q + 1) * y,
-                    c_j == 2 * (q - 1) * x + 2 * q * y,
-                ],
-            )
-        return None  # mixed tip patterns are delegated, not tabulated
-
-    return None
+    alpha, gamma = greek(p, q, r)
+    params = {v: size[v] for v in names} | {"q": q, "x": x, "y": y}
+    return CaseMatch(name=name, params=params, alpha=alpha, gamma=gamma)

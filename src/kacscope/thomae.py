@@ -158,7 +158,7 @@ class DiagramScan:
 
 def proper_subsets(diagram: AffineDiagram) -> Iterator[frozenset[int]]:
     """All proper subsets of the node set, the empty set first."""
-    nodes = sorted(diagram.nodes)
+    nodes = diagram.nodes
     for size in range(len(nodes)):
         for combo in itertools.combinations(nodes, size):
             yield frozenset(combo)

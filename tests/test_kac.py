@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -51,6 +52,16 @@ def test_zero_set_round_trip():
             assert zero_set(d, s) == J
             assert set(s) <= {0, 1}
             assert is_admissible(s)
+
+
+@pytest.mark.parametrize("J, message", [
+    ({0, 7}, "not a node subset: [0, 7]"),
+    ({-1}, "not a node subset: [-1]"),
+    ({0, 1, 2}, "proper subset"),
+], ids=["outside", "negative", "all-nodes"])
+def test_from_zero_set_rejects_a_non_proper_subset(J, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_zero_set(build_spec("G2"), J)
 
 
 def test_enumerate_classes_g2():

@@ -30,6 +30,7 @@ from kacscope.reductions import (
 from kacscope.thomae import f_value, proper_subsets, subset_tables, zero_set_data
 
 TRACE_GOLDEN = Path(__file__).parent / "golden" / "reduce_classical9.tsv.gz"
+CASE_GOLDEN = Path(__file__).parent / "golden" / "match_case_classical10.tsv.gz"
 
 
 def _acyclic(max_rank):
@@ -352,11 +353,13 @@ def test_switch_concrete_strict_drop():
     assert res.new_J == (J - {5}) | {6}
 
 
-@pytest.mark.parametrize("site, J", [((3, 5, 2), {2}), ((2, 4, 3), {3})])
+@pytest.mark.parametrize("site, J", [((3, 5, 2), {2}), ((2, 4, 3), {3}), ((6, 7, 2), {2, 5})])
 def test_switch_step_rejects_a_non_fork(site, J):
-    """``i`` must be a fork with two pendant tips and ``j`` one of them."""
+    """``i`` must be a fork with two pendant tips, ``j`` one of them and
+    ``k`` its interior neighbour (on D8 the fork 6 has tips 7, 8 and
+    interior neighbour 5, not 2)."""
     with pytest.raises(ValueError, match=re.escape(str(site))):
-        switch_step(build_spec("D6"), frozenset(J), *site)
+        switch_step(build_spec("D8"), frozenset(J), *site)
 
 
 def test_switch_drop_formula_exact():
@@ -457,14 +460,53 @@ CASE_NAMES = {
 }
 
 
+def _case_line(d, J, m) -> str:
+    """``m = match_case(d, J)`` as a tab-separated line: spec, J, then the
+    case name, its params as name=value in order, alpha and gamma; or
+    ``-`` when no case matches."""
+    head = [d.spec, ",".join(map(str, sorted(J)))]
+    if m is None:
+        return "\t".join(head + ["-"])
+    params = ",".join(f"{k}={v}" for k, v in m.params.items())
+    return "\t".join(head + [m.name, params, str(m.alpha), str(m.gamma)])
+
+
+def _write_golden(path, lines):
+    with open(path, "wb") as raw:
+        with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
+            fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
+
+
 def test_case_names_are_closed():
+    """Every case occurs on the classical diagrams to rank 10, and every
+    result equals its recorded line in ``CASE_GOLDEN``."""
+    with gzip.open(CASE_GOLDEN, "rt", encoding="utf-8") as fh:
+        golden = fh.read().splitlines()
     seen = set()
+    lines = 0
     for d in _classical(10):
         for J in _nonempty_proper(d):
             m = match_case(d, J)
+            assert _case_line(d, J, m) == golden[lines], (d.spec, sorted(J))
+            lines += 1
             if m is not None:
                 seen.add(m.name)
     assert seen == CASE_NAMES
+    assert lines == len(golden)
+
+
+@pytest.mark.parametrize("spec, J", [("B6", {0, 2, 3, 4, 5, 6}), ("D8", {0, 2, 3, 4, 5, 6, 7})])
+def test_cases_need_distinct_boundary_runs(spec, J):
+    """A tip pattern whose two wanted runs are one and the same run is
+    refused by the run step itself, before the counting identities (which
+    refuse it too) are read."""
+    d, J = build_spec(spec), frozenset(J)
+    _name, wanted = reductions._pattern(d, J)
+    assert [param for param, _tips, _offset in wanted] == ["p", "r"]
+    outer = runs_of(d, J)[1]
+    assert outer == [J]
+    assert reductions._run_params(outer, wanted) is None
+    assert match_case(d, J) is None
 
 
 def test_cases_agree_with_decomposition():
@@ -511,9 +553,12 @@ def test_chain_family_comparisons(n):
 
 
 if __name__ == "__main__":
-    # Re-record TRACE_GOLDEN (only with a change meant to alter traces):
+    # Re-record TRACE_GOLDEN and CASE_GOLDEN (only with a change meant to
+    # alter traces or case matches):
     #   PYTHONPATH=src python tests/test_reductions.py
-    lines = [_trace_line(reduce_to_z(d, J)) for d in _classical(9) for J in _nonempty_proper(d)]
-    with open(TRACE_GOLDEN, "wb") as raw:
-        with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0) as fh:
-            fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
+    _write_golden(TRACE_GOLDEN, [
+        _trace_line(reduce_to_z(d, J)) for d in _classical(9) for J in _nonempty_proper(d)
+    ])
+    _write_golden(CASE_GOLDEN, [
+        _case_line(d, J, match_case(d, J)) for d in _classical(10) for J in _nonempty_proper(d)
+    ])
