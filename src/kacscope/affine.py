@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .dynkin import FiniteFactor, classify_nodes
+from .dynkin import FiniteFactor, _classify_component, connected_components, sort_factors
 
 __all__ = [
     "DiagramId",
@@ -79,16 +79,22 @@ class Diagram:
     certified inequality (label sums, root counts of induced subdiagrams,
     n_e = #nodes - 1) is computed from the graph alone.
 
-    A diagram is not changed after construction, so ``interior``, the
-    frozenset of nodes of degree >= 2, is derived once, in ``__init__``,
-    and ``labels`` is stored in node order.
+    A diagram is not changed after construction, so ``label_sum`` and
+    ``interior``, the frozenset of nodes of degree >= 2, are derived once,
+    in ``__init__``, and ``labels`` is stored in node order.  A child made
+    by :meth:`contracted` shares with its parent every adjacency list that
+    the contraction did not change, so no adjacency list is mutated once
+    built.  Each instance holds its own memo of the factors of the
+    connected components :meth:`factors` has classified on it; memos are
+    never shared between diagrams.
     """
 
-    __slots__ = ("e", "labels", "bonds", "adjacency", "interior")
+    __slots__ = ("e", "labels", "label_sum", "bonds", "adjacency", "interior", "_components")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
         self.labels = dict(sorted(labels.items()))
+        self.label_sum = sum(self.labels.values())
         self.bonds = tuple(bonds)
         adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in self.labels}
         for b in self.bonds:
@@ -96,6 +102,38 @@ class Diagram:
             adjacency[b.v].append((b.u, b.mult))
         self.adjacency = adjacency
         self.interior = frozenset(u for u, nb in adjacency.items() if len(nb) >= 2)
+        self._components: dict[tuple[int, ...], tuple[FiniteFactor, ...]] = {}
+
+    def contracted(self, i: int, added: Sequence[Bond]) -> Diagram:
+        """This diagram without node ``i`` and its bonds, plus the bonds
+        ``added``, each joining two neighbours of ``i``.
+
+        The result equals ``Diagram(e, labels, kept + added)`` built from
+        scratch, with ``kept`` the bonds not at ``i`` in stored order, but
+        only the neighbours of ``i`` get new adjacency lists and are
+        re-evaluated for ``interior``; every other list is the parent's.
+        """
+        nbrs = {v for v, _mult in self.adjacency[i]}
+        for b in added:
+            if b.u not in nbrs or b.v not in nbrs:
+                raise ValueError(f"an added bond must join two neighbours of node {i}")
+        child = object.__new__(Diagram)
+        child.e = self.e
+        child.labels = labels = dict(self.labels)
+        del labels[i]
+        child.label_sum = self.label_sum - self.labels[i]
+        kept = [b for b in self.bonds if b.u != i and b.v != i]
+        child.bonds = tuple(kept + list(added))
+        child.adjacency = adjacency = dict(self.adjacency)
+        del adjacency[i]
+        for v in nbrs:
+            adjacency[v] = [(w, mult) for w, mult in adjacency[v] if w != i]
+        for b in added:
+            adjacency[b.u].append((b.v, b.mult))
+            adjacency[b.v].append((b.u, b.mult))
+        child.interior = (self.interior - nbrs - {i}) | {v for v in nbrs if len(adjacency[v]) >= 2}
+        child._components = {}
+        return child
 
     # -- basic data ------------------------------------------------------
 
@@ -106,10 +144,6 @@ class Diagram:
     @property
     def n_e(self) -> int:
         return len(self.labels) - 1
-
-    @property
-    def label_sum(self) -> int:
-        return sum(self.labels.values())
 
     @property
     def coxeter(self) -> int:
@@ -125,11 +159,24 @@ class Diagram:
     # -- subset arithmetic -------------------------------------------------
 
     def label_sum_of(self, nodes) -> int:
-        return sum(self.labels[u] for u in nodes)
+        return sum(map(self.labels.__getitem__, nodes))
 
     def factors(self, subset) -> tuple[FiniteFactor, ...]:
-        """Finite factors of the subdiagram induced on ``subset``."""
-        return classify_nodes(sorted(subset), self.adjacency)
+        """Finite factors of the subdiagram induced on ``subset``.
+
+        Each connected component is classified once per diagram and kept
+        in the diagram's memo under its sorted node tuple; a component
+        the classifier rejects is not stored and raises on every call.
+        """
+        memo = self._components
+        found: list[FiniteFactor] = []
+        for comp in connected_components(sorted(subset), self.adjacency):
+            key = tuple(comp)
+            factors = memo.get(key)
+            if factors is None:
+                factors = memo[key] = _classify_component(comp, self.adjacency)
+            found.extend(factors)
+        return sort_factors(found)
 
     def induced_bonds(self, subset) -> tuple[Bond, ...]:
         """The bonds with both ends in ``subset``, in stored order.  They

@@ -49,11 +49,19 @@ from .thomae import f_value, zero_set_data
 graph_f = f_value
 
 
+def _require_nodes(graph: Diagram, nodes: set[int] | frozenset[int]) -> None:
+    """Raise ``ValueError`` naming the ``nodes`` that are not in ``graph``."""
+    if not nodes <= graph.labels.keys():
+        raise ValueError(f"not a node subset: {sorted(nodes - graph.labels.keys())}")
+
+
 def runs_of(
     graph: Diagram, J: frozenset[int]
 ) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
     """The connected components of ``J``, split into interior runs (all
-    nodes of degree >= 2) and boundary runs, each sorted by least node."""
+    nodes of degree >= 2) and boundary runs, each sorted by least node.
+    Raises ``ValueError`` when ``J`` holds a node not in the graph."""
+    _require_nodes(graph, J)
     inner: list[frozenset[int]] = []
     outer: list[frozenset[int]] = []
     for comp in map(frozenset, connected_components(sorted(J), graph.adjacency)):
@@ -117,6 +125,7 @@ def contraction_drop(
     graph (or on one with the same bonds inside ``J``), saves classifying
     it again.
     """
+    _require_nodes(graph, {i})
     if i in J:
         raise ValueError("contraction applies to off-J nodes only")
     r_j, c_j, _c_up = zero_set_data(graph, J, factors)
@@ -130,30 +139,31 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
     neighbours; the surviving bond keeps the higher multiplicity.  When the
     two dying bonds are both multiple the replacement is the symmetric
     quadruple bond.  A degree-three ``i`` hands its pendant tips to ``j``.
-    ``J`` itself, and hence the root system it spans, is untouched.
+    ``J`` itself, and hence the root system it spans, is untouched.  The
+    result is derived from ``graph`` by :meth:`Diagram.contracted`.
     """
+    _require_nodes(graph, {i, j})
     if i in J or j in J:
         raise ValueError("contraction applies to off-J nodes only")
     mult_to = dict(graph.adjacency[i])
     if j not in mult_to:
         raise ValueError(f"nodes {i} and {j} are not adjacent")
     deg = len(mult_to)
-    kept = [b for b in graph.bonds if i not in (b.u, b.v)]
+    added: list[Bond] = []
     if deg == 2:
         (k,) = [v for v in mult_to if v != j]
         mults = (mult_to[j], mult_to[k])
-        kept.append(Bond(min(j, k), max(j, k), 4 if min(mults) > 1 else max(mults)))
+        added.append(Bond(min(j, k), max(j, k), 4 if min(mults) > 1 else max(mults)))
     elif deg == 3:
         if graph.degree(j) < 2:
             raise ValueError("a fork may only be contracted toward the interior")
         for t in (v for v in mult_to if v != j):
             if graph.degree(t) != 1 or mult_to[t] != 1:
                 raise ValueError(f"node {i} is not a plain fork")
-            kept.append(Bond(min(t, j), max(t, j)))
+            added.append(Bond(min(t, j), max(t, j)))
     else:
         raise ValueError(f"node {i} has degree {deg}; contraction needs 2 or 3")
-    labels = {u: c for u, c in graph.labels.items() if u != i}
-    return Diagram(graph.e, labels, kept)
+    return graph.contracted(i, added)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +417,10 @@ def switch_step(
     run), and zero precisely at ``q = 0, s = 1`` and on the vexing
     configuration ``q = 1, s = 0``.  Raises ``ValueError`` when ``i`` is
     not a fork with two pendant tips, ``j`` one of them and ``k`` its
-    interior neighbour.
+    interior neighbour, and ``ValueError("not a node subset: ...")`` when
+    one of them is not a node of ``graph``.
     """
+    _require_nodes(graph, {i, j, k})
     if i in J or j in J or k not in J:
         return None
     nbrs = [v for v, _ in graph.adjacency[i]]

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from kacscope.affine import build_spec, catalog, parse_spec, render_kac
-from kacscope.dynkin import factors_type_string
+from kacscope.affine import Bond, Diagram, build_spec, catalog, parse_spec, render_kac
+from kacscope.dynkin import UnsupportedSubdiagramError, classify_nodes, factors_type_string
+from kacscope.thomae import proper_subsets
 
 
 def test_parse_spec_round_trip():
@@ -156,3 +157,48 @@ def test_factor_helpers_on_diagram():
     J = frozenset({0, 1, 3})
     assert d.label_sum_of(J) == sum(d.labels[i] for i in J)
     assert factors_type_string(d.factors(frozenset())) == "0"
+
+
+def test_factors_memo_agrees_with_the_classifier():
+    """``factors`` classifies each component once per diagram; called cold
+    and then warm it agrees with the memo-free classifier on every proper
+    subset of every diagram to rank 10, and a component the classifier
+    rejects (the whole affine diagram) raises on every call."""
+    for d in catalog(10):
+        g = Diagram(d.e, d.labels, d.bonds)  # a memo of its own, empty
+        for J in proper_subsets(d):
+            want = classify_nodes(sorted(J), d.adjacency)
+            assert g.factors(J) == want, (d.spec, sorted(J))
+            assert g.factors(J) == want, (d.spec, sorted(J))
+        for _ in range(2):
+            with pytest.raises(UnsupportedSubdiagramError):
+                g.factors(g.nodes)
+
+
+def _snapshot(g):
+    return (
+        list(g.labels.items()), g.bonds, list(g.adjacency.items()), g.interior, g.label_sum
+    )
+
+
+def test_contracted_equals_a_fresh_build_for_any_node():
+    """``contracted`` on any node, with no added bond (the neighbours lose
+    a degree) or one joining two of its neighbours, equals the same graph
+    built from scratch and leaves its parent unchanged."""
+    for d in catalog(8):
+        for i in d.nodes:
+            nbrs = sorted(v for v, _mult in d.adjacency[i])
+            choices = [[]] + ([[Bond(nbrs[0], nbrs[1], 2)]] if len(nbrs) > 1 else [])
+            for added in choices:
+                parent = _snapshot(d)
+                child = d.contracted(i, added)
+                assert _snapshot(d) == parent
+                kept = [b for b in d.bonds if i not in (b.u, b.v)]
+                labels = {u: c for u, c in d.labels.items() if u != i}
+                assert _snapshot(child) == _snapshot(Diagram(d.e, labels, kept + added))
+
+
+def test_contracted_rejects_a_bond_beyond_the_neighbours():
+    d = build_spec("D6")
+    with pytest.raises(ValueError, match="two neighbours of node 3"):
+        d.contracted(3, [Bond(0, 4)])

@@ -103,6 +103,51 @@ def test_contraction_drop_rejects_node_in_J():
         contraction_drop(build_spec("D6"), frozenset({2}), 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g, J: contract(g, J, 99, 0), id="contract"),
+        pytest.param(lambda g, J: contraction_drop(g, J, 99), id="contraction_drop"),
+        pytest.param(lambda g, J: switch_step(g, J, 99, 0, 1), id="switch_step"),
+        pytest.param(lambda g, J: greek_decomposition(g, frozenset({99})), id="greek_decomposition"),
+        pytest.param(lambda g, J: runs_of(g, frozenset({99})), id="runs_of"),
+    ],
+)
+def test_node_outside_the_graph_is_rejected(call):
+    with pytest.raises(ValueError, match=re.escape("not a node subset: [99]")):
+        call(build_spec("D6"), frozenset({1}))
+
+
+def test_contracted_child_equals_a_fresh_build():
+    """Every contraction ``reduce_to_z`` makes over the classical diagrams
+    to rank 9 derives a child equal to the same graph built from scratch
+    (the parent's labels without ``i``; its bonds not at ``i``, in stored
+    order, then the added ones), and leaves the parent's adjacency as it
+    was."""
+    children = 0
+    for d in _classical(9):
+        for J in _nonempty_proper(d):
+            g = d
+            while (pair := contractible_pair(g, J)) is not None:
+                i = pair[0]
+                parent_adjacency = [(u, list(nb)) for u, nb in g.adjacency.items()]
+                child = contract(g, J, *pair)
+                assert [(u, list(nb)) for u, nb in g.adjacency.items()] == parent_adjacency
+
+                kept = tuple(b for b in g.bonds if i not in (b.u, b.v))
+                assert child.bonds[: len(kept)] == kept
+                labels = {u: c for u, c in g.labels.items() if u != i}
+                fresh = Diagram(g.e, labels, kept + child.bonds[len(kept):])
+                assert list(child.labels.items()) == list(fresh.labels.items())
+                assert child.bonds == fresh.bonds
+                assert list(child.adjacency.items()) == list(fresh.adjacency.items())
+                assert child.interior == fresh.interior
+                assert child.label_sum == fresh.label_sum
+                g = child
+                children += 1
+    assert children == 10_979
+
+
 def _sorted_contractible_pair(graph, J):
     """The reference search: sort the bonds by (min, max) of their ends
     and take the first one where a contraction applies."""
