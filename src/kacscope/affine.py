@@ -29,6 +29,13 @@ Node order conventions
   below that, so the chain is 0..4 and nodes 5, 6 hang under node 2);
 * untwisted A_n (n >= 2) is a cycle 0..n with the closing bond implied.
 
+On every acyclic diagram but E6 the interior (the nodes of degree >= 2)
+is a path whose node numbers increase along it, and a contraction, which
+deletes a node and never renumbers the rest, keeps it so;
+``reductions.balance_step`` walks the interior in sorted node order and
+relies on this.  E6's interior is a star and the cycle's has no ends;
+``balance_step`` rejects both.
+
 Rendered strings parenthesise off-chain nodes, so the B4 vector
 (1, 1, 0, 1, 0) prints as ``1 (1) 0 1=>0``.
 """
@@ -150,9 +157,6 @@ class Diagram:
         """Twisted Coxeter number h_e = e * sum of labels."""
         return self.e * self.label_sum
 
-    def bond_between(self, u: int, v: int) -> Bond | None:
-        return next((b for b in self.bonds if {b.u, b.v} == {u, v}), None)
-
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
@@ -262,9 +266,10 @@ class AffineDiagram(Diagram):
     ``omega`` lists the symmetry permutations as tuples p with p[i] the
     image of node i.  ``layout`` is the render recipe built from ``chain``
     (the nodes drawn left to right) and ``hang`` (the nodes parenthesised
-    after a chain node): a sequence of ``("node", i)``, ``("paren", (i,
-    ...))`` and ``("bond", Bond, right)`` entries, where ``right`` is the
-    chain node to the bond's right.
+    after a chain node): one record ``(node, hung, right, bond)`` per
+    chain node, left to right, where ``hung`` is the tuple of nodes hung
+    after it (empty for none), ``right`` the next chain node and ``bond``
+    the bond to it; both are None on the last record.
     """
 
     __slots__ = ("ident", "omega", "layout")
@@ -283,13 +288,11 @@ class AffineDiagram(Diagram):
         self.omega = omega
         hang = hang or {}
         chain = list(chain)
-        layout: list = []
-        for idx, u in enumerate(chain):
-            layout.append(("node", u))
-            if u in hang:
-                layout.append(("paren", tuple(hang[u])))
-            if idx + 1 < len(chain):
-                layout.append(("bond", self.bond_between(u, chain[idx + 1]), chain[idx + 1]))
+        placed = {frozenset((b.u, b.v)): b for b in self.bonds}
+        layout = []
+        for u, right in zip(chain, chain[1:] + [None]):
+            bond = None if right is None else placed[frozenset((u, right))]
+            layout.append((u, tuple(hang.get(u, ())), right, bond))
         self.layout = tuple(layout)
 
     @property
@@ -563,27 +566,17 @@ def render_kac(diagram: AffineDiagram, s: Sequence[int], unicode: bool = False) 
         )
     table = _BOND_UNICODE if unicode else _BOND_ASCII
     out: list[str] = []
-    prev = ""
-    for entry in diagram.layout:
-        kind = entry[0]
-        if kind == "node":
-            if prev == "val":
-                out.append(" ")
-            out.append(str(s[entry[1]]))
-            prev = "val"
-        elif kind == "paren":
-            if prev == "val":
-                out.append(" ")
-            out.append("(" + " ".join(str(s[i]) for i in entry[1]) + ")")
-            prev = "val"
+    for u, hung, right, bond in diagram.layout:
+        out.append(str(s[u]))
+        if hung:
+            out.append(" (" + " ".join(str(s[i]) for i in hung) + ")")
+        if bond is None:
+            continue
+        if bond.mult == 1:
+            out.append(" ")
         else:
-            _kind, bond, right = entry
-            if bond.mult == 1:
-                out.append(" ")
-            else:
-                direction = "sym" if bond.tip is None else ("fwd" if bond.tip == right else "back")
-                out.append(table[(bond.mult, direction)])
-            prev = "bond"
+            direction = "sym" if bond.tip is None else ("fwd" if bond.tip == right else "back")
+            out.append(table[(bond.mult, direction)])
     if diagram.cyclic:
         out.append(" (cycle)")
     return "".join(out)

@@ -72,6 +72,15 @@ def _divisors(n: int) -> list[int]:
 _Generated = tuple[int, tuple[int, ...], str]
 
 
+def _first_of_each(raw: list[_Generated]) -> list[_Generated]:
+    """``raw`` with each vector kept once, under the first rule that
+    gives it, in order."""
+    first: dict[tuple[int, ...], _Generated] = {}
+    for row in raw:
+        first.setdefault(row[1], row)
+    return list(first.values())
+
+
 # ---------------------------------------------------------------------------
 # classical generators
 # ---------------------------------------------------------------------------
@@ -103,7 +112,6 @@ def _classes_2a_even(base: int) -> list[_Generated]:
 def _classes_2a_odd(base: int) -> list[_Generated]:
     n = (base + 1) // 2
     out = []
-    seen: set[tuple[int, ...]] = set()
     for div in _divisors(2 * n - 1):            # div = 2k - 1
         k = (div + 1) // 2
         d = (2 * n - 1) // div
@@ -113,9 +121,7 @@ def _classes_2a_odd(base: int) -> list[_Generated]:
             s = _assemble((0,) * k,
                           *(((1,) + (0,) * (2 * k - 2)) for _ in range((d - 1) // 2)),
                           (1,))
-        if s not in seen:
-            seen.add(s)
-            out.append((2 * d, s, f"divisor d={d} of {2 * n - 1}"))
+        out.append((2 * d, s, f"divisor d={d} of {2 * n - 1}"))
     for k in _divisors(n):
         d = n // k
         if d % 2 == 0:
@@ -130,10 +136,8 @@ def _classes_2a_odd(base: int) -> list[_Generated]:
             s = _assemble((0,) * k,
                           *(((1,) + (0,) * (2 * k - 1)) for _ in range((d - 1) // 2)),
                           (1,))
-        if s not in seen:
-            seen.add(s)
-            out.append((2 * d, s, f"divisor d={d} of {n}"))
-    return out
+        out.append((2 * d, s, f"divisor d={d} of {n}"))
+    return _first_of_each(out)
 
 
 def _classes_b(n: int) -> list[_Generated]:
@@ -165,13 +169,6 @@ def _classes_c(n: int) -> list[_Generated]:
 
 def _classes_d(n: int) -> list[_Generated]:
     out = []
-    seen: set[tuple[int, ...]] = set()
-
-    def emit(m: int, s: tuple[int, ...], why: str) -> None:
-        if s not in seen:
-            seen.add(s)
-            out.append((m, s, why))
-
     for k in _divisors(n):
         if k % 2:
             continue
@@ -182,7 +179,7 @@ def _classes_d(n: int) -> list[_Generated]:
             s = _assemble((0,) * (k // 2),
                           *(((1,) + (0,) * (k - 1)) for _ in range(n // k - 1)),
                           (1,), (0,) * (k // 2))
-        emit(2 * n // k, s, f"even divisor k={k} of {n}")
+        out.append((2 * n // k, s, f"even divisor k={k} of {n}"))
     for k in _divisors(n - 1):
         if k % 2 == 0:
             continue
@@ -192,27 +189,20 @@ def _classes_d(n: int) -> list[_Generated]:
             s = _assemble((0,) * ((k + 1) // 2),
                           *(((1,) + (0,) * (k - 1)) for _ in range((n - 1) // k - 1)),
                           (1,), (0,) * ((k + 1) // 2))
-        emit((2 * n - 2) // k, s, f"odd divisor k={k} of {n - 1}")
-    return out
+        out.append(((2 * n - 2) // k, s, f"odd divisor k={k} of {n - 1}"))
+    return _first_of_each(out)
 
 
 def _classes_2d(base: int) -> list[_Generated]:
     n = base - 1
     out = []
-    seen: set[tuple[int, ...]] = set()
-
-    def emit(m: int, s: tuple[int, ...], why: str) -> None:
-        if s not in seen:
-            seen.add(s)
-            out.append((m, s, why))
-
     for k in _divisors(n):
         if k % 2:
             continue
         s = _assemble((0,) * (k // 2),
                       *(((1,) + (0,) * (k - 1)) for _ in range(n // k - 1)),
                       (1,), (0,) * (k // 2))
-        emit(2 * n // k, s, f"even divisor k={k} of {n}")
+        out.append((2 * n // k, s, f"even divisor k={k} of {n}"))
     for k in _divisors(n + 1):
         if k % 2 == 0:
             continue
@@ -222,8 +212,8 @@ def _classes_2d(base: int) -> list[_Generated]:
             s = _assemble((0,) * ((k - 1) // 2),
                           *(((1,) + (0,) * (k - 1)) for _ in range((n + 1) // k - 1)),
                           (1,), (0,) * ((k - 1) // 2))
-        emit(2 * (n + 1) // k, s, f"odd divisor k={k} of {n + 1}")
-    return out
+        out.append((2 * (n + 1) // k, s, f"odd divisor k={k} of {n + 1}"))
+    return _first_of_each(out)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ one-line certificate and never needs reduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterable, Optional
 
 from .affine import AffineDiagram, Bond, Diagram
@@ -74,12 +75,6 @@ def run_sizes(graph: Diagram, J: frozenset[int]) -> list[int]:
     return sorted(map(len, runs_of(graph, J)[0]), reverse=True)
 
 
-def d_value(graph: Diagram, J: frozenset[int]) -> int:
-    """Largest size difference between two interior runs (0 if fewer than 2)."""
-    sizes = run_sizes(graph, J)
-    return sizes[0] - sizes[-1] if sizes else 0
-
-
 # ---------------------------------------------------------------------------
 # contraction
 # ---------------------------------------------------------------------------
@@ -91,8 +86,10 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
     ``i`` must either have degree two, or be a degree-three fork whose
     neighbour ``j`` is interior.  Of the bonds where a move applies, the
     one least by ``(min, max)`` of its ends gives the pair.  Returns None
-    when no move applies; that is the terminal set ``Y``.
+    when no move applies; that is the terminal set ``Y``.  Raises
+    ``ValueError`` when ``J`` holds a node not in the graph.
     """
+    _require_nodes(graph, J)
     interior = graph.interior
     least = pair = None
     for b in graph.bonds:
@@ -112,7 +109,13 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
 
 
 def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
-    return contractible_pair(graph, J) is None and d_value(graph, J) <= 1
+    """Whether ``J`` is reduced: in ``Y``, with interior run sizes that
+    differ by at most 1.  Raises ``ValueError`` when ``J`` holds a node
+    not in the graph."""
+    if contractible_pair(graph, J) is not None:
+        return False
+    sizes = run_sizes(graph, J)
+    return not sizes or sizes[0] - sizes[-1] <= 1
 
 
 def contraction_drop(
@@ -171,36 +174,6 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def spine(graph: Diagram) -> list[int]:
-    """Interior nodes in path order (the interior of every supported
-    diagram is a path; contracted forks may leave a single hub)."""
-    interior = graph.interior
-    if not interior:
-        return []
-    nb = {
-        u: [v for v, _ in graph.adjacency[u] if v in interior]
-        for u in interior
-    }
-    if len(interior) == 1:
-        return [next(iter(interior))]
-    ends = [u for u in interior if len(nb[u]) <= 1]
-    if not ends:
-        raise ValueError("interior is not a path")
-    order = [min(ends)]
-    prev = None
-    while True:
-        nxt = [v for v in nb[order[-1]] if v != prev]
-        if not nxt:
-            break
-        if len(nxt) > 1:
-            raise ValueError("interior is not a path")
-        prev = order[-1]
-        order.append(nxt[0])
-    if len(order) != len(interior):
-        raise ValueError("interior is not connected")
-    return order
-
-
 def balance_step(
     graph: Diagram, J: frozenset[int]
 ) -> tuple[frozenset[int], int]:
@@ -210,6 +183,12 @@ def balance_step(
     at least 2.  Returns the new zero set and the exact drop
     ``2 * c^J * (q1 - q2 - 1)``; every other quantity entering ``f``
     (``n``, ``c_J``, ``c^J``, the boundary components) is unchanged.
+
+    The interior is walked in sorted node order, so it must be a path
+    whose nodes increase along it, as the builders and contraction keep
+    it (see the node order conventions in :mod:`kacscope.affine`).  A
+    graph whose interior is a cycle, a star, or a path numbered out of
+    order raises ``ValueError("interior is not a path")``.
     """
     inner, outer = runs_of(graph, J)
     sizes = sorted(map(len, inner), reverse=True)
@@ -217,7 +196,10 @@ def balance_step(
         raise ValueError("balancing needs two interior runs differing by >= 2")
     q1, q2 = sizes[0], sizes[-1]
 
-    order = spine(graph)
+    order = sorted(graph.interior)
+    links = sorted((min(b.u, b.v), max(b.u, b.v)) for b in graph.induced_bonds(graph.interior))
+    if links != list(zip(order, order[1:])):
+        raise ValueError("interior is not a path")
     boundary = set().union(*outer)
     free_idx = [t for t, u in enumerate(order) if u not in boundary]
     if free_idx != list(range(free_idx[0], free_idx[-1] + 1)):
@@ -228,17 +210,12 @@ def balance_step(
     lead = not flags[0]
     tail = not flags[-1]
     runs: list[int] = []
-    t = 0
-    while t < len(flags):
-        if flags[t]:
-            start = t
-            while t < len(flags) and flags[t]:
-                t += 1
-            runs.append(t - start)
-        else:
-            if t > 0 and not flags[t - 1]:
-                raise ValueError("configuration not reduced: adjacent off-J interior nodes")
-            t += 1
+    for on, group in groupby(flags):
+        size = len(list(group))
+        if on:
+            runs.append(size)
+        elif size > 1:
+            raise ValueError("configuration not reduced: adjacent off-J interior nodes")
     if sorted(runs, reverse=True) != sizes:
         raise ValueError("interior runs do not all lie in the free region")
 
@@ -389,7 +366,9 @@ class SwitchResult:
 def switch_sites(graph: Diagram, J: frozenset[int]) -> list[tuple[int, int, int]]:
     """Fork configurations ``(i, j, k)`` where the switch move applies:
     ``i`` an off-``J`` fork, ``j`` an off-``J`` pendant tip of ``i`` and
-    ``k`` the interior neighbour of ``i``, with ``k`` in ``J``."""
+    ``k`` the interior neighbour of ``i``, with ``k`` in ``J``.  Raises
+    ``ValueError`` when ``J`` holds a node not in the graph."""
+    _require_nodes(graph, J)
     sites = []
     interior = graph.interior
     for i in graph.nodes:

@@ -144,6 +144,12 @@ RENDERS = [
     ("3D4", (1, 1, 1), True, "1 1⇚1"),
     ("2E6", (1, 1, 1, 1, 1), False, "1 1 1<=1 1"),
     ("D5", (1, 1, 1, 1, 1, 1), False, "1 (1) 1 1 1 (1)"),
+    ("E6", (1, 2, 3, 4, 5, 6, 7), False, "1 2 3 (6 7) 4 5"),
+    ("E7", (1, 2, 3, 4, 5, 6, 7, 8), False, "1 2 3 4 (8) 5 6 7"),
+    ("E8", (1, 2, 3, 4, 5, 6, 7, 8, 9), False, "1 2 3 4 5 6 (9) 7 8"),
+    ("D4", (1, 2, 3, 4, 5), False, "1 (2) 3 4 (5)"),
+    ("2A9", (1, 2, 3, 4, 5, 6), False, "1 (2) 3 4 5<=6"),
+    ("2A9", (1, 2, 3, 4, 5, 6), True, "1 (2) 3 4 5⇐6"),
 ]
 
 

@@ -17,12 +17,12 @@ from kacscope.reductions import (
     contract,
     contractible_pair,
     contraction_drop,
-    d_value,
     graph_f,
     greek_decomposition,
     in_Z,
     match_case,
     reduce_to_z,
+    run_sizes,
     runs_of,
     switch_sites,
     switch_step,
@@ -111,6 +111,9 @@ def test_contraction_drop_rejects_node_in_J():
         pytest.param(lambda g, J: switch_step(g, J, 99, 0, 1), id="switch_step"),
         pytest.param(lambda g, J: greek_decomposition(g, frozenset({99})), id="greek_decomposition"),
         pytest.param(lambda g, J: runs_of(g, frozenset({99})), id="runs_of"),
+        pytest.param(lambda g, J: contractible_pair(g, frozenset({99})), id="contractible_pair"),
+        pytest.param(lambda g, J: in_Z(g, frozenset({99})), id="in_Z"),
+        pytest.param(lambda g, J: switch_sites(g, frozenset({99})), id="switch_sites"),
     ],
 )
 def test_node_outside_the_graph_is_rejected(call):
@@ -296,14 +299,45 @@ def test_balance_step_exact():
         for J in _nonempty_proper(d):
             if contractible_pair(g, J) is not None:
                 continue
-            if d_value(g, J) <= 1:
+            if in_Z(g, J):
                 continue
             J2, drop = balance_step(g, J)
             assert drop >= 0
             assert graph_f(g, J) - graph_f(g, J2) == drop
-            assert d_value(g, J2) < d_value(g, J)
+            sizes, sizes2 = run_sizes(g, J), run_sizes(g, J2)
+            assert sizes2[0] - sizes2[-1] < sizes[0] - sizes[-1]
             checked += 1
     assert checked > 50
+
+
+def _e_shaped_tree():
+    """The E7 chain 0..6 with a three-node arm 7-8-9 under node 3: its
+    interior is a star centred at node 3."""
+    bonds = [Bond(i, i + 1) for i in range(6)] + [Bond(3, 7), Bond(7, 8), Bond(8, 9)]
+    return Diagram(1, {u: 1 for u in range(10)}, bonds)
+
+
+def _path_out_of_order():
+    """A path whose interior 1-3-2-4-5-6 does not increase along it."""
+    walk = [0, 1, 3, 2, 4, 5, 6, 7]
+    return Diagram(1, {u: 1 for u in walk}, [Bond(u, v) for u, v in zip(walk, walk[1:])])
+
+
+@pytest.mark.parametrize(
+    "graph,J",
+    [
+        pytest.param(lambda: build_spec("A8"), {0, 1, 2, 4}, id="cycle"),
+        pytest.param(_e_shaped_tree, {1, 3, 4, 5}, id="star"),
+        pytest.param(_path_out_of_order, {1, 2, 3, 5}, id="path-out-of-order"),
+    ],
+)
+def test_balance_step_needs_an_increasing_interior_path(graph, J):
+    """Each J has interior runs of sizes 3 and 1, so only the path check
+    refuses it."""
+    g, J = graph(), frozenset(J)
+    assert run_sizes(g, J) == [3, 1]
+    with pytest.raises(ValueError, match="interior is not a path"):
+        balance_step(g, J)
 
 
 # ---------------------------------------------------------------------------
