@@ -16,7 +16,7 @@ render Kac vectors: enumerate, check, ellreg and steps.
 Each subcommand computes its records once and returns its exit code, its
 JSON document (without ``version``) and a renderer of its text lines.
 :func:`main` is the one writer: it adds ``version``, renders the format
-asked for and writes the result to ``--out`` or stdout.
+asked for (JSON by :func:`_json`) and writes the result to ``--out`` or stdout.
 
 Exit status: 0 on success, 1 when a scan finds a counterexample or a
 classification mismatch, or check finds the bound violated, 2 on usage
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable, Optional
 
 from . import __version__
@@ -40,6 +41,7 @@ from .dynkin import UnsupportedSubdiagramError
 
 # what every subcommand returns: exit code, JSON document, text renderer
 Report = tuple[int, dict, Callable[[], list[str]]]
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _resolve_diagrams(specs: list[str], max_rank: int) -> list[AffineDiagram]:
@@ -49,11 +51,31 @@ def _resolve_diagrams(specs: list[str], max_rank: int) -> list[AffineDiagram]:
 
 
 def _kac_text(s: Iterable[int]) -> str:
-    return ",".join(str(v) for v in s)
+    return ",".join(map(str, s))
 
 
-def _fraction_obj(fr) -> dict[str, int]:
-    return {"num": fr.numerator, "den": fr.denominator}
+def _json(value, pad: str = "\n", head: str = "") -> str:
+    """``head``, then the bytes of ``json.dumps(value)`` at a two-space indent,
+    without the stdlib's pure-Python indent encoder.  Each container is one join,
+    with ``head`` and its brackets put on its end entries; keys must be strings."""
+    if isinstance(value, str):
+        return head + _quote(value)
+    if value is None or value is True or value is False:
+        return head + _LITERALS[value]
+    if isinstance(value, int):
+        return head + int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        entries, brackets = [_json(v, inner, _quote(k) + ": ") for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        entries, brackets = [_json(v, inner) for v in value], "[]"
+    else:  # floats and any other scalar
+        return head + json.dumps(value)
+    if not entries:
+        return head + brackets
+    entries[0] = head + brackets[0] + inner + entries[0]
+    entries[-1] += pad + brackets[1]
+    return ("," + inner).join(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +216,8 @@ def _cmd_check(args: argparse.Namespace) -> Report:
         "zero_set": list(report.zero_set),
         "fixed_type": report.fixed_type,
         "fixed_dim": report.fixed_dim,
-        "tau": _fraction_obj(report.tau),
-        "bound": _fraction_obj(report.bound),
+        "tau": {"num": 1, "den": report.m},
+        "bound": {"num": report.bound.numerator, "den": report.bound.denominator},
         "f": report.f,
         "holds": report.holds,
         "is_equality": report.is_equality,
@@ -387,7 +409,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         code, doc, text = args.func(args)
         if args.format == "json":
-            output = json.dumps({"version": __version__, **doc}, indent=2) + "\n"
+            output = _json({"version": __version__, **doc}) + "\n"
         else:
             output = "\n".join(text()) + "\n"
     except (UnsupportedSubdiagramError, AssertionError) as exc:

@@ -13,7 +13,9 @@ of the subdiagram induced on J.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import comb, gcd
+from operator import mul, not_
 from typing import Iterable, Optional, Sequence
 
 from .affine import AffineDiagram
@@ -33,11 +35,18 @@ __all__ = [
 
 
 def order_of(diagram: AffineDiagram, s: Sequence[int]) -> int:
-    return diagram.e * sum(c * s[i] for i, c in diagram.labels.items())
+    _require_length(diagram, s)
+    return diagram.e * sum(map(mul, diagram.labels.values(), s))
 
 
 def zero_set(diagram: AffineDiagram, s: Sequence[int]) -> frozenset[int]:
-    return frozenset(i for i in diagram.labels if s[i] == 0)
+    _require_length(diagram, s)
+    return frozenset(compress(diagram.labels, map(not_, s)))
+
+
+def _require_length(diagram: AffineDiagram, s: Sequence[int]) -> None:
+    if len(s) != len(diagram.labels):
+        raise ValueError(f"{diagram.spec} takes {len(diagram.labels)} coordinates, got {len(s)}")
 
 
 def from_zero_set(diagram: AffineDiagram, J: Iterable[int]) -> tuple[int, ...]:
@@ -52,12 +61,7 @@ def from_zero_set(diagram: AffineDiagram, J: Iterable[int]) -> tuple[int, ...]:
 
 def is_admissible(s: Sequence[int]) -> bool:
     """Non-negative, not all zero, gcd 1."""
-    g = 0
-    for x in s:
-        if x < 0:
-            return False
-        g = gcd(g, x)
-    return g == 1
+    return min(s, default=0) >= 0 and gcd(*s) == 1
 
 
 def apply_perm(perm: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:

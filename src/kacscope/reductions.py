@@ -188,8 +188,11 @@ def balance_step(
     whose nodes increase along it, as the builders and contraction keep
     it (see the node order conventions in :mod:`kacscope.affine`).  A
     graph whose interior is a cycle, a star, or a path numbered out of
-    order raises ``ValueError("interior is not a path")``.
+    order raises ``ValueError("interior is not a path")``.  The drop needs
+    one interior label: E7, E8 and F4 raise "interior label is not constant".
     """
+    if len({graph.labels[u] for u in graph.interior}) > 1:
+        raise ValueError("interior label is not constant")
     inner, outer = runs_of(graph, J)
     sizes = sorted(map(len, inner), reverse=True)
     if not sizes or sizes[0] - sizes[-1] < 2:

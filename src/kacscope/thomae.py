@@ -54,7 +54,7 @@ def f_value(diagram: Diagram, J: frozenset[int], factors=None) -> int:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """The bound, evaluated exactly for one torsion class."""
+    """The bound, evaluated exactly for one torsion class; ``tau = 1/m`` is derived."""
 
     spec: str
     m: int
@@ -62,17 +62,20 @@ class ClassReport:
     zero_set: tuple[int, ...]
     fixed_type: str
     fixed_dim: int
-    tau: Fraction           # 1/m
-    bound: Fraction         # fixed_dim / |R|
+    bound: Fraction         # fixed_dim / |R| = a/b in lowest terms: 1/m = a/b iff a = 1, b = m
     f: int
 
     @property
+    def tau(self) -> Fraction:
+        return Fraction(1, self.m)
+
+    @property
     def holds(self) -> bool:
-        return self.tau <= self.bound
+        return self.bound.denominator <= self.m * self.bound.numerator
 
     @property
     def is_equality(self) -> bool:
-        return self.tau == self.bound
+        return self.bound.numerator == 1 and self.bound.denominator == self.m
 
 
 def check_class(
@@ -85,8 +88,8 @@ def check_class(
     tuple, the fixed type and dimension, the bound and ``f``) are taken
     from ``memo``, a dict the caller holds for one diagram and passes to
     every class it checks; on a miss J is classified once and its fields
-    are stored there.  The order, ``tau`` and the comparison are computed
-    for every class."""
+    are stored there.  The order and the comparison are computed for
+    every class."""
     if len(s) != diagram.n_e + 1 or not kac.is_admissible(s):
         raise ValueError(
             f"{','.join(str(v) for v in s)!r} is not an admissible Kac vector for "
@@ -107,15 +110,13 @@ def check_class(
             f_value(diagram, J, factors),
         )
     zero_set, fixed_type, fixed_dim, bound, f = fields
-    m = kac.order_of(diagram, s)
     return ClassReport(
         spec=diagram.spec,
-        m=m,
+        m=kac.order_of(diagram, s),
         s=tuple(s),
         zero_set=zero_set,
         fixed_type=fixed_type,
         fixed_dim=fixed_dim,
-        tau=Fraction(1, m),
         bound=bound,
         f=f,
     )

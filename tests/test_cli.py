@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kacscope import cli, kac
 from kacscope.affine import catalog
@@ -73,9 +74,33 @@ def test_json_reports_round_trip(capsys):
         ("steps", "E6", "--format", "json"),
         ("ellreg", "B4", "--format", "json"),
         ("catalog", "--max-rank", "3", "--format", "json"),
+        ("enumerate", "B5", "--order", "6", "--format", "json"),
+        ("enumerate", "A5", "--order", "6", "--format", "json"),
+        ("enumerate", "2A5", "--order", "4", "--format", "json"),
     ):
         _, out, _ = _run(capsys, *argv)
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | st.floats()
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1F))
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_json_writer_matches_the_indented_stdlib_encoder(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
 
 
 def test_verify_without_diagrams_is_a_usage_error(capsys):
@@ -270,7 +295,17 @@ def test_every_golden_file_has_a_command():
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_output_matches_golden(capsys, name):
+def test_output_matches_golden(capsys, monkeypatch, name):
+    # with an indent the standard library encodes in pure Python, token
+    # by token; no command may take that path
+    dumps = json.dumps
+
+    def compact_dumps(obj, **kwargs):
+        if kwargs.get("indent") is not None:
+            raise AssertionError("json.dumps called with an indent")
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", compact_dumps)
     code, out, err = _run(capsys, *GOLDEN_COMMANDS[name])
     assert (code, err) == (0, "")
     assert out == (GOLDEN_CLI / name).read_text(encoding="utf-8")

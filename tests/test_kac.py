@@ -64,6 +64,16 @@ def test_from_zero_set_rejects_a_non_proper_subset(J, message):
         from_zero_set(build_spec("G2"), J)
 
 
+@pytest.mark.parametrize("s", [(1, 1, 1, 5), (1, 0, 1, 0), (1, 1), ()])
+def test_order_and_zero_set_need_one_coordinate_per_node(s):
+    # an extra coordinate must not be ignored, nor a missing one read
+    # past the end of the vector
+    g2 = build_spec("G2")
+    for read in (order_of, zero_set):
+        with pytest.raises(ValueError, match=f"G2 takes 3 coordinates, got {len(s)}$"):
+            read(g2, s)
+
+
 def test_enumerate_classes_g2():
     g2 = build_spec("G2")
     assert enumerate_classes(g2, 6) == [(1, 1, 1), (3, 0, 1), (4, 1, 0)]

@@ -310,6 +310,16 @@ def test_balance_step_exact():
     assert checked > 50
 
 
+@pytest.mark.parametrize("spec", ["E6", "E7", "E8", "F4", "2E6"])
+def test_balance_step_refuses_a_nonconstant_interior_label(spec):
+    # its drop formula needs one interior label; on E7 with J = {1, 2, 3,
+    # 5} it would predict a drop of 14 where f rises by 5
+    d = build_spec(spec)
+    for J in proper_subsets(d):
+        with pytest.raises(ValueError, match="interior label is not constant"):
+            balance_step(d, J)
+
+
 def _e_shaped_tree():
     """The E7 chain 0..6 with a three-node arm 7-8-9 under node 3: its
     interior is a star centred at node 3."""

@@ -3,6 +3,8 @@ and the extremal tables for the inner exceptional types."""
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -52,6 +54,37 @@ def test_report_rejects_a_vector_of_the_wrong_length(s):
     # shorter one must not index past its end
     with pytest.raises(ValueError, match="3 non-negative entries"):
         check_class(build_spec("G2"), s)
+
+
+def test_integer_comparisons_equal_their_fraction_forms():
+    """``holds`` and ``is_equality`` compare integers and ``tau`` is
+    derived from ``m``; each equals its ``Fraction`` form on every class
+    of catalog(8) at orders 1 to 12, and on made-up bounds a/b on either
+    side of 1/m, since no class has a bound below 1/m."""
+    def outcome(r):
+        tau, bound = r.tau, r.bound
+        return (r.m, bound.numerator, bound.denominator, tau.numerator, tau.denominator,
+                r.holds, r.is_equality)
+
+    g2_report = check_class(build_spec("G2"), (1, 1, 1))
+    outcomes = {
+        outcome(dataclasses.replace(g2_report, m=m, bound=Fraction(a, b)))
+        for a, b, m in itertools.product(range(1, 8), range(1, 25), range(1, 25))
+    }
+    classes = 0
+    for d in catalog(8):
+        memo: dict = {}
+        for m in range(1, 13):
+            vectors = enumerate_classes(d, m)
+            outcomes.update(outcome(check_class(d, s, memo)) for s in vectors)
+            classes += len(vectors)
+    assert classes > 100_000 and len(outcomes) > 2000
+    for m, a, b, tau_num, tau_den, holds, is_equality in outcomes:
+        tau, bound = Fraction(1, m), Fraction(a, b)
+        assert Fraction(tau_num, tau_den) == tau
+        assert holds == (tau <= bound), (m, bound)
+        assert is_equality == (tau == bound), (m, bound)
+    assert {(holds, eq) for *_, holds, eq in outcomes} == {(True, True), (True, False), (False, False)}
 
 
 @pytest.mark.parametrize("spec,m", [("A5", 6), ("D6", 6), ("2A5", 4), ("E6", 6), ("3D4", 6)])
