@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import gzip
+from pathlib import Path
+
 import pytest
 
-from kacscope.affine import Bond, Diagram, build_spec, catalog, parse_spec, render_kac
+from kacscope.affine import (
+    Bond, Diagram, DiagramId, build, build_spec, catalog, parse_spec, render_kac,
+)
 from kacscope.dynkin import UnsupportedSubdiagramError, classify_nodes, factors_type_string
 from kacscope.thomae import proper_subsets
 
@@ -38,6 +43,57 @@ def test_catalog_rank_bound_and_size():
     assert "B13" not in specs and "2A13" not in specs
     # catalog is deterministic
     assert specs == [d.spec for d in catalog(12)]
+
+
+DIAGRAM_GOLDEN = Path(__file__).parent / "golden" / "diagrams40.txt.gz"
+
+
+def _bond_text(b):
+    return f"{b.u}-{b.v}/{b.mult}/{b.tip}"
+
+
+def _diagram_line(ident):
+    try:
+        d = build(ident)
+    except ValueError as exc:
+        return f"{ident.spec}\terror: {exc}"
+    layout = " ".join(
+        f"{u}[{','.join(map(str, hung))}]" + ("" if bond is None else f"{right}:{_bond_text(bond)}")
+        for u, hung, right, bond in d.layout
+    )
+    return "\t".join([
+        d.spec,
+        " ".join(f"{u}:{c}" for u, c in d.labels.items()),
+        " ".join(map(_bond_text, d.bonds)),
+        " ".join(",".join(map(str, p)) for p in d.omega),
+        layout,
+        f"cyclic={d.cyclic}",
+        "interior=" + ",".join(map(str, sorted(d.interior))),
+        f"label_sum={d.label_sum} base_dim={d.base_dim}",
+    ])
+
+
+def _diagram_lines():
+    """One line per (e, family, rank) with e in 1..4, family A..H and rank
+    0..40 (the error message, or the built diagram), then the specs of
+    ``catalog(r)`` for r = -1..40."""
+    lines = [
+        _diagram_line(DiagramId(e, family, n))
+        for e in range(1, 5) for family in "ABCDEFGH" for n in range(41)
+    ]
+    lines += [f"catalog {r}\t" + " ".join(d.spec for d in catalog(r)) for r in range(-1, 41)]
+    return lines
+
+
+def test_diagrams_match_golden():
+    """Admission, construction and listing of every diagram to rank 40 are
+    as recorded in ``DIAGRAM_GOLDEN``."""
+    with gzip.open(DIAGRAM_GOLDEN, "rt", encoding="utf-8") as fh:
+        golden = fh.read().splitlines()
+    lines = _diagram_lines()
+    assert len(lines) == len(golden)
+    for line, want in zip(lines, golden):
+        assert line == want
 
 
 def test_catalog_small():
@@ -208,3 +264,11 @@ def test_contracted_rejects_a_bond_beyond_the_neighbours():
     d = build_spec("D6")
     with pytest.raises(ValueError, match="two neighbours of node 3"):
         d.contracted(3, [Bond(0, 4)])
+
+
+if __name__ == "__main__":
+    # Re-record DIAGRAM_GOLDEN (only with a change meant to alter diagrams):
+    #   PYTHONPATH=src python tests/test_affine.py
+    from test_reductions import _write_golden
+
+    _write_golden(DIAGRAM_GOLDEN, _diagram_lines())
