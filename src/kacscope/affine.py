@@ -8,13 +8,17 @@ order m correspond to non-negative integer node vectors s with gcd 1 and
 e * sum(c_i s_i) = m, taken up to the symmetry group Omega of the
 labelled graph.
 
-This module builds every supported diagram explicitly: node order, labels,
-bonds (with multiplicity and arrow tip), the Omega permutations, and the
-layout data used for rendering.  A :class:`Diagram` is the bare labelled
-graph, which is all the certificate depends on; an :class:`AffineDiagram`
-is a ``Diagram`` plus name, Omega and layout.  Everything downstream
-(subset scans, reductions, tables) consumes these graphs, and the
-reduction moves turn an ``AffineDiagram`` into bare ``Diagram`` values.
+One table, ``_FAMILIES``, says which (e, family, rank) triples exist and
+holds the builder of each family; admission, :func:`build` and
+:func:`catalog` all read it.  A builder gives node order, labels, bonds
+(with multiplicity and arrow tip), the Omega permutations and the layout
+data used for rendering; every path diagram comes from ``_chain`` and
+every fork of two unit-label tips from ``_fork``.  A :class:`Diagram` is
+the bare labelled graph, which is all the certificate depends on; an
+:class:`AffineDiagram` is a ``Diagram`` plus name, Omega and layout.
+Everything downstream (subset scans, reductions, tables) consumes these
+graphs, and the reduction moves turn an ``AffineDiagram`` into bare
+``Diagram`` values.
 
 Node order conventions
 ----------------------
@@ -238,25 +242,8 @@ def parse_spec(text: str) -> DiagramId:
 
 
 def _check_admissible(ident: DiagramId) -> None:
-    e, family, n = ident.e, ident.family, ident.base_rank
-    ok = False
-    if e == 1:
-        ok = (
-            (family == "A" and n >= 1)
-            or (family == "B" and n >= 3)
-            or (family == "C" and n >= 2)
-            or (family == "D" and n >= 4)
-            or (family == "E" and n in (6, 7, 8))
-            or (family == "F" and n == 4)
-            or (family == "G" and n == 2)
-        )
-    elif e == 2:
-        ok = (family == "A" and n >= 2) or (family == "D" and n >= 3) or (
-            family == "E" and n == 6
-        )
-    elif e == 3:
-        ok = family == "D" and n == 4
-    if not ok:
+    least, greatest, _builder = _FAMILIES.get((ident.e, ident.family), (1, 0, None))
+    if not least <= ident.base_rank <= (ident.base_rank if greatest is None else greatest):
         raise ValueError(f"unsupported diagram {ident.spec}")
 
 
@@ -301,9 +288,9 @@ class AffineDiagram(Diagram):
 
     @property
     def cyclic(self) -> bool:
-        """Untwisted A of rank >= 2: the cycle, whose closing bond is implied."""
-        ident = self.ident
-        return ident.e == 1 and ident.family == "A" and ident.base_rank >= 2
+        """As many bonds as nodes: the cycle of untwisted A of rank >= 2,
+        whose closing bond is implied."""
+        return len(self.bonds) == len(self.labels)
 
     @property
     def base_dim(self) -> int:
@@ -325,8 +312,33 @@ def _identity(n_nodes: int) -> tuple[int, ...]:
     return tuple(range(n_nodes))
 
 
-def _build_a_untwisted(n: int) -> AffineDiagram:
-    ident = DiagramId(1, "A", n)
+def _chain(
+    ident: DiagramId, labels: Sequence[int], multiple: dict[int, tuple[int, int]], flip: bool = False
+) -> AffineDiagram:
+    """The path 0..n with ``labels`` in node order.  ``multiple`` maps the
+    left end u of each multiple bond (u, u + 1) to its (mult, tip); Omega
+    holds the reversal of the path when ``flip``."""
+    n = len(labels) - 1
+    bonds = [Bond(u, u + 1, *multiple.get(u, (1, None))) for u in range(n)]
+    omega = (_identity(n + 1), tuple(range(n, -1, -1))) if flip else (_identity(n + 1),)
+    return AffineDiagram(ident, dict(enumerate(labels)), bonds, omega, range(n + 1))
+
+
+def _fork(ident: DiagramId, n: int, last_label: int, tip: int) -> AffineDiagram:
+    """The unit-label tips 0 and 1 on the branch node 2, the chain 2..n with
+    label 2 up to a last node of label ``last_label``, and a double bond
+    (n - 1, n) pointing to ``tip``.  Omega swaps the two tips."""
+    labels = {0: 1, 1: 1, n: last_label}
+    labels.update({i: 2 for i in range(2, n)})
+    bonds = [Bond(0, 2), Bond(1, 2)]
+    bonds += [Bond(i, i + 1) for i in range(2, n - 1)]
+    bonds.append(Bond(n - 1, n, 2, tip))
+    swap = (1, 0) + tuple(range(2, n + 1))
+    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), swap),
+                         [0] + list(range(2, n + 1)), {0: (1,)})
+
+
+def _build_a_untwisted(ident: DiagramId, n: int) -> AffineDiagram:
     if n == 1:
         return AffineDiagram(ident, {0: 1, 1: 1}, [Bond(0, 1, 4, None)],
                              (_identity(2), (1, 0)), [0, 1])
@@ -335,29 +347,6 @@ def _build_a_untwisted(n: int) -> AffineDiagram:
     size = n + 1
     omega = tuple(tuple((i + k) % size for i in range(size)) for k in range(size))
     return AffineDiagram(ident, labels, bonds, omega, range(size))
-
-
-def _build_b(n: int) -> AffineDiagram:
-    ident = DiagramId(1, "B", n)
-    labels = {0: 1, 1: 1}
-    labels.update({i: 2 for i in range(2, n + 1)})
-    bonds = [Bond(0, 2), Bond(1, 2)]
-    bonds += [Bond(i, i + 1) for i in range(2, n - 1)]
-    bonds.append(Bond(n - 1, n, 2, n))
-    swap = (1, 0) + tuple(range(2, n + 1))
-    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), swap),
-                         [0] + list(range(2, n + 1)), {0: (1,)})
-
-
-def _build_c(n: int) -> AffineDiagram:
-    ident = DiagramId(1, "C", n)
-    labels = {0: 1, n: 1}
-    labels.update({i: 2 for i in range(1, n)})
-    bonds = [Bond(0, 1, 2, 1)]
-    bonds += [Bond(i, i + 1) for i in range(1, n - 1)]
-    bonds.append(Bond(n - 1, n, 2, n - 1))
-    flip = tuple(n - i for i in range(n + 1))
-    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), flip), range(n + 1))
 
 
 def _d_reversal(n: int, overrides: dict[int, int]) -> tuple[int, ...]:
@@ -369,8 +358,7 @@ def _d_reversal(n: int, overrides: dict[int, int]) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _build_d(n: int) -> AffineDiagram:
-    ident = DiagramId(1, "D", n)
+def _build_d(ident: DiagramId, n: int) -> AffineDiagram:
     labels = {0: 1, 1: 1, n - 1: 1, n: 1}
     labels.update({i: 2 for i in range(2, n - 1)})
     bonds = [Bond(0, 2), Bond(1, 2)]
@@ -393,8 +381,7 @@ def _build_d(n: int) -> AffineDiagram:
                          [0] + list(range(2, n - 1)) + [n - 1], {0: (1,), n - 1: (n,)})
 
 
-def _build_e(n: int) -> AffineDiagram:
-    ident = DiagramId(1, "E", n)
+def _build_e(ident: DiagramId, n: int) -> AffineDiagram:
     if n == 6:
         labels = {0: 1, 1: 2, 2: 3, 3: 2, 4: 1, 5: 2, 6: 1}
         bonds = [Bond(0, 1), Bond(1, 2), Bond(2, 3), Bond(3, 4), Bond(2, 5), Bond(5, 6)]
@@ -413,95 +400,44 @@ def _build_e(n: int) -> AffineDiagram:
     return AffineDiagram(ident, labels, bonds, (_identity(9),), [0, 1, 2, 3, 4, 5, 6, 7], {5: (8,)})
 
 
-def _build_f4() -> AffineDiagram:
-    labels = {0: 1, 1: 2, 2: 3, 3: 4, 4: 2}
-    bonds = [Bond(0, 1), Bond(1, 2), Bond(2, 3, 2, 3), Bond(3, 4)]
-    return AffineDiagram(DiagramId(1, "F", 4), labels, bonds, (_identity(5),), range(5))
-
-
-def _build_g2() -> AffineDiagram:
-    bonds = [Bond(0, 1), Bond(1, 2, 3, 2)]
-    return AffineDiagram(DiagramId(1, "G", 2), {0: 1, 1: 2, 2: 3}, bonds, (_identity(3),), range(3))
-
-
-def _twisted_d_graph(ident: DiagramId, n: int) -> AffineDiagram:
-    labels = {i: 1 for i in range(n + 1)}
-    bonds = [Bond(0, 1, 2, 0)]
-    bonds += [Bond(i, i + 1) for i in range(1, n - 1)]
-    bonds.append(Bond(n - 1, n, 2, n))
-    flip = tuple(n - i for i in range(n + 1))
-    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), flip), range(n + 1))
-
-
-def _build_a_twisted(base: int) -> AffineDiagram:
-    ident = DiagramId(2, "A", base)
+def _build_a_twisted(ident: DiagramId, base: int) -> AffineDiagram:
     if base % 2 == 0:
         n = base // 2
-        if n == 1:
-            return AffineDiagram(ident, {0: 1, 1: 2}, [Bond(0, 1, 4, 1)], (_identity(2),), [0, 1])
-        labels = {0: 1}
-        labels.update({i: 2 for i in range(1, n + 1)})
-        bonds = [Bond(0, 1, 2, 1)]
-        bonds += [Bond(i, i + 1) for i in range(1, n - 1)]
-        bonds.append(Bond(n - 1, n, 2, n))
-        return AffineDiagram(ident, labels, bonds, (_identity(n + 1),), range(n + 1))
+        multiple = {0: (4, 1)} if n == 1 else {0: (2, 1), n - 1: (2, n)}
+        return _chain(ident, (1,) + (2,) * n, multiple)
     n = (base + 1) // 2
     if n == 2:
         # The twist of A3 degenerates to the three-node chain with both
-        # arrows pointing outward, the same shape the twisted D family
-        # produces at its smallest rank.
-        return _twisted_d_graph(ident, 2)
-    labels = {0: 1, 1: 1, n: 1}
-    labels.update({i: 2 for i in range(2, n)})
-    bonds = [Bond(0, 2), Bond(1, 2)]
-    bonds += [Bond(i, i + 1) for i in range(2, n - 1)]
-    bonds.append(Bond(n - 1, n, 2, n - 1))
-    swap = (1, 0) + tuple(range(2, n + 1))
-    return AffineDiagram(ident, labels, bonds, (_identity(n + 1), swap),
-                         [0] + list(range(2, n + 1)), {0: (1,)})
+        # arrows pointing outward, the shape of the twisted D family at its
+        # smallest rank, so that family's builder makes it.
+        return _FAMILIES[2, "D"][2](ident, 3)
+    return _fork(ident, n, 1, n - 1)
 
 
-def _build_e6_twisted() -> AffineDiagram:
-    labels = {0: 1, 1: 2, 2: 3, 3: 2, 4: 1}
-    bonds = [Bond(0, 1), Bond(1, 2), Bond(2, 3, 2, 2), Bond(3, 4)]
-    return AffineDiagram(DiagramId(2, "E", 6), labels, bonds, (_identity(5),), range(5))
-
-
-def _build_d4_triality() -> AffineDiagram:
-    bonds = [Bond(0, 1), Bond(1, 2, 3, 1)]
-    return AffineDiagram(DiagramId(3, "D", 4), {0: 1, 1: 2, 2: 1}, bonds, (_identity(3),), range(3))
+# (e, family) -> (least base rank, greatest base rank or None when
+# unbounded, builder of (ident, base rank)); in catalog order
+_FAMILIES = {
+    (1, "A"): (1, None, _build_a_untwisted),
+    (1, "B"): (3, None, lambda ident, n: _fork(ident, n, 2, n)),
+    (1, "C"): (2, None, lambda ident, n: _chain(
+        ident, (1,) + (2,) * (n - 1) + (1,), {0: (2, 1), n - 1: (2, n - 1)}, flip=True)),
+    (1, "D"): (4, None, _build_d),
+    (1, "E"): (6, 8, _build_e),
+    (1, "F"): (4, 4, lambda ident, n: _chain(ident, (1, 2, 3, 4, 2), {2: (2, 3)})),
+    (1, "G"): (2, 2, lambda ident, n: _chain(ident, (1, 2, 3), {1: (3, 2)})),
+    (2, "A"): (2, None, _build_a_twisted),
+    (2, "D"): (3, None, lambda ident, n: _chain(
+        ident, (1,) * n, {0: (2, 0), n - 2: (2, n - 1)}, flip=True)),
+    (2, "E"): (6, 6, lambda ident, n: _chain(ident, (1, 2, 3, 2, 1), {2: (2, 2)})),
+    (3, "D"): (4, 4, lambda ident, n: _chain(ident, (1, 2, 1), {1: (3, 1)})),
+}
 
 
 @lru_cache(maxsize=None)
 def build(ident: DiagramId) -> AffineDiagram:
     """Build the diagram for ``ident`` (cached)."""
     _check_admissible(ident)
-    e, family, n = ident.e, ident.family, ident.base_rank
-    if e == 1:
-        if family == "A":
-            return _build_a_untwisted(n)
-        if family == "B":
-            return _build_b(n)
-        if family == "C":
-            return _build_c(n)
-        if family == "D":
-            return _build_d(n)
-        if family == "E":
-            return _build_e(n)
-        if family == "F":
-            return _build_f4()
-        return _build_g2()
-    if e == 2:
-        if family == "A":
-            return _build_a_twisted(n)
-        if family == "D":
-            return _build_d_twisted(n)
-        return _build_e6_twisted()
-    return _build_d4_triality()
-
-
-def _build_d_twisted(base: int) -> AffineDiagram:
-    return _twisted_d_graph(DiagramId(2, "D", base), base - 1)
+    return _FAMILIES[ident.e, ident.family][2](ident, ident.base_rank)
 
 
 def build_spec(text: str) -> AffineDiagram:
@@ -509,24 +445,13 @@ def build_spec(text: str) -> AffineDiagram:
 
 
 def catalog(max_rank: int = 12) -> list[AffineDiagram]:
-    """All supported diagrams with base rank at most ``max_rank``."""
-    out: list[DiagramId] = []
-    out += [DiagramId(1, "A", n) for n in range(1, max_rank + 1)]
-    out += [DiagramId(1, "B", n) for n in range(3, max_rank + 1)]
-    out += [DiagramId(1, "C", n) for n in range(2, max_rank + 1)]
-    out += [DiagramId(1, "D", n) for n in range(4, max_rank + 1)]
-    out += [DiagramId(1, "E", n) for n in (6, 7, 8) if n <= max_rank]
-    if max_rank >= 4:
-        out.append(DiagramId(1, "F", 4))
-    if max_rank >= 2:
-        out.append(DiagramId(1, "G", 2))
-    out += [DiagramId(2, "A", n) for n in range(2, max_rank + 1)]
-    out += [DiagramId(2, "D", n) for n in range(3, max_rank + 1)]
-    if max_rank >= 6:
-        out.append(DiagramId(2, "E", 6))
-    if max_rank >= 4:
-        out.append(DiagramId(3, "D", 4))
-    return [build(ident) for ident in out]
+    """All supported diagrams with base rank at most ``max_rank``, family
+    by family in the order of ``_FAMILIES``, each by increasing rank."""
+    return [
+        build(DiagramId(e, family, n))
+        for (e, family), (least, greatest, _builder) in _FAMILIES.items()
+        for n in range(least, min(max_rank, greatest or max_rank) + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -486,20 +486,12 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     c = interior_labels.pop() if interior_labels else 0
 
     inner, outer = runs_of(graph, J)
-    sizes = sorted(map(len, inner))
-    distinct = sorted(set(sizes))
-    if len(distinct) > 2 or (len(distinct) == 2 and distinct[1] - distinct[0] != 1):
-        raise ValueError(f"interior run sizes {distinct} are not two consecutive values")
-    if len(distinct) == 2:
-        q = distinct[1]
-        x = sizes.count(distinct[0])
-        y = sizes.count(distinct[1])
-    elif len(distinct) == 1:
-        q = distinct[0] + 1
-        x = len(sizes)
-        y = 0
-    else:
-        q, x, y = 1, 0, 0
+    sizes = list(map(len, inner))
+    low = min(sizes, default=0)
+    if max(sizes, default=0) - low > 1:
+        raise ValueError(f"interior run sizes {sorted(set(sizes))} are not two consecutive values")
+    q, x = low + 1, sizes.count(low)
+    y = len(sizes) - x
 
     r_boundary = total_root_count(graph.factors(frozenset().union(*outer)) if outer else ())
     c_boundary = sum(graph.label_sum_of(comp) for comp in outer)

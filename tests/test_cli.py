@@ -270,6 +270,39 @@ def test_process_exit_status_and_stderr(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+def test_verify_refuses_every_oversized_diagram_before_scanning(capsys, monkeypatch):
+    scanned = []
+    monkeypatch.setattr(cli, "MAX_VERIFY_NODES", 5)
+    monkeypatch.setattr(cli.thomae, "scan_diagram", scanned.append)
+    code, out, err = _run(capsys, "verify", "G2", "F4", "E6")
+    assert code == 2
+    assert out == "" and scanned == []
+    assert err == "E6 has 7 nodes (127 zero sets), more than the 5 that verify scans\n"
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["A40"], "A40 has 41 nodes (2,199,023,255,551 zero sets)"),
+    (["--max-rank", "40"], "A24 has 25 nodes (33,554,431 zero sets)"),
+], ids=["A40", "max-rank-40"])
+def test_oversized_verify_is_a_usage_error_in_the_process(argv, spec):
+    # under an address-space limit, so that a scan the guard let through
+    # fails fast with a MemoryError instead of filling the host's memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kacscope.cli", "verify", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{spec}, more than the {cli.MAX_VERIFY_NODES} that verify scans\n"
+
+
 # ---------------------------------------------------------------------------
 # golden output of every subcommand
 
