@@ -95,12 +95,15 @@ class Diagram:
     in ``__init__``, and ``labels`` is stored in node order.  A child made
     by :meth:`contracted` shares with its parent every adjacency list that
     the contraction did not change, so no adjacency list is mutated once
-    built.  Each instance holds its own memo of the factors of the
-    connected components :meth:`factors` has classified on it; memos are
-    never shared between diagrams.
+    built.  Each instance memoises the factors of the connected components
+    :meth:`factors` has classified on it, and the children
+    :meth:`contracted` has made from it, which every caller then shares.
+    Both memos start empty and live as long as the diagram, which for one
+    that :func:`build` caches is the whole process.
     """
 
-    __slots__ = ("e", "labels", "label_sum", "bonds", "adjacency", "interior", "_components")
+    __slots__ = ("e", "labels", "label_sum", "bonds", "adjacency", "interior", "_components",
+                 "_children")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
@@ -114,6 +117,7 @@ class Diagram:
         self.adjacency = adjacency
         self.interior = frozenset(u for u, nb in adjacency.items() if len(nb) >= 2)
         self._components: dict[tuple[int, ...], tuple[FiniteFactor, ...]] = {}
+        self._children: dict[tuple, Diagram] = {}
 
     def contracted(self, i: int, added: Sequence[Bond]) -> Diagram:
         """This diagram without node ``i`` and its bonds, plus the bonds
@@ -123,11 +127,17 @@ class Diagram:
         scratch, with ``kept`` the bonds not at ``i`` in stored order, but
         only the neighbours of ``i`` get new adjacency lists and are
         re-evaluated for ``interior``; every other list is the parent's.
+        ``added`` is checked on every call, then the child is memoised under
+        ``(i, *added)``: a repeated call returns it, one child per key.
         """
         nbrs = {v for v, _mult in self.adjacency[i]}
         for b in added:
             if b.u not in nbrs or b.v not in nbrs:
                 raise ValueError(f"an added bond must join two neighbours of node {i}")
+        key = (i, *added)
+        child = self._children.get(key)
+        if child is not None:
+            return child
         child = object.__new__(Diagram)
         child.e = self.e
         child.labels = labels = dict(self.labels)
@@ -144,6 +154,8 @@ class Diagram:
             adjacency[b.v].append((b.u, b.mult))
         child.interior = (self.interior - nbrs - {i}) | {v for v in nbrs if len(adjacency[v]) >= 2}
         child._components = {}
+        child._children = {}
+        self._children[key] = child
         return child
 
     # -- basic data ------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from . import ellreg as ellreg_mod
 from . import kac, thomae
-from .affine import AffineDiagram, build_spec, catalog, render_kac
+from .affine import AffineDiagram, build_spec, catalog, parse_spec, render_kac
 from .dynkin import UnsupportedSubdiagramError
 
 # what every subcommand returns: exit code, JSON document, text renderer
@@ -90,7 +90,13 @@ MAX_VERIFY_NODES = 24
 
 
 def _cmd_verify(args: argparse.Namespace) -> Report:
-    diagrams = _resolve_diagrams(args.spec, args.max_rank)
+    # a diagram of base rank n has more than n/2 nodes, so a rank above twice the cap is
+    # refused before it is built, and the catalog is cut there (its first refusal is A24)
+    for ident in map(parse_spec, args.spec):
+        if ident.base_rank > 2 * MAX_VERIFY_NODES:
+            raise ValueError(f"{ident.spec} has base rank {ident.base_rank}, so more than "
+                             f"the {MAX_VERIFY_NODES} nodes that verify scans")
+    diagrams = _resolve_diagrams(args.spec, min(args.max_rank, 2 * MAX_VERIFY_NODES))
     if not diagrams:
         raise ValueError(
             f"no supported diagram has rank <= {args.max_rank}; nothing to verify"

@@ -283,7 +283,8 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     After each balancing step ``f`` is recomputed from scratch, and its
     decrease must equal the predicted drop and be positive.  Any
     disagreement raises ``AssertionError``.  The result must lie in ``Z``,
-    and its ``f`` value never exceeds the starting one.
+    and its ``f`` value never exceeds the starting one.  Its ``final_graph``
+    is memoised by :meth:`Diagram.contracted`, so other traces may share it.
     """
     if diagram.cyclic:
         raise ValueError("cycle diagrams are not reduced; their bound is direct")

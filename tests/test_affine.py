@@ -266,6 +266,24 @@ def test_contracted_rejects_a_bond_beyond_the_neighbours():
         d.contracted(3, [Bond(0, 4)])
 
 
+def test_contracted_memoises_one_child_per_key():
+    """A repeated ``contracted(i, added)`` returns the same child, keyed by
+    ``(i, *added)`` as values; the added bonds are still checked on every
+    call, and a new child starts with empty memos."""
+    named = build_spec("D6")
+    d = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
+    child = d.contracted(3, [Bond(2, 4, 2)])
+    assert d.contracted(3, (Bond(2, 4, 2),)) is child
+    bare = d.contracted(3, [])
+    assert bare is not child and d.contracted(3, []) is bare
+    assert d._children == {(3, Bond(2, 4, 2)): child, (3,): bare}
+    assert child._children == {} and child._components == {}
+    for added in ([Bond(0, 4)], [Bond(2, 4, 2), Bond(0, 4)]):
+        with pytest.raises(ValueError, match="two neighbours of node 3"):
+            d.contracted(3, added)
+    assert len(d._children) == 2
+
+
 if __name__ == "__main__":
     # Re-record DIAGRAM_GOLDEN (only with a change meant to alter diagrams):
     #   PYTHONPATH=src python tests/test_affine.py

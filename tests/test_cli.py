@@ -280,13 +280,32 @@ def test_verify_refuses_every_oversized_diagram_before_scanning(capsys, monkeypa
     assert err == "E6 has 7 nodes (127 zero sets), more than the 5 that verify scans\n"
 
 
-@pytest.mark.parametrize("argv, spec", [
-    (["A40"], "A40 has 41 nodes (2,199,023,255,551 zero sets)"),
-    (["--max-rank", "40"], "A24 has 25 nodes (33,554,431 zero sets)"),
-], ids=["A40", "max-rank-40"])
-def test_oversized_verify_is_a_usage_error_in_the_process(argv, spec):
-    # under an address-space limit, so that a scan the guard let through
-    # fails fast with a MemoryError instead of filling the host's memory
+def test_verify_refuses_a_rank_beyond_the_cap_before_building(capsys, monkeypatch):
+    built, asked = [], []
+    monkeypatch.setattr(cli, "build_spec", built.append)
+    code, out, err = _run(capsys, "verify", "B3", "A20000")
+    assert code == 2
+    assert out == "" and built == []
+    assert err == "A20000 has base rank 20000, so more than the 24 nodes that verify scans\n"
+    monkeypatch.setattr(cli, "catalog", lambda r: asked.append(r) or catalog(r))
+    code, out, err = _run(capsys, "verify", "--max-rank", "3000")
+    assert code == 2 and asked == [48]
+    assert err.startswith("A24 has 25 nodes")
+
+
+_A24 = "A24 has 25 nodes (33,554,431 zero sets), more than the 24 that verify scans"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["A40"], "A40 has 41 nodes (2,199,023,255,551 zero sets), more than the 24 that verify scans"),
+    (["--max-rank", "40"], _A24),
+    (["A20000"], "A20000 has base rank 20000, so more than the 24 nodes that verify scans"),
+    (["--max-rank", "3000"], _A24),
+], ids=["A40", "max-rank-40", "A20000", "max-rank-3000"])
+def test_oversized_verify_is_a_usage_error_in_the_process(argv, message):
+    # under an address-space limit, so that a diagram or a scan the guards
+    # let through fails fast with a MemoryError instead of filling the
+    # host's memory
     import resource
 
     def limit():
@@ -300,7 +319,7 @@ def test_oversized_verify_is_a_usage_error_in_the_process(argv, spec):
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"{spec}, more than the {cli.MAX_VERIFY_NODES} that verify scans\n"
+    assert proc.stderr == message + "\n"
 
 
 # ---------------------------------------------------------------------------

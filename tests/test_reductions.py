@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from kacscope import reductions
-from kacscope.affine import Bond, Diagram, build_spec, catalog
+from kacscope.affine import Bond, Diagram, build, build_spec, catalog
 from kacscope.reductions import (
     balance_step,
     contract,
@@ -149,6 +149,87 @@ def test_contracted_child_equals_a_fresh_build():
                 g = child
                 children += 1
     assert children == 10_979
+
+
+def test_contract_shares_one_child_and_checks_every_call():
+    """Contracting the same node with the same added bonds returns the same
+    child, whatever ``J`` and the partner node; every refusal of
+    ``contract`` and ``contracted`` still fires once that child exists."""
+    named = build_spec("B6")
+    g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
+    J = frozenset({1, 2, 4})
+    child = contract(g, J, 5, 6)
+    assert contract(g, J, 5, 6) is child
+    assert contract(g, frozenset({0}), 5, 4) is child  # the same Bond(4, 6, 2) is added
+    fork = contract(g, frozenset({5}), 2, 3)
+    assert contract(g, frozenset({6}), 2, 3) is fork
+    g.contracted(6, [])
+    refusals = [
+        (lambda: contract(g, frozenset({5}), 5, 6), "off-J nodes only"),
+        (lambda: contract(g, J, 5, 3), "nodes 5 and 3 are not adjacent"),
+        (lambda: g.contracted(5, [Bond(3, 6)]), "two neighbours of node 5"),
+        (lambda: contract(g, frozenset({5}), 2, 0), "toward the interior"),
+        (lambda: contract(g, J, 6, 5), "node 6 has degree 1"),
+    ]
+    # node 1 is a fork whose tip 2 hangs by a double bond
+    h = Diagram(1, {u: 1 for u in range(5)},
+                [Bond(0, 1), Bond(1, 2, 2, 2), Bond(1, 3), Bond(3, 4)])
+    h.contracted(1, [Bond(0, 3), Bond(2, 3, 2)])
+    refusals.append((lambda: contract(h, frozenset({4}), 1, 3), "node 1 is not a plain fork"))
+    for call, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert len(g._children) == 3 and len(h._children) == 1
+
+
+def _memoised_children(max_rank):
+    """``(parent, key, child)`` for every child memoised by ``reduce_to_z``
+    over freshly built classical diagrams to ``max_rank`` (fresh, so that
+    no other test's contractions are counted), and the number of
+    contractions the traces made."""
+    named = [build.__wrapped__(d.ident) for d in _classical(max_rank)]
+    contractions = sum(
+        step.kind == "contract"
+        for d in named for J in _nonempty_proper(d) for step in reduce_to_z(d, J).steps
+    )
+    found, todo = [], list(named)
+    while todo:
+        parent = todo.pop()
+        for key, child in parent._children.items():
+            found.append((parent, key, child))
+            todo.append(child)
+    return found, contractions
+
+
+def test_memoised_children_equal_a_fresh_build():
+    """Every child ``reduce_to_z`` memoises over the classical diagrams to
+    rank 8 equals ``Diagram(e, labels, kept + added)`` built from scratch,
+    with ``(i, *added)`` its key and ``kept`` the parent's bonds not at
+    ``i`` in stored order."""
+    found, _contractions = _memoised_children(8)
+    for parent, (i, *added), child in found:
+        kept = [b for b in parent.bonds if i not in (b.u, b.v)]
+        labels = {u: c for u, c in parent.labels.items() if u != i}
+        fresh = Diagram(parent.e, labels, kept + added)
+        assert list(child.labels.items()) == list(fresh.labels.items())
+        assert child.bonds == fresh.bonds
+        assert list(child.adjacency.items()) == list(fresh.adjacency.items())
+        assert child.interior == fresh.interior
+        assert child.label_sum == fresh.label_sum
+    assert len(found) == 359
+
+
+def test_reduce_sweep_shares_its_contracted_graphs():
+    """The 14,436 traces over the classical diagrams to rank 10 make 25,610
+    contractions but leave 1,194 memoised children, each made once.  By
+    value there are 1,193 distinct (parent, i, added): 2A3 and 2D3 are the
+    same graph under two names, and each builds its one child."""
+    found, contractions = _memoised_children(10)
+    assert contractions == 25_610
+    assert len({id(child) for _parent, _key, child in found}) == len(found) == 1_194
+    by_value = {(parent.e, tuple(parent.labels.items()), parent.bonds, key)
+                for parent, key, _child in found}
+    assert len(by_value) == 1_193
 
 
 def _sorted_contractible_pair(graph, J):
