@@ -3,6 +3,7 @@ crosscheck, and the frozen TSV exports."""
 
 from __future__ import annotations
 
+import gzip
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from kacscope.kac import order_of, zero_set
 from kacscope.thomae import f_value, scan_diagram
 
 GOLDEN = Path(__file__).parent / "golden" / "ellreg"
+CATALOG_GOLDEN = Path(__file__).parent / "golden" / "ellreg_catalog40.tsv.gz"
 
 EXPECTED_ORDERS = {
     # exceptional strains, straight from the tabulated lists
@@ -121,6 +123,16 @@ def test_tsv_rows_match_golden(spec):
     want = (GOLDEN / f"{spec}.tsv").read_text(encoding="utf-8").splitlines()
     assert want[0] == TSV_HEADER
     assert tsv_rows(build_spec(spec)) == want[1:]
+
+
+def test_catalog40_rows_match_golden():
+    # every predicted row of every diagram to rank 40, provenance and order included
+    with gzip.open(CATALOG_GOLDEN, "rt", encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = [TSV_HEADER] + [row.tsv() for d in catalog(40) for row in expected_classes(d)]
+    assert len(got) == len(want) == 799
+    for line, expected in zip(got, want):
+        assert line == expected
 
 
 def test_tsv_document_concatenates():
