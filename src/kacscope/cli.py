@@ -18,6 +18,9 @@ JSON document (without ``version``) and a renderer of its text lines.
 :func:`main` is the one writer: it adds ``version``, renders the format
 asked for (JSON by :func:`_json`) and writes the result to ``--out`` or stdout.
 
+Every subcommand refuses a base rank or a ``--max-rank`` above
+:data:`MAX_RANK` before it builds anything.
+
 Exit status: 0 on success, 1 when a scan finds a counterexample or a
 classification mismatch, or check finds the bound violated, 2 on usage
 errors (including an ``--out`` file that cannot be written), 3 on
@@ -44,9 +47,25 @@ Report = tuple[int, dict, Callable[[], list[str]]]
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _resolve_diagrams(specs: list[str], max_rank: int) -> list[AffineDiagram]:
+# the highest base rank any subcommand builds.  A diagram of base rank n takes O(n^2) to
+# build (the Omega of untwisted A holds n + 1 rotations): A1000 takes 0.18 s and 46 MB,
+# A2000 0.7 s and 154 MB.  The catalog to rank r builds every family to r, O(r^3) in all:
+# catalog(200) takes 1.8 s and 100 MB, catalog(300) 3.3 s and 235 MB (peak RSS of the
+# process, on a 2-vCPU x86-64 host)
+MAX_RANK = 200
+
+
+def _resolve_diagrams(specs: list[str], max_rank: int = 0) -> list[AffineDiagram]:
+    """The diagrams ``specs`` names, or else the catalog to ``max_rank``; a rank above
+    :data:`MAX_RANK` is refused before anything is built."""
+    for ident in map(parse_spec, specs):
+        if ident.base_rank > MAX_RANK:
+            raise ValueError(f"{ident.spec} has base rank {ident.base_rank}, "
+                             f"more than the {MAX_RANK} that kacscope builds")
     if specs:
         return [build_spec(s) for s in specs]
+    if max_rank > MAX_RANK:
+        raise ValueError(f"--max-rank {max_rank} is more than the {MAX_RANK} that kacscope builds")
     return catalog(max_rank)
 
 
@@ -169,7 +188,7 @@ MAX_SOLUTIONS = 2_000_000
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Report:
-    diagram = build_spec(args.spec[0])
+    diagram, = _resolve_diagrams(args.spec)
     if args.order <= 0:
         raise ValueError(f"--order must be a positive integer, got {args.order}")
     # the lower bound costs O(sqrt(order)); the exact count, whose cost
@@ -220,7 +239,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
 
 
 def _cmd_check(args: argparse.Namespace) -> Report:
-    diagram = build_spec(args.spec[0])
+    diagram, = _resolve_diagrams(args.spec)
     try:
         s = tuple(int(part) for part in args.kac.split(","))
     except ValueError:
@@ -301,7 +320,7 @@ def _cmd_ellreg(args: argparse.Namespace) -> Report:
 
 
 def _cmd_steps(args: argparse.Namespace) -> Report:
-    diagram = build_spec(args.spec[0])
+    diagram, = _resolve_diagrams(args.spec)
     # JSON key, table, title, key and value names, and their column widths
     tables = (
         ("step1", thomae.step1_table(diagram),
@@ -349,7 +368,7 @@ def _cmd_steps(args: argparse.Namespace) -> Report:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> Report:
-    diagrams = catalog(args.max_rank)
+    diagrams = _resolve_diagrams([], args.max_rank)
     doc = {
         "diagrams": [
             {

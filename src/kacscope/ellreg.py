@@ -12,23 +12,35 @@ admissible Kac vector of the stated order whose zero set has certificate
 value ``f = 0``.  A bad generator therefore fails loudly here, before any
 comparison runs.
 
-Generation rules, per family (``n + 1`` is always the node count, ``h``
-the twisted Coxeter number):
+Every classical class is a 0/1 vector whose ones are evenly spaced:
+``_spaced(lead, period, gaps, trail)`` is ``lead`` zeros, then ``gaps + 1``
+ones ``period`` apart, then ``trail`` zeros.  The two tips of a fork
+always carry the same value, so on a fork the spacing runs along the path
+that counts both tips as one place, and the second tip repeats the first.
+Per family (``n + 1`` is always the node count):
 
-* untwisted ``A``: only the principal class (all ones, order ``h``);
-* twisted ``A`` on even base ``2n``: one class of order ``2d`` for each
-  odd ``d`` dividing ``2n + 1`` (zero blocks of width ``2k``) or dividing
-  ``n`` with odd quotient written ``d = n/k`` (blocks of width
-  ``2k - 1``), the two overlapping exactly at ``d = 1``;
-* twisted ``A`` on odd base ``2n - 1``: the same two-divisor pattern for
-  ``2n - 1`` and ``n``, with a fork block of zeros in place of the
-  leading tip;
-* ``B_n``: one class of order ``2n/k`` per divisor ``k`` of ``n``;
-* ``C_n``: one class of order ``2n/k`` per divisor ``k`` of ``n``;
-* ``D_n``: even divisors of ``n`` and odd divisors of ``n - 1``;
-* twisted ``D`` on base ``n + 1``: even divisors of ``n`` and odd
-  divisors of ``n + 1``;
+* untwisted ``A``: only the principal class, all ones, of order ``n + 1``;
+* ``C_n``: for each divisor ``k`` of ``n``, period ``k`` with a one at
+  both ends, of order ``2n/k``;
+* ``B_n``: for each divisor ``k`` of ``n``, period ``k`` with
+  ``(k - 1) // 2`` zeros at the fork end and ``k // 2`` at the other, of
+  order ``2n/k``;
+* ``D_n``: for each even divisor ``k`` of ``N = n`` and each odd divisor
+  ``k`` of ``N = n - 1``, period ``k`` with ``(k - 1) // 2`` zeros at
+  each fork end, of order ``2N/k``;
+* twisted ``D`` on base ``n + 1``: the same with ``N = n`` for even ``k``
+  and ``N = n + 1`` for odd ``k``, and ``k // 2`` zeros at each end;
+* twisted ``A`` on even base ``2n``: for each divisor ``p`` of ``2n + 1``
+  with quotient ``d``, and for ``p = 2k`` with ``k`` dividing ``n`` and
+  odd quotient ``d = n/k``: ``(d + 1) / 2`` ones ``p`` apart from node 0,
+  then ``p // 2`` zeros, of order ``2d``;
+* twisted ``A`` on odd base ``2n - 1``: the same two rules for ``2n - 1``
+  and ``n``, mirrored: ``(p - 1) // 2`` zeros at the fork end and a one
+  on the last node.  Rank 3 is the three-node chain of twisted ``D`` on
+  base 3 and takes its classes;
 * exceptional diagrams: literal tables below.
+
+Where two rules give one vector, the first keeps it.
 """
 
 from __future__ import annotations
@@ -57,11 +69,12 @@ class ClassRow:
         return f"{self.diagram}\t{self.m}\t{kac_text}\t{self.J_type}\t{self.provenance}"
 
 
-def _assemble(*parts) -> tuple[int, ...]:
-    out: list[int] = []
-    for part in parts:
-        out.extend(part)
-    return tuple(out)
+def _spaced(lead: int, period: int, gaps: int, trail: int) -> tuple[int, ...]:
+    """``lead`` zeros, then ``gaps + 1`` ones ``period`` apart, then ``trail`` zeros."""
+    # a tuple repeated a negative number of times is empty, so refuse negative counts
+    if min(lead, period - 1, gaps, trail) < 0:
+        raise AssertionError(f"no spaced vector ({lead}, {period}, {gaps}, {trail})")
+    return (0,) * lead + ((1,) + (0,) * (period - 1)) * gaps + (1,) + (0,) * trail
 
 
 def _divisors(n: int) -> list[int]:
@@ -86,134 +99,66 @@ def _first_of_each(raw: list[_Generated]) -> list[_Generated]:
 # ---------------------------------------------------------------------------
 
 
-def _classes_a_untwisted(n: int) -> list[_Generated]:
-    return [(n + 1, (1,) * (n + 1), "principal")]
-
-
-def _classes_2a_even(base: int) -> list[_Generated]:
-    n = base // 2
+def _classes_2a(base: int) -> list[_Generated]:
+    if base == 3:
+        # the rank-3 twisted diagram is the three-node chain, so its
+        # equality classes follow the chain pattern, not the fork pattern
+        return _classes_2d(3)
+    n, odd = (base + 1) // 2, base % 2
+    whole = base + 1 - odd                      # 2n + 1 on even base, 2n - 1 on odd
+    rules = [(p, whole // p, whole) for p in _divisors(whole)]
+    rules += [(2 * k, n // k, n) for k in _divisors(n) if n // k % 2]
     out = []
-    for div in _divisors(2 * n + 1):            # div = 2k + 1
-        k = (div - 1) // 2
-        d = (2 * n + 1) // div
-        s = _assemble((1,), *(((0,) * (2 * k) + (1,)) for _ in range((d - 1) // 2)),
-                      (0,) * k)
-        out.append((2 * d, s, f"divisor d={d} of {2 * n + 1}"))
-    for k in _divisors(n):
-        d = n // k
-        if d % 2 == 0 or d == 1:                # d = 1 duplicates the family above
-            continue
-        s = _assemble((1,), *(((0,) * (2 * k - 1) + (1,)) for _ in range((d - 1) // 2)),
-                      (0,) * k)
-        out.append((2 * d, s, f"divisor d={d} of {n}"))
-    return out
-
-
-def _classes_2a_odd(base: int) -> list[_Generated]:
-    n = (base + 1) // 2
-    out = []
-    for div in _divisors(2 * n - 1):            # div = 2k - 1
-        k = (div + 1) // 2
-        d = (2 * n - 1) // div
-        if k == 1:
-            s: tuple[int, ...] = (1,) * (n + 1)
+    for period, d, of in rules:
+        if odd:                                 # zeros at the fork, tip 1 repeats tip 0
+            s = _spaced((period - 1) // 2, period, (d - 1) // 2, 0)
+            s = s[:1] + s
         else:
-            s = _assemble((0,) * k,
-                          *(((1,) + (0,) * (2 * k - 2)) for _ in range((d - 1) // 2)),
-                          (1,))
-        out.append((2 * d, s, f"divisor d={d} of {2 * n - 1}"))
-    for k in _divisors(n):
-        d = n // k
-        if d % 2 == 0:
-            continue
-        if k == 1:
-            body = [1, 1, 0]
-            for t in range(3, n):
-                body.append(1 if (t - 3) % 2 == 0 else 0)
-            body.append(1)
-            s = tuple(body)
-        else:
-            s = _assemble((0,) * k,
-                          *(((1,) + (0,) * (2 * k - 1)) for _ in range((d - 1) // 2)),
-                          (1,))
-        out.append((2 * d, s, f"divisor d={d} of {n}"))
+            s = _spaced(0, period, (d - 1) // 2, period // 2)
+        out.append((2 * d, s, f"divisor d={d} of {of}"))
     return _first_of_each(out)
 
 
 def _classes_b(n: int) -> list[_Generated]:
     out = []
     for k in _divisors(n):
-        if k == 1:
-            s: tuple[int, ...] = (1,) * (n + 1)
-        elif k == 2:
-            s = _assemble((1, 1), tuple(t % 2 for t in range(n - 1)))
-        elif k % 2 == 0:
-            s = _assemble((0,) * (k // 2),
-                          *(((1,) + (0,) * (k - 1)) for _ in range(n // k - 1)),
-                          (1,), (0,) * (k // 2))
-        else:
-            s = _assemble((0,) * ((k + 1) // 2),
-                          *(((1,) + (0,) * (k - 1)) for _ in range(n // k - 1)),
-                          (1,), (0,) * ((k - 1) // 2))
-        out.append((2 * n // k, s, f"divisor k={k} of {n}"))
+        s = _spaced((k - 1) // 2, k, n // k - 1, k // 2)
+        out.append((2 * n // k, s[:1] + s, f"divisor k={k} of {n}"))
     return out
 
 
 def _classes_c(n: int) -> list[_Generated]:
-    out = []
-    for k in _divisors(n):
-        s = _assemble((1,), *(((0,) * (k - 1) + (1,)) for _ in range(n // k)))
-        out.append((2 * n // k, s, f"divisor k={k} of {n}"))
-    return out
+    return [(2 * n // k, _spaced(0, k, n // k, 0), f"divisor k={k} of {n}") for k in _divisors(n)]
 
 
-def _classes_d(n: int) -> list[_Generated]:
+def _classes_by_parity(even_of: int, odd_of: int, forks: bool) -> list[_Generated]:
+    """The D-type rule: period ``k`` for each even divisor of ``even_of`` and each odd
+    divisor of ``odd_of``, with a fork at both ends when ``forks``."""
+    rules = [("even", k, even_of) for k in _divisors(even_of) if k % 2 == 0]
+    rules += [("odd", k, odd_of) for k in _divisors(odd_of) if k % 2]
     out = []
-    for k in _divisors(n):
-        if k % 2:
-            continue
-        if k == 2:
-            interior = tuple(1 - t % 2 for t in range(1, n - 2))  # 0,1,...,0
-            s = _assemble((1, 1), interior, (1, 1))
-        else:
-            s = _assemble((0,) * (k // 2),
-                          *(((1,) + (0,) * (k - 1)) for _ in range(n // k - 1)),
-                          (1,), (0,) * (k // 2))
-        out.append((2 * n // k, s, f"even divisor k={k} of {n}"))
-    for k in _divisors(n - 1):
-        if k % 2 == 0:
-            continue
-        if k == 1:
-            s = (1,) * (n + 1)
-        else:
-            s = _assemble((0,) * ((k + 1) // 2),
-                          *(((1,) + (0,) * (k - 1)) for _ in range((n - 1) // k - 1)),
-                          (1,), (0,) * ((k + 1) // 2))
-        out.append(((2 * n - 2) // k, s, f"odd divisor k={k} of {n - 1}"))
+    for parity, k, whole in rules:
+        ends = (k - 1) // 2 if forks else k // 2
+        s = _spaced(ends, k, whole // k - 1, ends)
+        if forks:
+            s = s[:1] + s + s[-1:]
+        out.append((2 * whole // k, s, f"{parity} divisor k={k} of {whole}"))
     return _first_of_each(out)
 
 
 def _classes_2d(base: int) -> list[_Generated]:
-    n = base - 1
-    out = []
-    for k in _divisors(n):
-        if k % 2:
-            continue
-        s = _assemble((0,) * (k // 2),
-                      *(((1,) + (0,) * (k - 1)) for _ in range(n // k - 1)),
-                      (1,), (0,) * (k // 2))
-        out.append((2 * n // k, s, f"even divisor k={k} of {n}"))
-    for k in _divisors(n + 1):
-        if k % 2 == 0:
-            continue
-        if k == 1:
-            s = (1,) * (n + 1)
-        else:
-            s = _assemble((0,) * ((k - 1) // 2),
-                          *(((1,) + (0,) * (k - 1)) for _ in range((n + 1) // k - 1)),
-                          (1,), (0,) * ((k - 1) // 2))
-        out.append((2 * (n + 1) // k, s, f"odd divisor k={k} of {n + 1}"))
-    return _first_of_each(out)
+    return _classes_by_parity(base - 1, base, forks=False)
+
+
+# (e, family) -> the generator of its classes from the base rank
+_CLASSICAL = {
+    (1, "A"): lambda n: [(n + 1, _spaced(0, 1, n, 0), "principal")],
+    (2, "A"): _classes_2a,
+    (1, "B"): _classes_b,
+    (1, "C"): _classes_c,
+    (1, "D"): lambda n: _classes_by_parity(n, n - 1, forks=True),
+    (2, "D"): _classes_2d,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +233,10 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
     vectors are put in canonical form under the diagram symmetry (which
     keeps that type).  Sorted by decreasing order, then by vector.
     """
-    ident = diagram.ident
     if diagram.spec in _EXCEPTIONAL:
         raw = [(m, s, "table") for m, s in _EXCEPTIONAL[diagram.spec]]
-    elif ident.e == 1 and ident.family == "A":
-        raw = _classes_a_untwisted(ident.base_rank)
-    elif ident.e == 2 and ident.family == "A" and ident.base_rank % 2 == 0:
-        raw = _classes_2a_even(ident.base_rank)
-    elif ident.e == 2 and ident.family == "A" and ident.base_rank == 3:
-        # the rank-3 twisted diagram is the three-node chain, so its
-        # equality classes follow the chain pattern, not the fork pattern
-        raw = _classes_2d(3)
-    elif ident.e == 2 and ident.family == "A":
-        raw = _classes_2a_odd(ident.base_rank)
-    elif ident.e == 1 and ident.family == "B":
-        raw = _classes_b(ident.base_rank)
-    elif ident.e == 1 and ident.family == "C":
-        raw = _classes_c(ident.base_rank)
-    elif ident.e == 1 and ident.family == "D":
-        raw = _classes_d(ident.base_rank)
-    elif ident.e == 2 and ident.family == "D":
-        raw = _classes_2d(ident.base_rank)
-    else:  # pragma: no cover - the diagram-name grammar admits nothing else
-        raise ValueError(f"no classification data for {diagram.spec}")
+    else:
+        raw = _CLASSICAL[diagram.ident.e, diagram.ident.family](diagram.ident.base_rank)
 
     out: list[ClassRow] = []
     seen: set[tuple[int, ...]] = set()
@@ -377,16 +303,3 @@ def crosscheck(diagram: AffineDiagram, scan: DiagramScan) -> Crosscheck:
 
 
 TSV_HEADER = "diagram\tm\tkac\tJ_type\tprovenance"
-
-
-def tsv_rows(diagram: AffineDiagram) -> list[str]:
-    """Classification rows for one diagram in tab-separated form."""
-    return [row.tsv() for row in expected_classes(diagram)]
-
-
-def tsv_document(diagrams: list[AffineDiagram]) -> str:
-    """The header and the classification rows of every diagram, in order."""
-    lines = [TSV_HEADER]
-    for diagram in diagrams:
-        lines.extend(tsv_rows(diagram))
-    return "\n".join(lines) + "\n"

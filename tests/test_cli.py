@@ -322,6 +322,64 @@ def test_oversized_verify_is_a_usage_error_in_the_process(argv, message):
     assert proc.stderr == message + "\n"
 
 
+_A20000 = "A20000 has base rank 20000, more than the 200 that kacscope builds"
+_BEYOND_MAX_RANK = {
+    "enumerate": (["enumerate", "A20000", "--order", "5"], _A20000),
+    "check": (["check", "A20000", "--kac", "1"], _A20000),
+    "steps": (["steps", "A20000"], _A20000),
+    "ellreg": (["ellreg", "G2", "A201"], "A201 has base rank 201, more than the 200 that kacscope builds"),
+    "ellreg-max-rank": (["ellreg", "--max-rank", "201"],
+                        "--max-rank 201 is more than the 200 that kacscope builds"),
+    "catalog-max-rank": (["catalog", "--max-rank", "3000"],
+                         "--max-rank 3000 is more than the 200 that kacscope builds"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BEYOND_MAX_RANK))
+def test_every_subcommand_refuses_a_rank_beyond_max_rank_before_building(
+        capsys, monkeypatch, name):
+    argv, message = _BEYOND_MAX_RANK[name]
+    built = []
+    monkeypatch.setattr(cli, "build_spec", built.append)
+    monkeypatch.setattr(cli, "catalog", built.append)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == "" and built == []
+    assert err == message + "\n"
+
+
+def test_max_rank_itself_is_built(capsys):
+    code, out, _ = _run(capsys, "ellreg", "A200", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["classes"][0]["kac"] == ",".join(["1"] * 201)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "A20000", "--order", "5"], _A20000),
+    (["check", "A20000", "--kac", "1"], _A20000),
+    (["steps", "A20000"], _A20000),
+    (["catalog", "--max-rank", "3000"], "--max-rank 3000 is more than the 200 that kacscope builds"),
+    (["ellreg", "--max-rank", "3000"], "--max-rank 3000 is more than the 200 that kacscope builds"),
+], ids=["enumerate", "check", "steps", "catalog", "ellreg"])
+def test_oversized_rank_is_a_usage_error_in_the_process(argv, message):
+    # under the same address-space limit as the verify refusals: without the
+    # bound, each of these ends in a MemoryError traceback with exit 1
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kacscope.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == message + "\n"
+
+
 # ---------------------------------------------------------------------------
 # golden output of every subcommand
 
@@ -463,6 +521,15 @@ def test_ellreg_tsv_matches_golden(capsys, spec):
     code, out, _ = _run(capsys, "ellreg", spec, "--format", "tsv")
     assert code == 0
     assert out == (GOLDEN / f"{spec}.tsv").read_text(encoding="utf-8")
+
+
+def test_ellreg_tsv_is_one_header_then_each_spec_in_order(capsys):
+    code, out, _ = _run(capsys, "ellreg", "G2", "3D4", "--format", "tsv")
+    assert code == 0
+    g2, d4 = ((GOLDEN / f"{spec}.tsv").read_text(encoding="utf-8").splitlines(True)
+              for spec in ("G2", "3D4"))
+    assert g2[0] == d4[0] == "diagram\tm\tkac\tJ_type\tprovenance\n"
+    assert out == "".join(g2 + d4[1:])
 
 
 def test_ellreg_json(capsys):
