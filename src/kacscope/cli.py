@@ -103,7 +103,7 @@ def _json(value, pad: str = "\n", head: str = "") -> str:
 
 
 # the most nodes verify scans: its subset tables hold 2^nodes entries, and
-# 24 nodes (B23) take 0.27 GB and 16 s on a 2-vCPU x86-64 host, each node
+# 24 nodes (B23) take 0.27 GB and 10 s on a 2-vCPU x86-64 host, each node
 # more doubling both
 MAX_VERIFY_NODES = 24
 

@@ -170,14 +170,18 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
 
     Node ``diagram.nodes[i]`` is bit ``i`` of a mask.  Returns ``(r, c)``
     with ``r[J] = |R_J|`` and ``c[J] = c_J`` for every mask
-    ``0 <= J < 2^N - 1``.  Masks are filled in increasing order, so each
-    recurrence reads entries already filled: ``c[J]`` adds the label of
-    J's lowest node to ``c`` of J without it, and ``r[J]`` adds the root
-    count of the connected component C of J holding that node to
-    ``r[J - C]``.  The root count of each component is computed once, by
-    the shape recognizer behind :meth:`Diagram.factors`, so an unsupported
-    shape still raises.  The tables live only as long as the caller holds
-    them.
+    ``0 <= J < 2^N - 1``.  Each entry is written once, from the connected
+    component C of J holding its lowest node i and the rest ``sub = J - C``:
+    ``r[J] = |R_C| + r[sub]`` and ``c[J] = c_C + c[sub]``.  The nodes i
+    are taken in decreasing order, so ``sub``, whose lowest node is above
+    i, is filled before it is read.  For each i the connected sets C with
+    lowest node i are grown from ``{i}`` one neighbour above i at a time,
+    and each is classified once, by the shape recognizer behind
+    :meth:`Diagram.factors`, so an unsupported shape still raises; ``sub``
+    then runs over the submasks of the nodes above i that are neither in
+    C nor next to it (``sub = (sub - 1) & allowed``).  A component of a
+    disconnected diagram reaches the full mask, which is skipped.  The
+    tables live only as long as the caller holds them.
     """
     nodes = diagram.nodes
     index = {u: i for i, u in enumerate(nodes)}
@@ -189,26 +193,34 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
     full = (1 << len(nodes)) - 1
     r = [0] * full
     c = [0] * full
-    component_roots: dict[int, int] = {}
-    for J in range(1, full):
-        low = J & -J
-        i = low.bit_length() - 1
-        c[J] = c[J ^ low] + labels[i]
-        component = low
-        frontier = neighbours[i] & J & ~low
-        while frontier:
-            component |= frontier
-            reach = 0
+    for i in reversed(range(len(nodes))):
+        above = full & -(2 << i)
+        stack = [(1 << i, neighbours[i], labels[i], (nodes[i],))]
+        seen = {1 << i}
+        while stack:
+            C, near, c_C, members = stack.pop()
+            frontier = near & above & ~C
             while frontier:
                 bit = frontier & -frontier
-                reach |= neighbours[bit.bit_length() - 1]
                 frontier ^= bit
-            frontier = reach & J & ~component
-        roots = component_roots.get(component)
-        if roots is None:
-            roots = total_root_count(diagram.factors(_members(nodes, component)))
-            component_roots[component] = roots
-        r[J] = roots + r[J ^ component]
+                if C | bit not in seen:
+                    seen.add(C | bit)
+                    b = bit.bit_length() - 1
+                    stack.append((C | bit, near | neighbours[b], c_C + labels[b],
+                                  members + (nodes[b],)))
+            if C == full:
+                continue
+            roots = total_root_count(diagram.factors(members))
+            allowed = above & ~C & ~near
+            r[C] = roots
+            c[C] = c_C
+            # only a component C of a disconnected diagram has C | allowed = full, not proper
+            sub = allowed if C | allowed != full else (allowed - 1) & allowed
+            while sub:
+                J = C | sub
+                r[J] = roots + r[sub]
+                c[J] = c_C + c[sub]
+                sub = (sub - 1) & allowed
     return r, c
 
 

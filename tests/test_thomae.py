@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from kacscope.affine import build_spec, catalog
+from kacscope.affine import Bond, Diagram, build_spec, catalog
+from kacscope.dynkin import connected_components, total_root_count
 from kacscope.kac import enumerate_classes, from_zero_set
 from kacscope.thomae import (
     check_class,
@@ -255,6 +256,97 @@ def test_subset_tables_match_the_oracle_everywhere():
         scan = scan_diagram(d)
         assert (scan.min_f, scan.min_f_zero_set) == (min_f, min_J), d.spec
     assert subsets == 75_066
+
+
+def _component_walk_tables(d):
+    """The per-subset recurrence, as an oracle for :func:`subset_tables`.
+
+    Masks are filled in increasing order: ``c[J]`` adds the label of J's
+    lowest node to ``c`` of J without it, and ``r[J]`` adds the root
+    count of the component C of J holding that node, found by a
+    breadth-first walk, to ``r[J - C]``."""
+    nodes = d.nodes
+    index = {u: i for i, u in enumerate(nodes)}
+    neighbours = [0] * len(nodes)
+    for u, i in index.items():
+        for v, _mult in d.adjacency[u]:
+            neighbours[i] |= 1 << index[v]
+    labels = [d.labels[u] for u in nodes]
+    full = (1 << len(nodes)) - 1
+    r = [0] * full
+    c = [0] * full
+    component_roots: dict[int, int] = {}
+    for J in range(1, full):
+        low = J & -J
+        i = low.bit_length() - 1
+        c[J] = c[J ^ low] + labels[i]
+        component = low
+        frontier = neighbours[i] & J & ~low
+        while frontier:
+            component |= frontier
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= neighbours[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & J & ~component
+        roots = component_roots.get(component)
+        if roots is None:
+            members = [u for k, u in enumerate(nodes) if component >> k & 1]
+            roots = component_roots[component] = total_root_count(d.factors(members))
+        r[J] = roots + r[J ^ component]
+    return r, c
+
+
+def test_subset_tables_match_the_component_walk_to_rank_16():
+    """The submask kernel against the per-subset component walk on all
+    1,182,498 proper subsets of the 94 diagrams of rank <= 16."""
+    diagrams = catalog(16)
+    assert len(diagrams) == 94
+    subsets = 0
+    for d in diagrams:
+        tables = subset_tables(d)
+        assert tables == _component_walk_tables(d), d.spec
+        subsets += len(tables[0])
+    assert subsets == 1_182_498
+
+
+@pytest.mark.parametrize("labels, bonds", [
+    ({1: 1, 2: 1, 3: 1}, [Bond(1, 2)]),                # a 3-node path with one bond left out
+    ({1: 1, 2: 1, 3: 1}, [Bond(2, 3)]),
+    ({1: 1, 2: 2, 3: 1, 4: 3}, [Bond(1, 2), Bond(2, 3)]),  # an isolated node
+    ({1: 2, 2: 1, 3: 1, 4: 1}, [Bond(2, 3), Bond(3, 4, 2, 4)]),
+    ({1: 1, 2: 1, 3: 1, 4: 1}, []),
+])
+def test_subset_tables_of_a_disconnected_diagram(labels, bonds):
+    """The full mask, which a component of a disconnected diagram reaches
+    with the rest of the nodes, is left out; every proper subset is kept."""
+    d = Diagram(1, labels, bonds)
+    r, c = subset_tables(d)
+    assert len(r) == len(c) == 2 ** len(d.nodes) - 1
+    for J in proper_subsets(d):
+        mask = sum(1 << d.nodes.index(u) for u in J)
+        r_j, c_j, _c_up = zero_set_data(d, J)
+        assert (r[mask], c[mask]) == (r_j, c_j), sorted(J)
+
+
+def test_subset_tables_classify_each_connected_set_once(monkeypatch):
+    """On a diagram with an empty memo, the kernel classifies exactly the
+    proper connected node sets, each once."""
+    calls = []
+    factors = Diagram.factors
+    monkeypatch.setattr(Diagram, "factors",
+                        lambda self, subset: calls.append(frozenset(subset)) or factors(self, subset))
+    for named in catalog(8):
+        d = Diagram(named.e, named.labels, named.bonds)
+        calls.clear()
+        subset_tables(d)
+        connected = sum(
+            len(connected_components(J, d.adjacency)) == 1
+            for size in range(1, len(d.nodes))
+            for J in itertools.combinations(d.nodes, size)
+        )
+        assert len(d._components) == len(set(calls)) == len(calls) == connected, named.spec
 
 
 # ---------------------------------------------------------------------------
