@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .dynkin import FiniteFactor, _classify_component, connected_components, sort_factors
+from .dynkin import FiniteFactor, _classify_component, sort_factors
 
 __all__ = [
     "DiagramId",
@@ -64,6 +64,11 @@ __all__ = [
     "catalog",
     "render_kac",
 ]
+
+
+def nodes_of(mask: int) -> list[int]:
+    """The nodes of a node mask, node u being bit ``1 << u``, ascending."""
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
 
 
 @dataclass(frozen=True)
@@ -90,20 +95,23 @@ class Diagram:
     certified inequality (label sums, root counts of induced subdiagrams,
     n_e = #nodes - 1) is computed from the graph alone.
 
-    A diagram is not changed after construction, so ``label_sum`` and
-    ``interior``, the frozenset of nodes of degree >= 2, are derived once,
-    in ``__init__``, and ``labels`` is stored in node order.  A child made
-    by :meth:`contracted` shares with its parent every adjacency list that
-    the contraction did not change, so no adjacency list is mutated once
-    built.  Each instance memoises the factors of the connected components
-    :meth:`factors` has classified on it, and the children
-    :meth:`contracted` has made from it, which every caller then shares.
-    Both memos start empty and live as long as the diagram, which for one
+    A diagram is not changed after construction, so ``label_sum`` and the
+    masks are derived once, in ``__init__``: node u is bit ``1 << u``, and
+    ``node_mask``, ``interior_mask`` (degree >= 2) and ``neighbours[u]``
+    are node masks.  ``labels`` is stored in node order.  A child made by
+    :meth:`contracted` shares with its parent every adjacency list that the
+    contraction did not change, so none is mutated once built, and updates
+    masks only at the contracted node's neighbours.  Each instance memoises
+    the factors of the components :meth:`factors` has classified on it, by
+    component mask, and the children :meth:`contracted` has made, one per
+    key; :mod:`kacscope.reductions` keeps its move table in ``_moves`` and
+    the child ``contract`` made per validated pair in ``_contractions``.
+    All memos start empty and live as long as the diagram, which for one
     that :func:`build` caches is the whole process.
     """
 
-    __slots__ = ("e", "labels", "label_sum", "bonds", "adjacency", "interior", "_components",
-                 "_children")
+    __slots__ = ("e", "labels", "label_sum", "bonds", "adjacency", "node_mask", "neighbours",
+                 "interior_mask", "_components", "_children", "_moves", "_contractions")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
@@ -111,13 +119,16 @@ class Diagram:
         self.label_sum = sum(self.labels.values())
         self.bonds = tuple(bonds)
         adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in self.labels}
+        self.neighbours = neighbours = [0] * (max(self.labels, default=-1) + 1)
         for b in self.bonds:
             adjacency[b.u].append((b.v, b.mult))
             adjacency[b.v].append((b.u, b.mult))
+            neighbours[b.u] |= 1 << b.v
+            neighbours[b.v] |= 1 << b.u
         self.adjacency = adjacency
-        self.interior = frozenset(u for u, nb in adjacency.items() if len(nb) >= 2)
-        self._components: dict[tuple[int, ...], tuple[FiniteFactor, ...]] = {}
-        self._children: dict[tuple, Diagram] = {}
+        self.node_mask = sum(1 << u for u in self.labels)
+        self.interior_mask = sum(1 << u for u, nb in adjacency.items() if len(nb) >= 2)
+        self._components, self._children, self._moves, self._contractions = {}, {}, None, {}
 
     def contracted(self, i: int, added: Sequence[Bond]) -> Diagram:
         """This diagram without node ``i`` and its bonds, plus the bonds
@@ -125,14 +136,14 @@ class Diagram:
 
         The result equals ``Diagram(e, labels, kept + added)`` built from
         scratch, with ``kept`` the bonds not at ``i`` in stored order, but
-        only the neighbours of ``i`` get new adjacency lists and are
-        re-evaluated for ``interior``; every other list is the parent's.
+        only the neighbours of ``i`` get new adjacency lists and masks and
+        are re-evaluated for the interior; every other list is the parent's.
         ``added`` is checked on every call, then the child is memoised under
         ``(i, *added)``: a repeated call returns it, one child per key.
         """
-        nbrs = {v for v, _mult in self.adjacency[i]}
+        nbrs = self.neighbours[i]
         for b in added:
-            if b.u not in nbrs or b.v not in nbrs:
+            if not nbrs >> b.u & nbrs >> b.v & 1:
                 raise ValueError(f"an added bond must join two neighbours of node {i}")
         key = (i, *added)
         child = self._children.get(key)
@@ -147,14 +158,19 @@ class Diagram:
         child.bonds = tuple(kept + list(added))
         child.adjacency = adjacency = dict(self.adjacency)
         del adjacency[i]
-        for v in nbrs:
+        child.neighbours = neighbours = list(self.neighbours)
+        for v in nodes_of(nbrs):
             adjacency[v] = [(w, mult) for w, mult in adjacency[v] if w != i]
+            neighbours[v] &= ~(1 << i)
         for b in added:
             adjacency[b.u].append((b.v, b.mult))
             adjacency[b.v].append((b.u, b.mult))
-        child.interior = (self.interior - nbrs - {i}) | {v for v in nbrs if len(adjacency[v]) >= 2}
-        child._components = {}
-        child._children = {}
+            neighbours[b.u] |= 1 << b.v
+            neighbours[b.v] |= 1 << b.u
+        child.node_mask = self.node_mask & ~(1 << i)
+        child.interior_mask = self.interior_mask & ~(1 << i) & ~nbrs | sum(
+            1 << v for v in nodes_of(nbrs) if len(adjacency[v]) >= 2)
+        child._components, child._children, child._moves, child._contractions = {}, {}, None, {}
         self._children[key] = child
         return child
 
@@ -173,6 +189,11 @@ class Diagram:
         """Twisted Coxeter number h_e = e * sum of labels."""
         return self.e * self.label_sum
 
+    @property
+    def interior(self) -> frozenset[int]:
+        """The nodes of degree >= 2."""
+        return frozenset(nodes_of(self.interior_mask))
+
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
@@ -181,20 +202,45 @@ class Diagram:
     def label_sum_of(self, nodes) -> int:
         return sum(map(self.labels.__getitem__, nodes))
 
+    def mask_of(self, nodes) -> int:
+        """The node mask of ``nodes``; ``ValueError`` names any non-node."""
+        mask = 0
+        for u in nodes:
+            mask |= 1 << u
+        if mask & ~self.node_mask:
+            raise ValueError(f"not a node subset: {nodes_of(mask & ~self.node_mask)}")
+        return mask
+
+    def components(self, mask: int) -> list[int]:
+        """The components of the subgraph induced on ``mask``, by least node."""
+        neighbours = self.neighbours
+        found = []
+        while mask:
+            comp = frontier = mask & -mask
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                new = neighbours[bit.bit_length() - 1] & mask & ~comp
+                comp |= new
+                frontier |= new
+            mask ^= comp
+            found.append(comp)
+        return found
+
     def factors(self, subset) -> tuple[FiniteFactor, ...]:
         """Finite factors of the subdiagram induced on ``subset``.
 
-        Each connected component is classified once per diagram and kept
-        in the diagram's memo under its sorted node tuple; a component
-        the classifier rejects is not stored and raises on every call.
+        Raises ``ValueError`` when ``subset`` holds a node not in the
+        diagram.  Each connected component is classified once per diagram
+        and kept in the diagram's memo under its mask; a component the
+        classifier rejects is not stored and raises on every call.
         """
         memo = self._components
         found: list[FiniteFactor] = []
-        for comp in connected_components(sorted(subset), self.adjacency):
-            key = tuple(comp)
-            factors = memo.get(key)
+        for comp in self.components(self.mask_of(subset)):
+            factors = memo.get(comp)
             if factors is None:
-                factors = memo[key] = _classify_component(comp, self.adjacency)
+                factors = memo[comp] = _classify_component(nodes_of(comp), self.adjacency)
             found.extend(factors)
         return sort_factors(found)
 

@@ -27,6 +27,11 @@ coefficients collapse to the closed forms in :func:`match_case`.
 
 Only acyclic diagrams are supported here; the cycle family has its own
 one-line certificate and never needs reduction.
+
+The moves work on ``J`` as an ``int`` node mask (see :class:`Diagram`), made
+once from the node set a public function takes and split into runs by
+:func:`_runs` alone.  Each graph memoises its move table and, per pair
+``(i, j)`` :func:`contract` has validated, the child it made.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Optional
 
-from .affine import AffineDiagram, Bond, Diagram
-from .dynkin import connected_components, total_root_count
+from .affine import AffineDiagram, Bond, Diagram, nodes_of
+from .dynkin import total_root_count
 from .thomae import f_value, zero_set_data
 
 
@@ -50,10 +55,11 @@ from .thomae import f_value, zero_set_data
 graph_f = f_value
 
 
-def _require_nodes(graph: Diagram, nodes: set[int] | frozenset[int]) -> None:
-    """Raise ``ValueError`` naming the ``nodes`` that are not in ``graph``."""
-    if not nodes <= graph.labels.keys():
-        raise ValueError(f"not a node subset: {sorted(nodes - graph.labels.keys())}")
+def _runs(graph: Diagram, J: int) -> tuple[list[int], list[int]]:
+    """The components of the node mask ``J``, as masks by least node,
+    split into interior runs (all nodes of degree >= 2) and boundary runs."""
+    comps, interior = graph.components(J), graph.interior_mask
+    return [c for c in comps if not c & ~interior], [c for c in comps if c & ~interior]
 
 
 def runs_of(
@@ -62,22 +68,34 @@ def runs_of(
     """The connected components of ``J``, split into interior runs (all
     nodes of degree >= 2) and boundary runs, each sorted by least node.
     Raises ``ValueError`` when ``J`` holds a node not in the graph."""
-    _require_nodes(graph, J)
-    inner: list[frozenset[int]] = []
-    outer: list[frozenset[int]] = []
-    for comp in map(frozenset, connected_components(sorted(J), graph.adjacency)):
-        (inner if comp <= graph.interior else outer).append(comp)
-    return inner, outer
+    return tuple([frozenset(nodes_of(r)) for r in runs] for runs in _runs(graph, graph.mask_of(J)))
 
 
 def run_sizes(graph: Diagram, J: frozenset[int]) -> list[int]:
     """Sizes of the interior runs of ``J``, descending."""
-    return sorted(map(len, runs_of(graph, J)[0]), reverse=True)
+    return sorted((run.bit_count() for run in _runs(graph, graph.mask_of(J))[0]), reverse=True)
 
 
 # ---------------------------------------------------------------------------
 # contraction
 # ---------------------------------------------------------------------------
+
+
+def _first_move(graph: Diagram, J: int) -> Optional[tuple[int, int]]:
+    """:func:`contractible_pair` on the mask ``J``: the first bond off ``J`` in
+    the graph's table of bonds where a move may apply, by ``(min, max)``."""
+    if (moves := graph._moves) is None:
+        inner = graph.interior_mask
+        moves = graph._moves = tuple(
+            1 << u | 1 << v
+            for u, v in sorted((min(b.u, b.v), max(b.u, b.v)) for b in graph.bonds)
+            if graph.degree(u) == 2 or graph.degree(v) == 2 or inner >> u & inner >> v & 1
+        )
+    for bond in moves:
+        if not bond & J:
+            u, v = (bond & -bond).bit_length() - 1, bond.bit_length() - 1
+            return (v, u) if graph.degree(u) != 2 and graph.degree(v) == 2 else (u, v)
+    return None
 
 
 def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, int]]:
@@ -89,30 +107,14 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
     when no move applies; that is the terminal set ``Y``.  Raises
     ``ValueError`` when ``J`` holds a node not in the graph.
     """
-    _require_nodes(graph, J)
-    interior = graph.interior
-    least = pair = None
-    for b in graph.bonds:
-        u, v = (b.u, b.v) if b.u < b.v else (b.v, b.u)
-        if u in J or v in J or (least is not None and (u, v) >= least):
-            continue
-        if graph.degree(u) == 2:
-            pair = u, v
-        elif graph.degree(v) == 2:
-            pair = v, u
-        elif u in interior and v in interior:
-            pair = u, v
-        else:
-            continue
-        least = u, v
-    return pair
+    return _first_move(graph, graph.mask_of(J))
 
 
 def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
     """Whether ``J`` is reduced: in ``Y``, with interior run sizes that
     differ by at most 1.  Raises ``ValueError`` when ``J`` holds a node
     not in the graph."""
-    if contractible_pair(graph, J) is not None:
+    if _first_move(graph, graph.mask_of(J)) is not None:
         return False
     sizes = run_sizes(graph, J)
     return not sizes or sizes[0] - sizes[-1] <= 1
@@ -128,7 +130,7 @@ def contraction_drop(
     graph (or on one with the same bonds inside ``J``), saves classifying
     it again.
     """
-    _require_nodes(graph, {i})
+    graph.mask_of((i,))
     if i in J:
         raise ValueError("contraction applies to off-J nodes only")
     r_j, c_j, _c_up = zero_set_data(graph, J, factors)
@@ -143,11 +145,13 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
     two dying bonds are both multiple the replacement is the symmetric
     quadruple bond.  A degree-three ``i`` hands its pendant tips to ``j``.
     ``J`` itself, and hence the root system it spans, is untouched.  The
-    result is derived from ``graph`` by :meth:`Diagram.contracted`.
+    result comes from :meth:`Diagram.contracted`, memoised per valid pair.
     """
-    _require_nodes(graph, {i, j})
+    graph.mask_of((i, j))
     if i in J or j in J:
         raise ValueError("contraction applies to off-J nodes only")
+    if (child := graph._contractions.get((i, j))) is not None:
+        return child
     mult_to = dict(graph.adjacency[i])
     if j not in mult_to:
         raise ValueError(f"nodes {i} and {j} are not adjacent")
@@ -166,7 +170,8 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
             added.append(Bond(min(t, j), max(t, j)))
     else:
         raise ValueError(f"node {i} has degree {deg}; contraction needs 2 or 3")
-    return graph.contracted(i, added)
+    graph._contractions[i, j] = child = graph.contracted(i, added)
+    return child
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +198,8 @@ def balance_step(
     """
     if len({graph.labels[u] for u in graph.interior}) > 1:
         raise ValueError("interior label is not constant")
-    inner, outer = runs_of(graph, J)
-    sizes = sorted(map(len, inner), reverse=True)
+    inner, outer = _runs(graph, graph.mask_of(J))
+    sizes = sorted((run.bit_count() for run in inner), reverse=True)
     if not sizes or sizes[0] - sizes[-1] < 2:
         raise ValueError("balancing needs two interior runs differing by >= 2")
     q1, q2 = sizes[0], sizes[-1]
@@ -203,8 +208,8 @@ def balance_step(
     links = sorted((min(b.u, b.v), max(b.u, b.v)) for b in graph.induced_bonds(graph.interior))
     if links != list(zip(order, order[1:])):
         raise ValueError("interior is not a path")
-    boundary = set().union(*outer)
-    free_idx = [t for t, u in enumerate(order) if u not in boundary]
+    boundary = sum(outer)
+    free_idx = [t for t, u in enumerate(order) if not boundary >> u & 1]
     if free_idx != list(range(free_idx[0], free_idx[-1] + 1)):
         raise ValueError("boundary runs must sit at the spine ends")
     free = [order[t] for t in free_idx]
@@ -299,16 +304,14 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     if not J or not J < frozenset(graph.labels):
         raise ValueError("J must be a nonempty proper subset of the nodes")
 
+    mask = graph.mask_of(J)
     factors0 = graph.factors(J)
     inside0 = graph.induced_bonds(J)
     f = graph_f(graph, J, factors0)
     f_start = f
     steps: list[ReductionStep] = []
 
-    while True:
-        pair = contractible_pair(graph, J)
-        if pair is None:
-            break
+    while (pair := _first_move(graph, mask)) is not None:
         i, j = pair
         predicted = contraction_drop(graph, J, i, factors0)
         graph = contract(graph, J, i, j)
@@ -372,7 +375,7 @@ def switch_sites(graph: Diagram, J: frozenset[int]) -> list[tuple[int, int, int]
     ``i`` an off-``J`` fork, ``j`` an off-``J`` pendant tip of ``i`` and
     ``k`` the interior neighbour of ``i``, with ``k`` in ``J``.  Raises
     ``ValueError`` when ``J`` holds a node not in the graph."""
-    _require_nodes(graph, J)
+    graph.mask_of(J)
     sites = []
     interior = graph.interior
     for i in graph.nodes:
@@ -403,7 +406,7 @@ def switch_step(
     interior neighbour, and ``ValueError("not a node subset: ...")`` when
     one of them is not a node of ``graph``.
     """
-    _require_nodes(graph, {i, j, k})
+    graph.mask_of((i, j, k))
     if i in J or j in J or k not in J:
         return None
     nbrs = [v for v, _ in graph.adjacency[i]]
@@ -479,23 +482,24 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     otherwise.  The interior label must be constant, which holds for every
     supported diagram and survives contraction.
     """
-    interior_labels = {graph.labels[u] for u in graph.interior}
+    interior_labels = {graph.labels[u] for u in nodes_of(graph.interior_mask)}
     if len(interior_labels) > 1:
         raise ValueError("interior label is not constant")
     # a two-node graph has no interior: every term involving c carries a
     # factor of x or y, both zero, so any value is exact — use 0
     c = interior_labels.pop() if interior_labels else 0
 
-    inner, outer = runs_of(graph, J)
-    sizes = list(map(len, inner))
+    inner, outer = _runs(graph, graph.mask_of(J))
+    sizes = [run.bit_count() for run in inner]
     low = min(sizes, default=0)
     if max(sizes, default=0) - low > 1:
         raise ValueError(f"interior run sizes {sorted(set(sizes))} are not two consecutive values")
     q, x = low + 1, sizes.count(low)
     y = len(sizes) - x
 
-    r_boundary = total_root_count(graph.factors(frozenset().union(*outer)) if outer else ())
-    c_boundary = sum(graph.label_sum_of(comp) for comp in outer)
+    boundary = nodes_of(sum(outer))
+    r_boundary = total_root_count(graph.factors(boundary) if outer else ())
+    c_boundary = graph.label_sum_of(boundary)
     c_j = graph.label_sum_of(J)
     c_up = graph.label_sum - c_j
     a = c_up - c * (x + y)

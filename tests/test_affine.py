@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import re
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,19 @@ def test_factors_memo_agrees_with_the_classifier():
         for _ in range(2):
             with pytest.raises(UnsupportedSubdiagramError):
                 g.factors(g.nodes)
+
+
+@pytest.mark.parametrize("subset, missing", [({99}, [99]), ({0, 99, 12}, [12, 99])])
+def test_factors_refuses_a_node_outside_the_diagram(subset, missing):
+    """A set holding a non-node raises, on every call, and the component
+    memo stays empty."""
+    named = build_spec("B4")
+    g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"not a node subset: {missing}")):
+            g.factors(subset)
+    assert g._components == {}
+    assert g.factors({0, 2}) == named.factors({0, 2})
 
 
 def _snapshot(g):

@@ -3,6 +3,7 @@ tip switches, the reduced class Z, and the quadratic form bookkeeping."""
 
 from __future__ import annotations
 
+import functools
 import gzip
 import itertools
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from kacscope import reductions
 from kacscope.affine import Bond, Diagram, build, build_spec, catalog
+from kacscope.dynkin import connected_components
 from kacscope.reductions import (
     balance_step,
     contract,
@@ -182,6 +184,7 @@ def test_contract_shares_one_child_and_checks_every_call():
     assert len(g._children) == 3 and len(h._children) == 1
 
 
+@functools.lru_cache(maxsize=None)
 def _memoised_children(max_rank):
     """``(parent, key, child)`` for every child memoised by ``reduce_to_z``
     over freshly built classical diagrams to ``max_rank`` (fresh, so that
@@ -203,10 +206,10 @@ def _memoised_children(max_rank):
 
 def test_memoised_children_equal_a_fresh_build():
     """Every child ``reduce_to_z`` memoises over the classical diagrams to
-    rank 8 equals ``Diagram(e, labels, kept + added)`` built from scratch,
+    rank 10 equals ``Diagram(e, labels, kept + added)`` built from scratch,
     with ``(i, *added)`` its key and ``kept`` the parent's bonds not at
-    ``i`` in stored order."""
-    found, _contractions = _memoised_children(8)
+    ``i`` in stored order, masks included."""
+    found, _contractions = _memoised_children(10)
     for parent, (i, *added), child in found:
         kept = [b for b in parent.bonds if i not in (b.u, b.v)]
         labels = {u: c for u, c in parent.labels.items() if u != i}
@@ -216,7 +219,12 @@ def test_memoised_children_equal_a_fresh_build():
         assert list(child.adjacency.items()) == list(fresh.adjacency.items())
         assert child.interior == fresh.interior
         assert child.label_sum == fresh.label_sum
-    assert len(found) == 359
+        masks = [child.neighbours[u] for u in child.nodes]
+        assert masks == [fresh.neighbours[u] for u in fresh.nodes]
+        assert masks == [sum(1 << v for v, _mult in fresh.adjacency[u]) for u in fresh.nodes]
+        assert (child.node_mask, child.interior_mask) == (fresh.node_mask, fresh.interior_mask)
+        assert child.interior_mask == sum(1 << u for u in fresh.nodes if fresh.degree(u) >= 2)
+    assert len(found) == 1_194
 
 
 def test_reduce_sweep_shares_its_contracted_graphs():
@@ -251,23 +259,91 @@ def _sorted_contractible_pair(graph, J):
 
 
 def test_contractible_pair_matches_sorted_oracle(monkeypatch):
-    """The one-pass search against the sorted one on every state that
-    ``reduce_to_z`` visits over the classical diagrams to rank 9."""
-    one_pass = reductions.contractible_pair
+    """The mask-level first-move query of the move table against the
+    sorted search on every state that ``reduce_to_z`` visits over the
+    classical diagrams to rank 9: each pass of its contraction loop and its
+    final ``in_Z`` check."""
+    first_move = reductions._first_move
     states = 0
 
     def checked(graph, J):
         nonlocal states
-        pair = one_pass(graph, J)
-        assert pair == _sorted_contractible_pair(graph, J), (graph.bonds, sorted(J))
+        pair = first_move(graph, J)
+        nodes = frozenset(u for u in graph.nodes if J >> u & 1)
+        assert pair == _sorted_contractible_pair(graph, nodes), (graph.bonds, sorted(nodes))
         states += 1
         return pair
 
-    monkeypatch.setattr(reductions, "contractible_pair", checked)
+    monkeypatch.setattr(reductions, "_first_move", checked)
     for d in _classical(9):
         for J in _nonempty_proper(d):
             reductions.reduce_to_z(d, J)
     assert states == 25_407
+
+
+def _components_runs(graph, nodes):
+    """The reference run split: ``dynkin.connected_components``, with a run
+    interior when each of its nodes has two or more bonds."""
+    inner, outer = [], []
+    for comp in map(frozenset, connected_components(sorted(nodes), graph.adjacency)):
+        (inner if all(graph.degree(u) >= 2 for u in comp) else outer).append(comp)
+    return inner, outer
+
+
+def test_run_split_matches_connected_components(monkeypatch):
+    """The mask run split and ``runs_of`` against a split built from
+    ``connected_components``, on every (graph, J) that ``reduce_to_z``
+    visits over the classical diagrams to rank 9, contracted graphs and
+    balanced zero sets included."""
+    visited = {}
+    for name in ("_first_move", "_runs"):
+        real = getattr(reductions, name)
+
+        def recording(graph, J, real=real):
+            visited[id(graph), J] = graph
+            return real(graph, J)
+
+        monkeypatch.setattr(reductions, name, recording)
+    for d in _classical(9):
+        for J in _nonempty_proper(d):
+            reductions.reduce_to_z(d, J)
+    monkeypatch.undo()
+    for (_key, J), graph in visited.items():
+        nodes = frozenset(u for u in graph.nodes if J >> u & 1)
+        want = _components_runs(graph, nodes)
+        assert runs_of(graph, nodes) == want, (graph.bonds, sorted(nodes))
+        masks = tuple([sum(1 << u for u in run) for run in runs] for runs in want)
+        assert reductions._runs(graph, J) == masks
+    assert len(visited) == 18_289
+
+
+def test_contract_memoises_each_validated_pair_once():
+    """A repeated ``contract`` returns the same child, memoised once per
+    graph and valid pair; every refusal raises on every call, after a valid
+    call on the same graph too, and leaves no memo entry."""
+    named = build_spec("B6")
+    g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
+    J = frozenset({1, 2, 4})
+    child = contract(g, J, 5, 6)
+    assert contract(g, J, 5, 6) is child and contract(g, frozenset({0}), 5, 6) is child
+    assert g._contractions == {(5, 6): child}
+    h = Diagram(1, {u: 1 for u in range(5)},
+                [Bond(0, 1), Bond(1, 2, 2, 2), Bond(1, 3), Bond(3, 4)])
+    path = contract(h, frozenset({0}), 3, 4)
+    assert path.bonds[-1] == Bond(1, 4)
+    refusals = [
+        (lambda: contract(g, frozenset({5}), 5, 6), "off-J nodes only"),
+        (lambda: contract(g, frozenset({6}), 5, 6), "off-J nodes only"),
+        (lambda: contract(g, J, 5, 3), "nodes 5 and 3 are not adjacent"),
+        (lambda: contract(g, J, 99, 5), re.escape("not a node subset: [99]")),
+        (lambda: contract(h, frozenset({4}), 1, 3), "node 1 is not a plain fork"),
+        (lambda: contract(h, frozenset({4}), 3, 4), "off-J nodes only"),
+    ]
+    for _ in range(2):
+        for call, message in refusals:
+            with pytest.raises(ValueError, match=message):
+                call()
+    assert g._contractions == {(5, 6): child} and h._contractions == {(3, 4): path}
 
 
 @pytest.mark.parametrize("spec", ["B6", "D7", "2A9"])
