@@ -15,7 +15,12 @@ holds the builder of each family; admission, :func:`build` and
 data used for rendering; every path diagram comes from ``_chain`` and
 every fork of two unit-label tips from ``_fork``.  A :class:`Diagram` is
 the bare labelled graph, which is all the certificate depends on; an
-:class:`AffineDiagram` is a ``Diagram`` plus name, Omega and layout.
+:class:`AffineDiagram` is a ``Diagram`` plus name, Omega, layout and
+``ends``, its two spine ends read from the graph (the ends of Kac's Tables
+Aff 1-3): a fork of two pendant tips on one hub, or one pendant node on an
+arrowed multiple bond, ``heavy`` when the arrow points at it (on classical
+diagrams, when it has the largest label) and ``light`` when away.  ``ends``
+is None on untwisted A, E6-E8, F4, G2, 3D4 and 2E6.
 Everything downstream (subset scans, reductions, tables) consumes these
 graphs, and the reduction moves turn an ``AffineDiagram`` into bare
 ``Diagram`` values.
@@ -49,7 +54,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .dynkin import FiniteFactor, _classify_component, sort_factors
 
@@ -58,6 +63,7 @@ __all__ = [
     "Bond",
     "Diagram",
     "AffineDiagram",
+    "End",
     "parse_spec",
     "build",
     "build_spec",
@@ -242,7 +248,7 @@ class Diagram:
             if factors is None:
                 factors = memo[comp] = _classify_component(nodes_of(comp), self.adjacency)
             found.extend(factors)
-        return sort_factors(found)
+        return sort_factors(found) if len(found) > 1 else tuple(found)
 
     def induced_bonds(self, subset) -> tuple[Bond, ...]:
         """The bonds with both ends in ``subset``, in stored order.  They
@@ -305,6 +311,35 @@ def _check_admissible(ident: DiagramId) -> None:
         raise ValueError(f"unsupported diagram {ident.spec}")
 
 
+class End(NamedTuple):
+    """A spine end: "fork" and its two tips, or "heavy" or "light" and its node."""
+    kind: str
+    nodes: tuple[int, ...]
+
+
+def _spine_ends(diagram: Diagram) -> tuple[End, End] | None:
+    """The two spine ends, node 0's first; None unless the pendant nodes
+    make exactly two.  A hub's tips on simple bonds pair in node order, so
+    D4's hub has the forks (0, 1) and (3, 4)."""
+    ends, tips = [], {}
+    for b in diagram.bonds:
+        for u, hub in ((b.u, b.v), (b.v, b.u)):
+            if diagram.degree(u) > 1:
+                continue
+            if b.mult == 1:
+                tips.setdefault(hub, []).append(u)
+            elif b.tip is None:
+                return None
+            else:
+                ends.append(End("heavy" if b.tip == u else "light", (u,)))
+    for pendant in tips.values():
+        if len(pendant) % 2:
+            return None
+        pendant.sort()
+        ends += [End("fork", tuple(pendant[t:t + 2])) for t in range(0, len(pendant), 2)]
+    return tuple(sorted(ends, key=lambda end: end.nodes)) if len(ends) == 2 else None
+
+
 class AffineDiagram(Diagram):
     """A built diagram: a :class:`Diagram` plus its name, symmetry and layout.
 
@@ -317,7 +352,7 @@ class AffineDiagram(Diagram):
     the bond to it; both are None on the last record.
     """
 
-    __slots__ = ("ident", "omega", "layout")
+    __slots__ = ("ident", "omega", "layout", "ends")
 
     def __init__(
         self,
@@ -339,6 +374,7 @@ class AffineDiagram(Diagram):
             bond = None if right is None else placed[frozenset((u, right))]
             layout.append((u, tuple(hang.get(u, ())), right, bond))
         self.layout = tuple(layout)
+        self.ends = _spine_ends(self)
 
     @property
     def spec(self) -> str:

@@ -12,32 +12,29 @@ admissible Kac vector of the stated order whose zero set has certificate
 value ``f = 0``.  A bad generator therefore fails loudly here, before any
 comparison runs.
 
-Every classical class is a 0/1 vector whose ones are evenly spaced:
-``_spaced(lead, period, gaps, trail)`` is ``lead`` zeros, then ``gaps + 1``
-ones ``period`` apart, then ``trail`` zeros.  The two tips of a fork
-always carry the same value, so on a fork the spacing runs along the path
-that counts both tips as one place, and the second tip repeats the first.
-Per family (``n + 1`` is always the node count):
+Every classical class is a 0/1 vector with evenly spaced ones.  A fork's
+two tips always carry the same value, so the spacing runs along the path
+that counts them as one place, and the second tip repeats the first.
+Before the first one of period ``k``, an end takes zeros by its kind in the
+diagram's record of spine ends (see :mod:`kacscope.affine`): a fork
+``(k - 1) // 2``, a heavy end ``k // 2`` and a light end none.  The periods
+and orders depend on the two end kinds (``n + 1`` is the node count):
 
-* untwisted ``A``: only the principal class, all ones, of order ``n + 1``;
-* ``C_n``: for each divisor ``k`` of ``n``, period ``k`` with a one at
-  both ends, of order ``2n/k``;
-* ``B_n``: for each divisor ``k`` of ``n``, period ``k`` with
-  ``(k - 1) // 2`` zeros at the fork end and ``k // 2`` at the other, of
-  order ``2n/k``;
-* ``D_n``: for each even divisor ``k`` of ``N = n`` and each odd divisor
-  ``k`` of ``N = n - 1``, period ``k`` with ``(k - 1) // 2`` zeros at
-  each fork end, of order ``2N/k``;
-* twisted ``D`` on base ``n + 1``: the same with ``N = n`` for even ``k``
-  and ``N = n + 1`` for odd ``k``, and ``k // 2`` zeros at each end;
-* twisted ``A`` on even base ``2n``: for each divisor ``p`` of ``2n + 1``
-  with quotient ``d``, and for ``p = 2k`` with ``k`` dividing ``n`` and
-  odd quotient ``d = n/k``: ``(d + 1) / 2`` ones ``p`` apart from node 0,
-  then ``p // 2`` zeros, of order ``2d``;
-* twisted ``A`` on odd base ``2n - 1``: the same two rules for ``2n - 1``
-  and ``n``, mirrored: ``(p - 1) // 2`` zeros at the fork end and a one
-  on the last node.  Rank 3 is the three-node chain of twisted ``D`` on
-  base 3 and takes its classes;
+* no record (untwisted ``A``): only the principal class, all ones, of
+  order ``n + 1``;
+* two light ends (``C_n``), or a fork and a heavy end (``B_n``): for each
+  divisor ``k`` of ``n``, period ``k``, of order ``2n/k``;
+* two forks (``D_n``): for each even divisor ``k`` of ``N = n`` and each
+  odd divisor ``k`` of ``N = n - 1``, period ``k``, of order ``2N/k``;
+* two heavy ends (twisted ``D`` on base ``n + 1``, and twisted ``A`` on
+  base 3, the same graph): the same with ``N = n`` for even ``k`` and
+  ``N = n + 1`` for odd ``k``;
+* a light end, then a heavy one (twisted ``A`` on even base ``2n``): for
+  each divisor ``p`` of ``W = 2n + 1`` with quotient ``d``, and for
+  ``p = 2k`` with ``k`` dividing ``n`` and odd quotient ``d = n/k``:
+  period ``p``, of order ``2d``;
+* a fork, then a light end (twisted ``A`` on odd base ``2n - 1 >= 5``):
+  the same two rules with ``W = 2n - 1``;
 * exceptional diagrams: literal tables below.
 
 Where two rules give one vector, the first keeps it.
@@ -69,95 +66,63 @@ class ClassRow:
         return f"{self.diagram}\t{self.m}\t{kac_text}\t{self.J_type}\t{self.provenance}"
 
 
-def _spaced(lead: int, period: int, gaps: int, trail: int) -> tuple[int, ...]:
-    """``lead`` zeros, then ``gaps + 1`` ones ``period`` apart, then ``trail`` zeros."""
-    # a tuple repeated a negative number of times is empty, so refuse negative counts
-    if min(lead, period - 1, gaps, trail) < 0:
-        raise AssertionError(f"no spaced vector ({lead}, {period}, {gaps}, {trail})")
-    return (0,) * lead + ((1,) + (0,) * (period - 1)) * gaps + (1,) + (0,) * trail
-
-
 def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
 
 
-# a generated class before validation: order, Kac vector, generating rule
-_Generated = tuple[int, tuple[int, ...], str]
-
-
-def _first_of_each(raw: list[_Generated]) -> list[_Generated]:
-    """``raw`` with each vector kept once, under the first rule that
-    gives it, in order."""
-    first: dict[tuple[int, ...], _Generated] = {}
-    for row in raw:
-        first.setdefault(row[1], row)
-    return list(first.values())
+# a classical rule: the order, the period and the provenance of one class
+_Rule = tuple[int, int, str]
 
 
 # ---------------------------------------------------------------------------
 # classical generators
 # ---------------------------------------------------------------------------
 
-
-def _classes_2a(base: int) -> list[_Generated]:
-    if base == 3:
-        # the rank-3 twisted diagram is the three-node chain, so its
-        # equality classes follow the chain pattern, not the fork pattern
-        return _classes_2d(3)
-    n, odd = (base + 1) // 2, base % 2
-    whole = base + 1 - odd                      # 2n + 1 on even base, 2n - 1 on odd
-    rules = [(p, whole // p, whole) for p in _divisors(whole)]
-    rules += [(2 * k, n // k, n) for k in _divisors(n) if n // k % 2]
-    out = []
-    for period, d, of in rules:
-        if odd:                                 # zeros at the fork, tip 1 repeats tip 0
-            s = _spaced((period - 1) // 2, period, (d - 1) // 2, 0)
-            s = s[:1] + s
-        else:
-            s = _spaced(0, period, (d - 1) // 2, period // 2)
-        out.append((2 * d, s, f"divisor d={d} of {of}"))
-    return _first_of_each(out)
+# the zeros an end of each kind takes before the first one of period k
+_END_ZEROS = {"fork": lambda k: (k - 1) // 2, "heavy": lambda k: k // 2, "light": lambda k: 0}
 
 
-def _classes_b(n: int) -> list[_Generated]:
-    out = []
-    for k in _divisors(n):
-        s = _spaced((k - 1) // 2, k, n // k - 1, k // 2)
-        out.append((2 * n // k, s[:1] + s, f"divisor k={k} of {n}"))
-    return out
+def _spaced(ends: tuple[str, str], n: int, k: int) -> tuple[int, ...]:
+    """The 0/1 vector on ``n + 1`` nodes with ones ``k`` apart between spine
+    ends of kinds ``ends``.  A period that does not fit gives a vector of
+    the wrong length, which :func:`expected_classes` refuses."""
+    left, right = ends
+    lead, trail = _END_ZEROS[left](k), _END_ZEROS[right](k)
+    gaps = (n - ends.count("fork") - lead - trail) // k
+    s = (0,) * lead + ((1,) + (0,) * (k - 1)) * gaps + (1,) + (0,) * trail
+    return s[:1] * (left == "fork") + s + s[-1:] * (right == "fork")
 
 
-def _classes_c(n: int) -> list[_Generated]:
-    return [(2 * n // k, _spaced(0, k, n // k, 0), f"divisor k={k} of {n}") for k in _divisors(n)]
+def _divisor_rules(n: int) -> list[_Rule]:
+    """The B and C rule: period ``k`` for each divisor ``k`` of ``n``."""
+    return [(2 * n // k, k, f"divisor k={k} of {n}") for k in _divisors(n)]
 
 
-def _classes_by_parity(even_of: int, odd_of: int, forks: bool) -> list[_Generated]:
-    """The D-type rule: period ``k`` for each even divisor of ``even_of`` and each odd
-    divisor of ``odd_of``, with a fork at both ends when ``forks``."""
+def _parity_rules(even_of: int, odd_of: int) -> list[_Rule]:
+    """The D-type rule: period ``k`` for each even divisor of ``even_of`` and
+    each odd divisor of ``odd_of``."""
     rules = [("even", k, even_of) for k in _divisors(even_of) if k % 2 == 0]
     rules += [("odd", k, odd_of) for k in _divisors(odd_of) if k % 2]
-    out = []
-    for parity, k, whole in rules:
-        ends = (k - 1) // 2 if forks else k // 2
-        s = _spaced(ends, k, whole // k - 1, ends)
-        if forks:
-            s = s[:1] + s + s[-1:]
-        out.append((2 * whole // k, s, f"{parity} divisor k={k} of {whole}"))
-    return _first_of_each(out)
+    return [(2 * whole // k, k, f"{parity} divisor k={k} of {whole}") for parity, k, whole in rules]
 
 
-def _classes_2d(base: int) -> list[_Generated]:
-    return _classes_by_parity(base - 1, base, forks=False)
+def _2a_rules(whole: int, n: int) -> list[_Rule]:
+    """The twisted A rule: period ``p`` for each divisor ``p`` of ``whole`` with
+    quotient ``d``, and ``p = 2k`` for each ``k`` dividing ``n`` with odd ``d = n/k``."""
+    rules = [(p, whole // p, whole) for p in _divisors(whole)]
+    rules += [(2 * k, n // k, n) for k in _divisors(n) if n // k % 2]
+    return [(2 * d, period, f"divisor d={d} of {of}") for period, d, of in rules]
 
 
-# (e, family) -> the generator of its classes from the base rank
+# the kinds of the two spine ends -> the rules (order, period, provenance)
+# of their classes, from n = nodes - 1
 _CLASSICAL = {
-    (1, "A"): lambda n: [(n + 1, _spaced(0, 1, n, 0), "principal")],
-    (2, "A"): _classes_2a,
-    (1, "B"): _classes_b,
-    (1, "C"): _classes_c,
-    (1, "D"): lambda n: _classes_by_parity(n, n - 1, forks=True),
-    (2, "D"): _classes_2d,
+    ("fork", "heavy"): _divisor_rules,
+    ("light", "light"): _divisor_rules,
+    ("fork", "fork"): lambda n: _parity_rules(n, n - 1),
+    ("heavy", "heavy"): lambda n: _parity_rules(n, n + 1),
+    ("light", "heavy"): lambda n: _2a_rules(2 * n + 1, n),
+    ("fork", "light"): lambda n: _2a_rules(2 * n - 1, n),
 }
 
 
@@ -235,8 +200,14 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
     """
     if diagram.spec in _EXCEPTIONAL:
         raw = [(m, s, "table") for m, s in _EXCEPTIONAL[diagram.spec]]
+    elif diagram.ends is None:  # untwisted A
+        raw = [(diagram.n_e + 1, (1,) * (diagram.n_e + 1), "principal")]
     else:
-        raw = _CLASSICAL[diagram.ident.e, diagram.ident.family](diagram.ident.base_rank)
+        kinds = tuple(end.kind for end in diagram.ends)
+        first: dict[tuple[int, ...], tuple[int, str]] = {}
+        for m, k, rule in _CLASSICAL[kinds](diagram.n_e):
+            first.setdefault(_spaced(kinds, diagram.n_e, k), (m, rule))
+        raw = [(m, s, rule) for s, (m, rule) in first.items()]
 
     out: list[ClassRow] = []
     seen: set[tuple[int, ...]] = set()

@@ -52,7 +52,7 @@ def _require_length(diagram: AffineDiagram, s: Sequence[int]) -> None:
 def from_zero_set(diagram: AffineDiagram, J: Iterable[int]) -> tuple[int, ...]:
     """The order-minimal vector vanishing exactly on J: ones elsewhere."""
     J = set(J)
-    if not J.issubset(diagram.labels):
+    if not diagram.labels.keys() >= J:
         raise ValueError(f"not a node subset: {sorted(J)}")
     if len(J) == len(diagram.labels):
         raise ValueError("the zero set must be a proper subset of the nodes")

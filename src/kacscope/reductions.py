@@ -194,7 +194,8 @@ def balance_step(
     it (see the node order conventions in :mod:`kacscope.affine`).  A
     graph whose interior is a cycle, a star, or a path numbered out of
     order raises ``ValueError("interior is not a path")``.  The drop needs
-    one interior label: E7, E8 and F4 raise "interior label is not constant".
+    one interior label, which is checked first: E6, E7, E8, F4 and 2E6
+    raise "interior label is not constant".
     """
     if len({graph.labels[u] for u in graph.interior}) > 1:
         raise ValueError("interior label is not constant")
@@ -615,59 +616,47 @@ _CASES: dict[str, tuple[int, str, _Form, _Form]] = {
 # first one finds it) and what its node count adds to give the parameter.
 _Run = tuple[str, tuple[int, ...], int]
 
+# (left end kind, how many of its nodes J holds, right end kind, the same)
+# -> the case that selects the configuration
+_PATTERNS = {
+    ("light", 0, "heavy", 1): "2A-even terminal run",
+    ("light", 0, "light", 0): "C interior runs",
+    ("heavy", 1, "heavy", 1): "2D two terminal runs",
+    ("fork", 2, "light", 0): "2A-odd fork run",
+    ("fork", 1, "light", 0): "2A-odd one-tip run",
+    ("fork", 0, "light", 0): "2A-odd interior runs",
+    ("fork", 2, "heavy", 1): "B fork and terminal runs",
+    ("fork", 1, "heavy", 0): "B one-tip and terminal runs",
+    ("fork", 1, "heavy", 1): "B one-tip and terminal runs",
+    ("fork", 0, "heavy", 1): "B terminal run",
+    ("fork", 2, "fork", 2): "D two full forks",
+    ("fork", 1, "fork", 1): "D two half forks",
+    ("fork", 2, "fork", 0): "D one full fork",
+    ("fork", 1, "fork", 0): "D one half fork",
+    ("fork", 0, "fork", 0): "D interior runs",
+}
+
 
 def _pattern(diagram: AffineDiagram, J: frozenset[int]) -> Optional[tuple[str, list[_Run]]]:
-    """The case that the tips of ``J`` select, and the boundary runs it
-    needs; None for a tip pattern the case analysis delegates elsewhere
-    (by a label-comparison argument or a switch)."""
-    ident, n = diagram.ident, diagram.n_e
-    kind = (ident.e, ident.family)
-    if kind == (2, "A") and ident.base_rank % 2 == 0:
-        # Chain 0 => 1 -- ... -- (n-1) => n with labels 1,2,...,2.
-        if 0 not in J and n in J:
-            return "2A-even terminal run", [("r", (n,), 0)]
-    elif kind == (1, "C"):
-        if 0 not in J and n not in J:
-            return "C interior runs", []
-    elif kind == (2, "D"):
-        if 0 in J and n in J:
-            return "2D two terminal runs", [("p", (0,), 0), ("r", (n,), 0)]
-    elif kind == (2, "A") and ident.base_rank >= 5:
-        # Fork tips {0, 1}, branch 2, chain to a unit-label terminal n.  Base
-        # rank 3 is left out: that twisted diagram is a three-node chain,
-        # not the fork these tip patterns assume.
-        tips = tuple(t for t in (0, 1) if t in J)
-        if n not in J:
-            name = ("2A-odd interior runs", "2A-odd one-tip run", "2A-odd fork run")[len(tips)]
-            return name, [("p", tips, 0)] if tips else []
-    elif kind == (1, "B"):
-        # Fork tips {0, 1}, branch 2, double bond into the terminal n.
-        tips = tuple(t for t in (0, 1) if t in J)
-        term: list[_Run] = [("r", (n,), 0)] if n in J else []
-        if len(tips) == 1:
-            return "B one-tip and terminal runs", [("p", tips, 0)] + term
-        if term:
-            if tips:
-                return "B fork and terminal runs", [("p", tips, 0)] + term
-            return "B terminal run", term
-    elif kind == (1, "D"):
-        # Tips {0, 1} at the left end and {n-1, n} at the right; the fuller
-        # side gives p.  A half fork's parameter is one more than its run's
-        # node count.
-        left = tuple(t for t in (0, 1) if t in J)
-        right = tuple(t for t in (n - 1, n) if t in J)
-        if len(left) < len(right):
-            left, right = right, left
-        name = {
-            (2, 2): "D two full forks",
-            (1, 1): "D two half forks",
-            (2, 0): "D one full fork",
-            (1, 0): "D one half fork",
-            (0, 0): "D interior runs",
-        }.get((len(left), len(right)))
-        if name is not None:
-            return name, [(v, t, 2 - len(t)) for v, t in (("p", left), ("r", right)) if t]
-    return None
+    """The case that ``J`` selects at the diagram's spine ends, and the
+    boundary runs it needs: the left end's nodes in ``J`` find the run of
+    ``p``, the right end's the run of ``r``.  Of two forks the fuller one is
+    the left, and a half fork's parameter is one more than its run's node
+    count.  None for a diagram with no end record, or a pattern the case
+    analysis delegates elsewhere (by a label-comparison argument or a
+    switch)."""
+    if diagram.ends is None:
+        return None
+    held = [(end.kind, tuple(t for t in end.nodes if t in J)) for end in diagram.ends]
+    forks = held[0][0] == held[1][0] == "fork"
+    if forks:
+        held.sort(key=lambda end: -len(end[1]))
+    (left, p_tips), (right, r_tips) = held
+    name = _PATTERNS.get((left, len(p_tips), right, len(r_tips)))
+    if name is None:
+        return None
+    return name, [(param, tips, forks * (2 - len(tips)))
+                  for param, tips in (("p", p_tips), ("r", r_tips)) if tips]
 
 
 def _run_params(outer: list[frozenset[int]], wanted: list[_Run]) -> Optional[dict[str, int]]:

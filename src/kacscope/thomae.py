@@ -36,7 +36,7 @@ def zero_set_data(diagram: Diagram, J: frozenset[int], factors=None) -> tuple[in
     classifying it a second time.
     """
     J = frozenset(J)
-    if not J.issubset(diagram.labels):
+    if not diagram.labels.keys() >= J:
         raise ValueError(f"not a node subset: {sorted(J)}")
     if len(J) == len(diagram.labels):
         raise ValueError("zero set must be a proper subset of the nodes")

@@ -102,6 +102,43 @@ def test_catalog_small():
     assert {d.spec for d in catalog(2)} == {"A1", "A2", "C2", "G2", "2A2"}
 
 
+def _kac_ends(d):
+    """The spine ends of ``d`` as Kac's Tables Aff 1-3 draw them, node 0's
+    end first, written out per family; None where the tables have no such
+    pair of ends."""
+    family, n = (d.e, d.ident.family), d.n_e
+    if family == (1, "B"):
+        return ("fork", (0, 1)), ("heavy", (n,))
+    if family == (1, "C"):
+        return ("light", (0,)), ("light", (n,))
+    if family == (1, "D"):
+        return ("fork", (0, 1)), ("fork", (n - 1, n))
+    if family == (2, "D") or d.spec == "2A3":
+        return ("heavy", (0,)), ("heavy", (n,))
+    if family == (2, "A") and d.ident.base_rank % 2 == 0:
+        return ("light", (0,)), ("heavy", (n,))
+    if family == (2, "A"):
+        return ("fork", (0, 1)), ("light", (n,))
+    return None
+
+
+def test_spine_ends_to_rank_40():
+    """Every diagram's end record is Kac's, and on every classical diagram
+    a heavy end is exactly a single end carrying the largest label."""
+    kinds = set()
+    for d in catalog(40):
+        assert d.ends == _kac_ends(d), d.spec
+        for end in d.ends or ():
+            kinds.add(end.kind)
+            if end.kind != "fork":
+                (u,) = end.nodes
+                assert (end.kind == "heavy") == (d.labels[u] == max(d.labels.values())), d.spec
+    assert kinds == {"fork", "heavy", "light"}
+    assert build_spec("D4").ends == (("fork", (0, 1)), ("fork", (3, 4)))
+    assert build_spec("2A2").ends == (("light", (0,)), ("heavy", (1,)))
+    assert build_spec("A1").ends is None
+
+
 def test_node_counts_and_twist():
     for spec, e, nodes in [
         ("A5", 1, 6),

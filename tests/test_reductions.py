@@ -14,6 +14,7 @@ import pytest
 from kacscope import reductions
 from kacscope.affine import Bond, Diagram, build, build_spec, catalog
 from kacscope.dynkin import connected_components
+from kacscope.ellreg import expected_classes
 from kacscope.reductions import (
     balance_step,
     contract,
@@ -767,6 +768,30 @@ def test_cases_agree_with_decomposition():
             assert m.gamma == data.gamma, (d.spec, sorted(J), m.name)
             # every matched instance is certified non-negative directly
             assert data.f_via_form >= 0
+
+
+def test_2a3_and_2d3_are_one_graph():
+    """2A3 is built as the 2D3 graph, so it has the same spine ends, the
+    same case on every zero set and the same predicted classes."""
+    a, d = build_spec("2A3"), build_spec("2D3")
+    assert (a.labels, a.bonds, a.ends) == (d.labels, d.bonds, d.ends)
+    matched = 0
+    for J in _nonempty_proper(a):
+        assert match_case(a, J) == match_case(d, J), sorted(J)
+        matched += match_case(a, J) is not None
+    assert matched == 1
+    assert [(c.m, c.s) for c in expected_classes(a)] == [(c.m, c.s) for c in expected_classes(d)]
+
+
+def test_no_case_without_spine_ends():
+    """E6-E8, F4, G2, 3D4, 2E6 and untwisted A have no end record and
+    match no case on any zero set."""
+    plain = [d for d in catalog(8) if d.ends is None]
+    assert {d.spec for d in plain} == {
+        "E6", "E7", "E8", "F4", "G2", "3D4", "2E6", *(f"A{n}" for n in range(1, 9))}
+    for d in plain:
+        for J in proper_subsets(d):
+            assert match_case(d, J) is None, (d.spec, sorted(J))
 
 
 # ---------------------------------------------------------------------------
