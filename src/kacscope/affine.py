@@ -14,7 +14,8 @@ holds the builder of each family; admission, :func:`build` and
 (with multiplicity and arrow tip), the Omega permutations and the layout
 data used for rendering; every path diagram comes from ``_chain`` and
 every fork of two unit-label tips from ``_fork``.  A :class:`Diagram` is
-the bare labelled graph, which is all the certificate depends on; an
+the bare labelled graph, its bonds plus node masks derived from them,
+which is all the certificate depends on; an
 :class:`AffineDiagram` is a ``Diagram`` plus name, Omega, layout and
 ``ends``, its two spine ends read from the graph (the ends of Kac's Tables
 Aff 1-3): a fork of two pendant tips on one hub, or one pendant node on an
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .dynkin import FiniteFactor, _classify_component, sort_factors
+from .dynkin import FiniteFactor, _classify_component, nodes_of, sort_factors
 
 __all__ = [
     "DiagramId",
@@ -70,11 +71,6 @@ __all__ = [
     "catalog",
     "render_kac",
 ]
-
-
-def nodes_of(mask: int) -> list[int]:
-    """The nodes of a node mask, node u being bit ``1 << u``, ascending."""
-    return [u for u in range(mask.bit_length()) if mask >> u & 1]
 
 
 @dataclass(frozen=True)
@@ -94,29 +90,31 @@ class Bond:
 
 
 class Diagram:
-    """A labelled multigraph with the arithmetic helpers the scans need.
+    """A labelled graph with the arithmetic helpers the scans need.
 
     Deliberately free of family metadata: the reduction moves produce
     diagrams that no longer carry a name, and every quantity entering the
     certified inequality (label sums, root counts of induced subdiagrams,
     n_e = #nodes - 1) is computed from the graph alone.
 
-    A diagram is not changed after construction, so ``label_sum`` and the
-    masks are derived once, in ``__init__``: node u is bit ``1 << u``, and
-    ``node_mask``, ``interior_mask`` (degree >= 2) and ``neighbours[u]``
-    are node masks.  ``labels`` is stored in node order.  A child made by
-    :meth:`contracted` shares with its parent every adjacency list that the
-    contraction did not change, so none is mutated once built, and updates
-    masks only at the contracted node's neighbours.  Each instance memoises
-    the factors of the components :meth:`factors` has classified on it, by
-    component mask, and the children :meth:`contracted` has made, one per
-    key; :mod:`kacscope.reductions` keeps its move table in ``_moves`` and
-    the child ``contract`` made per validated pair in ``_contractions``.
-    All memos start empty and live as long as the diagram, which for one
-    that :func:`build` caches is the whole process.
+    The graph is ``bonds`` plus node masks derived from them once, in
+    ``__init__``: node u is bit ``1 << u``, and ``node_mask``,
+    ``interior_mask`` (degree >= 2) and ``neighbours[u]`` are node masks.
+    A mask holds one bond per pair, so a bond that is a loop, repeats a
+    pair or has an end that is not a node raises ``ValueError``.
+    ``labels`` is stored in node order.  A diagram is not changed after
+    construction; :meth:`contracted` derives a child's masks from its
+    parent's, updating them only at the contracted node's neighbours.
+    Each instance memoises the factors of the components :meth:`factors`
+    has classified on it, by component mask, and the children
+    :meth:`contracted` has made, one per key; :mod:`kacscope.reductions`
+    keeps its move table in ``_moves`` and the child ``contract`` made per
+    validated pair in ``_contractions``.  All memos start empty and live as
+    long as the diagram, which for one that :func:`build` caches is the
+    whole process.
     """
 
-    __slots__ = ("e", "labels", "label_sum", "bonds", "adjacency", "node_mask", "neighbours",
+    __slots__ = ("e", "labels", "label_sum", "bonds", "node_mask", "neighbours",
                  "interior_mask", "_components", "_children", "_moves", "_contractions")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
@@ -124,28 +122,23 @@ class Diagram:
         self.labels = dict(sorted(labels.items()))
         self.label_sum = sum(self.labels.values())
         self.bonds = tuple(bonds)
-        adjacency: dict[int, list[tuple[int, int]]] = {u: [] for u in self.labels}
-        self.neighbours = neighbours = [0] * (max(self.labels, default=-1) + 1)
-        for b in self.bonds:
-            adjacency[b.u].append((b.v, b.mult))
-            adjacency[b.v].append((b.u, b.mult))
-            neighbours[b.u] |= 1 << b.v
-            neighbours[b.v] |= 1 << b.u
-        self.adjacency = adjacency
         self.node_mask = sum(1 << u for u in self.labels)
-        self.interior_mask = sum(1 << u for u, nb in adjacency.items() if len(nb) >= 2)
+        self.neighbours = neighbours = [0] * (max(self.labels, default=-1) + 1)
+        _link(neighbours, self.bonds, self.node_mask)
+        self.interior_mask = sum(1 << u for u in self.labels if neighbours[u].bit_count() >= 2)
         self._components, self._children, self._moves, self._contractions = {}, {}, None, {}
 
     def contracted(self, i: int, added: Sequence[Bond]) -> Diagram:
         """This diagram without node ``i`` and its bonds, plus the bonds
-        ``added``, each joining two neighbours of ``i``.
+        ``added``, each joining two neighbours of ``i`` that no other bond
+        joins.
 
         The result equals ``Diagram(e, labels, kept + added)`` built from
         scratch, with ``kept`` the bonds not at ``i`` in stored order, but
-        only the neighbours of ``i`` get new adjacency lists and masks and
-        are re-evaluated for the interior; every other list is the parent's.
-        ``added`` is checked on every call, then the child is memoised under
-        ``(i, *added)``: a repeated call returns it, one child per key.
+        only the neighbours of ``i`` get new masks and are re-evaluated for
+        the interior.  ``added`` is checked on every call, then the child is
+        memoised under ``(i, *added)``: a repeated call returns it, one child
+        per key.
         """
         nbrs = self.neighbours[i]
         for b in added:
@@ -160,22 +153,15 @@ class Diagram:
         child.labels = labels = dict(self.labels)
         del labels[i]
         child.label_sum = self.label_sum - self.labels[i]
-        kept = [b for b in self.bonds if b.u != i and b.v != i]
-        child.bonds = tuple(kept + list(added))
-        child.adjacency = adjacency = dict(self.adjacency)
-        del adjacency[i]
+        child.bonds = tuple([b for b in self.bonds if b.u != i and b.v != i] + list(added))
         child.neighbours = neighbours = list(self.neighbours)
+        neighbours[i] = 0
         for v in nodes_of(nbrs):
-            adjacency[v] = [(w, mult) for w, mult in adjacency[v] if w != i]
             neighbours[v] &= ~(1 << i)
-        for b in added:
-            adjacency[b.u].append((b.v, b.mult))
-            adjacency[b.v].append((b.u, b.mult))
-            neighbours[b.u] |= 1 << b.v
-            neighbours[b.v] |= 1 << b.u
         child.node_mask = self.node_mask & ~(1 << i)
+        _link(neighbours, added, child.node_mask)
         child.interior_mask = self.interior_mask & ~(1 << i) & ~nbrs | sum(
-            1 << v for v in nodes_of(nbrs) if len(adjacency[v]) >= 2)
+            1 << v for v in nodes_of(nbrs) if neighbours[v].bit_count() >= 2)
         child._components, child._children, child._moves, child._contractions = {}, {}, None, {}
         self._children[key] = child
         return child
@@ -201,7 +187,7 @@ class Diagram:
         return frozenset(nodes_of(self.interior_mask))
 
     def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
+        return self.neighbours[u].bit_count()
 
     # -- subset arithmetic -------------------------------------------------
 
@@ -246,7 +232,7 @@ class Diagram:
         for comp in self.components(self.mask_of(subset)):
             factors = memo.get(comp)
             if factors is None:
-                factors = memo[comp] = _classify_component(nodes_of(comp), self.adjacency)
+                factors = memo[comp] = _classify_component(comp, self.neighbours, self.bonds)
             found.extend(factors)
         return sort_factors(found) if len(found) > 1 else tuple(found)
 
@@ -254,6 +240,19 @@ class Diagram:
         """The bonds with both ends in ``subset``, in stored order.  They
         alone decide :meth:`factors` of ``subset``."""
         return tuple(b for b in self.bonds if b.u in subset and b.v in subset)
+
+
+def _link(neighbours: list[int], bonds: Sequence[Bond], node_mask: int) -> None:
+    """Add each bond to the neighbour masks of its two ends.  ``ValueError``
+    for a bond the masks cannot hold: an end not in ``node_mask``, a loop,
+    or a second bond on one pair."""
+    for b in bonds:
+        if not node_mask >> b.u & node_mask >> b.v & 1:
+            raise ValueError(f"bond ({b.u}, {b.v}) has an end that is not a node")
+        if b.u == b.v or neighbours[b.u] >> b.v & 1:
+            raise ValueError(f"bond ({b.u}, {b.v}) is a loop or repeats a pair")
+        neighbours[b.u] |= 1 << b.v
+        neighbours[b.v] |= 1 << b.u
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A subdiagram of one of the affine diagrams built in :mod:`kacscope.affine`
 decomposes into connected components, each of which must carry a finite
-Dynkin shape.  This module recognises those shapes from raw graph data
-(nodes, bonds with multiplicities) and turns them into
+Dynkin shape.  This module recognises those shapes from node
+masks and the bonds of multiplicity >= 2, and turns them into
 :class:`FiniteFactor` values with exact root counts.
 
 Only the root count of a factor ever enters the arithmetic downstream, so
@@ -17,7 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .affine import Bond
 
 
 class UnsupportedSubdiagramError(ValueError):
@@ -126,11 +129,16 @@ def total_root_count(factors: Iterable[FiniteFactor]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def connected_components(
-    nodes: Sequence[int], adjacency: Mapping[int, Sequence[tuple[int, int]]]
-) -> list[list[int]]:
-    """Components of the subgraph induced on ``nodes``, each sorted, in the
-    order of their first node in ``nodes``."""
+def nodes_of(mask: int) -> list[int]:
+    """The nodes of a node mask, node u being bit ``1 << u``, ascending."""
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
+
+
+def connected_components(nodes: Sequence[int], bonds: Sequence[Bond]) -> list[list[int]]:
+    """Components of the subgraph induced on ``nodes`` by ``bonds``, each
+    sorted, in the order of their first node in ``nodes``.  A search over
+    the bonds, independent of any node mask: the test oracle for
+    :meth:`Diagram.components`."""
     left = set(nodes)
     components: list[list[int]] = []
     for start in nodes:
@@ -139,7 +147,8 @@ def connected_components(
         left.remove(start)
         comp = [start]
         for u in comp:  # grows while it is walked: a breadth-first search
-            for v, _mult in adjacency.get(u, ()):
+            for b in bonds:
+                v = b.v if b.u == u else b.u if b.v == u else None
                 if v in left:
                     left.remove(v)
                     comp.append(v)
@@ -148,59 +157,66 @@ def connected_components(
     return components
 
 
-def _classify_component(
-    comp: Sequence[int], adjacency: Mapping[int, Sequence[tuple[int, int]]]
-) -> tuple[FiniteFactor, ...]:
-    comp_set = set(comp)
-    size = len(comp)
-    edges: list[tuple[int, int, int]] = []
-    for u in comp:
-        for v, mult in adjacency.get(u, ()):
-            if v in comp_set and u < v:
-                edges.append((u, v, mult))
+def _classify_component(comp: int, neighbours: Sequence[int],
+                        bonds: Sequence[Bond]) -> tuple[FiniteFactor, ...]:
+    """The factors of the connected node mask ``comp`` (node u is bit
+    ``1 << u``) in the graph of ``bonds``, whose node u has the neighbour
+    mask ``neighbours[u]``.  Degrees and arms come from the masks; only the
+    bonds of multiplicity >= 2 are read."""
+    size, degree_sum, branch_nodes, rest = comp.bit_count(), 0, [], comp
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        u = bit.bit_length() - 1
+        degree = (neighbours[u] & comp).bit_count()
+        degree_sum += degree
+        if degree >= 3:
+            branch_nodes.append(u)
 
-    if len(edges) != size - 1:
-        raise UnsupportedSubdiagramError(comp, "contains a cycle")
+    if degree_sum != 2 * (size - 1):
+        raise UnsupportedSubdiagramError(nodes_of(comp), "contains a cycle")
 
-    triples = [e for e in edges if e[2] == 3]
-    quads = [e for e in edges if e[2] >= 4]
-    doubles = [e for e in edges if e[2] == 2]
-
-    if quads:
-        raise UnsupportedSubdiagramError(comp, "quadruple bond is not finite type")
-    if triples:
-        if size == 2 and len(triples) == 1:
+    inside = [b for b in bonds if b.mult >= 2 and comp >> b.u & comp >> b.v & 1]
+    if any(b.mult >= 4 for b in inside):
+        raise UnsupportedSubdiagramError(nodes_of(comp), "quadruple bond is not finite type")
+    if any(b.mult == 3 for b in inside):
+        if size == 2 and len(inside) == 1:
             return canonical_factors("G", 2)
-        raise UnsupportedSubdiagramError(comp, "triple bond in a component larger than G2")
-    if len(doubles) > 1:
-        raise UnsupportedSubdiagramError(comp, "more than one double bond")
+        raise UnsupportedSubdiagramError(
+            nodes_of(comp), "triple bond in a component larger than G2")
+    if len(inside) > 1:
+        raise UnsupportedSubdiagramError(nodes_of(comp), "more than one double bond")
 
-    degree = {u: 0 for u in comp}
-    for u, v, _m in edges:
-        degree[u] += 1
-        degree[v] += 1
-    branch_nodes = [u for u in comp if degree[u] >= 3]
-
-    if doubles:
+    if inside:
         if branch_nodes:
-            raise UnsupportedSubdiagramError(comp, "double bond on a branched component")
-        # A path.  Locate the double bond by distance from the path ends.
-        u, v, _m = doubles[0]
-        if degree[u] == 1 or degree[v] == 1:
+            raise UnsupportedSubdiagramError(nodes_of(comp), "double bond on a branched component")
+        # A path: the double bond is at an end of it or, in F4, in the middle.
+        (b,) = inside
+        if (neighbours[b.u] & comp).bit_count() == 1 or (neighbours[b.v] & comp).bit_count() == 1:
             return canonical_factors("B", size)
         if size == 4:
             return canonical_factors("F", 4)
-        raise UnsupportedSubdiagramError(comp, "interior double bond outside F4 shape")
+        raise UnsupportedSubdiagramError(nodes_of(comp), "interior double bond outside F4 shape")
 
     # Simply laced.
     if not branch_nodes:
         return canonical_factors("A", size)
     if len(branch_nodes) > 1:
-        raise UnsupportedSubdiagramError(comp, "two branch nodes")
+        raise UnsupportedSubdiagramError(nodes_of(comp), "two branch nodes")
     hub = branch_nodes[0]
-    if degree[hub] > 3:
-        raise UnsupportedSubdiagramError(comp, "node of degree four")
-    arms = sorted(_arm_lengths(hub, comp_set, adjacency))
+    heads = neighbours[hub] & comp
+    if heads.bit_count() > 3:
+        raise UnsupportedSubdiagramError(nodes_of(comp), "node of degree four")
+    arms = []
+    while heads:  # walk each arm from its head; no arm node branches
+        step = heads & -heads
+        heads ^= step
+        arm = 1 << hub
+        while step:
+            arm |= step
+            step = neighbours[step.bit_length() - 1] & comp & ~arm
+        arms.append(arm.bit_count() - 1)
+    arms.sort()
     if arms[0] == 1 and arms[1] == 1:
         return canonical_factors("D", arms[2] + 3)
     if arms == [1, 2, 2]:
@@ -209,39 +225,19 @@ def _classify_component(
         return canonical_factors("E", 7)
     if arms == [1, 2, 4]:
         return canonical_factors("E", 8)
-    raise UnsupportedSubdiagramError(comp, f"star with arm lengths {arms}")
+    raise UnsupportedSubdiagramError(nodes_of(comp), f"star with arm lengths {arms}")
 
 
-def _arm_lengths(
-    hub: int, comp_set: set[int], adjacency: Mapping[int, Sequence[tuple[int, int]]]
-) -> list[int]:
-    lengths = []
-    for v, _m in adjacency[hub]:
-        if v not in comp_set:
-            continue
-        length = 0
-        prev, cur = hub, v
-        while True:
-            length += 1
-            nxt = [w for w, _m2 in adjacency[cur] if w in comp_set and w != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-        lengths.append(length)
-    return lengths
+def classify_nodes(nodes: Sequence[int], bonds: Sequence[Bond]) -> tuple[FiniteFactor, ...]:
+    """Classify the subdiagram induced on ``nodes`` by ``bonds``.
 
-
-def classify_nodes(
-    nodes: Sequence[int], adjacency: Mapping[int, Sequence[tuple[int, int]]]
-) -> tuple[FiniteFactor, ...]:
-    """Classify the subdiagram induced on ``nodes``.
-
-    ``adjacency`` maps each node to ``(neighbour, bond multiplicity)``
-    pairs for the ambient graph.  Raises
-    :class:`UnsupportedSubdiagramError` if any component is not a finite
-    Dynkin shape.
+    The components come from :func:`connected_components`, a search over
+    the bonds.  Raises :class:`UnsupportedSubdiagramError` if any component
+    is not a finite Dynkin shape.
     """
+    neighbours = [sum(1 << (b.v if b.u == u else b.u) for b in bonds if u in (b.u, b.v))
+                  for u in range(max(nodes, default=-1) + 1)]
     factors: list[FiniteFactor] = []
-    for comp in connected_components(nodes, adjacency):
-        factors.extend(_classify_component(comp, adjacency))
+    for comp in connected_components(nodes, bonds):
+        factors.extend(_classify_component(sum(1 << u for u in comp), neighbours, bonds))
     return sort_factors(factors)

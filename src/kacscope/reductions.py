@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, Optional
 
-from .affine import AffineDiagram, Bond, Diagram, nodes_of
-from .dynkin import total_root_count
+from .affine import AffineDiagram, Bond, Diagram
+from .dynkin import nodes_of, total_root_count
 from .thomae import f_value, zero_set_data
 
 
@@ -152,9 +152,9 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
         raise ValueError("contraction applies to off-J nodes only")
     if (child := graph._contractions.get((i, j))) is not None:
         return child
-    mult_to = dict(graph.adjacency[i])
-    if j not in mult_to:
+    if not graph.neighbours[i] >> j & 1:
         raise ValueError(f"nodes {i} and {j} are not adjacent")
+    mult_to = {b.v if b.u == i else b.u: b.mult for b in graph.bonds if i in (b.u, b.v)}
     deg = len(mult_to)
     added: list[Bond] = []
     if deg == 2:
@@ -378,12 +378,11 @@ def switch_sites(graph: Diagram, J: frozenset[int]) -> list[tuple[int, int, int]
     ``ValueError`` when ``J`` holds a node not in the graph."""
     graph.mask_of(J)
     sites = []
-    interior = graph.interior
     for i in graph.nodes:
         if i in J or graph.degree(i) != 3:
             continue
-        tips = [v for v, _ in graph.adjacency[i] if graph.degree(v) == 1]
-        inner = [v for v, _ in graph.adjacency[i] if v in interior]
+        tips = [v for v in nodes_of(graph.neighbours[i]) if graph.degree(v) == 1]
+        inner = nodes_of(graph.neighbours[i] & graph.interior_mask)
         if len(tips) != 2 or len(inner) != 1 or inner[0] not in J:
             continue
         for j in tips:
@@ -410,7 +409,7 @@ def switch_step(
     graph.mask_of((i, j, k))
     if i in J or j in J or k not in J:
         return None
-    nbrs = [v for v, _ in graph.adjacency[i]]
+    nbrs = nodes_of(graph.neighbours[i])
     tips = [v for v in nbrs if graph.degree(v) == 1]
     if len(nbrs) != 3 or len(tips) != 2 or j not in tips or k not in nbrs or k in tips:
         raise ValueError(
@@ -685,8 +684,10 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
     ``|R_J|``, ``c^J``, ``n`` and ``c_J`` are verified against
     :func:`zero_set_data`.  A failed check means the configuration is not
     in the case's normal form (e.g. not fully contracted) and None is
-    returned rather than a wrong closed form.
+    returned rather than a wrong closed form.  Raises ``ValueError`` when
+    ``J`` holds a node not in the diagram.
     """
+    diagram.mask_of(J)
     if not diagram.interior:
         return None  # two-node diagram: no spine for the case taxonomy
     try:

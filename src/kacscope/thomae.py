@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .affine import AffineDiagram, Diagram
-from .dynkin import factors_type_string, total_root_count
+from .dynkin import factors_type_string, nodes_of, total_root_count
 from . import kac
 
 
@@ -185,10 +185,7 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
     """
     nodes = diagram.nodes
     index = {u: i for i, u in enumerate(nodes)}
-    neighbours = [0] * len(nodes)
-    for u, i in index.items():
-        for v, _mult in diagram.adjacency[u]:
-            neighbours[i] |= 1 << index[v]
+    neighbours = [sum(1 << index[v] for v in nodes_of(diagram.neighbours[u])) for u in nodes]
     labels = [diagram.labels[u] for u in nodes]
     full = (1 << len(nodes)) - 1
     r = [0] * full

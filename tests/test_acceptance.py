@@ -144,11 +144,9 @@ def _glossary_z(graph, J):
     """No two adjacent off-J interior nodes, and the interior runs of J
     have at most two consecutive sizes."""
     interior = graph.interior
-    off = [u for u in graph.nodes if u not in J and u in interior]
-    for u in off:
-        for v, _ in graph.adjacency[u]:
-            if v in interior and v not in J and v > u:
-                return False
+    off = {u for u in graph.nodes if u not in J and u in interior}
+    if any(b.u in off and b.v in off for b in graph.bonds):
+        return False
     sizes = sorted({len(c) for c in runs_of(graph, J)[0]})
     if len(sizes) > 2 or (len(sizes) == 2 and sizes[1] - sizes[0] != 1):
         return False
@@ -202,7 +200,7 @@ def test_criterion_6_refinement_reaches_z_monotonically():
     vexing = 0
     for d in _classical(12):
         g = d
-        if all(len(g.adjacency[u]) < 3 for u in g.nodes):
+        if all(g.degree(u) < 3 for u in g.nodes):
             continue  # switches only arise at forks
         for J in _nonempty_proper(d):
             for site in switch_sites(g, J):

@@ -11,7 +11,9 @@ import pytest
 from kacscope.affine import (
     Bond, Diagram, DiagramId, build, build_spec, catalog, parse_spec, render_kac,
 )
-from kacscope.dynkin import UnsupportedSubdiagramError, classify_nodes, factors_type_string
+from kacscope.dynkin import (
+    UnsupportedSubdiagramError, classify_nodes, factors_type_string, nodes_of,
+)
 from kacscope.thomae import proper_subsets
 
 
@@ -187,16 +189,22 @@ def test_label_gcd_and_sum():
         assert d.label_sum >= 2
 
 
+def _bond_set(bonds, perm):
+    """Each bond as (its two ends, multiplicity, arrow tip), with every
+    node u read as ``perm[u]``."""
+    return {(frozenset((perm[b.u], perm[b.v])), b.mult, None if b.tip is None else perm[b.tip])
+            for b in bonds}
+
+
 def test_omega_permutations_preserve_structure():
-    for d in catalog(9):
+    """Each Omega permutation keeps the labels and maps the bond set onto
+    itself, multiplicity and arrow tip included."""
+    for d in catalog(16):
         for perm in d.omega:
             assert sorted(perm) == list(d.nodes)
             for i in d.nodes:
                 assert d.labels[perm[i]] == d.labels[i]
-            # adjacency (with multiplicities) is preserved
-            for i in d.nodes:
-                image = sorted((perm[j], m) for j, m in d.adjacency[i])
-                assert image == sorted(d.adjacency[perm[i]])
+            assert _bond_set(d.bonds, perm) == _bond_set(d.bonds, d.nodes), (d.spec, perm)
 
 
 def test_omega_sizes():
@@ -267,7 +275,7 @@ def test_factors_memo_agrees_with_the_classifier():
     for d in catalog(10):
         g = Diagram(d.e, d.labels, d.bonds)  # a memo of its own, empty
         for J in proper_subsets(d):
-            want = classify_nodes(sorted(J), d.adjacency)
+            want = classify_nodes(sorted(J), d.bonds)
             assert g.factors(J) == want, (d.spec, sorted(J))
             assert g.factors(J) == want, (d.spec, sorted(J))
         for _ in range(2):
@@ -290,18 +298,21 @@ def test_factors_refuses_a_node_outside_the_diagram(subset, missing):
 
 def _snapshot(g):
     return (
-        list(g.labels.items()), g.bonds, list(g.adjacency.items()), g.interior, g.label_sum
+        list(g.labels.items()), g.bonds, [g.neighbours[u] for u in g.nodes],
+        g.node_mask, g.interior_mask, g.label_sum,
     )
 
 
 def test_contracted_equals_a_fresh_build_for_any_node():
     """``contracted`` on any node, with no added bond (the neighbours lose
-    a degree) or one joining two of its neighbours, equals the same graph
-    built from scratch and leaves its parent unchanged."""
+    a degree) or one joining two of its neighbours that no bond joins yet,
+    equals the same graph built from scratch and leaves its parent
+    unchanged."""
     for d in catalog(8):
         for i in d.nodes:
-            nbrs = sorted(v for v, _mult in d.adjacency[i])
-            choices = [[]] + ([[Bond(nbrs[0], nbrs[1], 2)]] if len(nbrs) > 1 else [])
+            nbrs = nodes_of(d.neighbours[i])
+            joined = len(nbrs) > 1 and d.neighbours[nbrs[0]] >> nbrs[1] & 1
+            choices = [[]] + ([[Bond(nbrs[0], nbrs[1], 2)]] if len(nbrs) > 1 and not joined else [])
             for added in choices:
                 parent = _snapshot(d)
                 child = d.contracted(i, added)
@@ -309,6 +320,36 @@ def test_contracted_equals_a_fresh_build_for_any_node():
                 kept = [b for b in d.bonds if i not in (b.u, b.v)]
                 labels = {u: c for u, c in d.labels.items() if u != i}
                 assert _snapshot(child) == _snapshot(Diagram(d.e, labels, kept + added))
+
+
+def test_contracted_refuses_a_bond_on_a_joined_pair():
+    """An added bond may not repeat a pair that a kept bond or another
+    added bond already joins, nor be a loop.  In ``catalog(8)`` two
+    neighbours of one node are joined only on the 3-cycle A2."""
+    joined = []
+    for d in catalog(8):
+        for i in d.nodes:
+            nbrs = nodes_of(d.neighbours[i])
+            if len(nbrs) > 1 and d.neighbours[nbrs[0]] >> nbrs[1] & 1:
+                joined.append((d.spec, i))
+                with pytest.raises(ValueError, match="loop or repeats a pair"):
+                    d.contracted(i, [Bond(nbrs[0], nbrs[1], 2)])
+                assert (i, Bond(nbrs[0], nbrs[1], 2)) not in d._children
+    assert joined == [("A2", 0), ("A2", 1), ("A2", 2)]
+    d = build_spec("D6")
+    for added in ([Bond(2, 4), Bond(4, 2, 2)], [Bond(2, 2)]):
+        with pytest.raises(ValueError, match="loop or repeats a pair"):
+            d.contracted(3, added)
+
+
+@pytest.mark.parametrize("labels, bonds, message", [
+    ({0: 1, 1: 1}, [Bond(0, 2)], "bond (0, 2) has an end that is not a node"),
+    ({0: 1, 1: 1}, [Bond(0, 1), Bond(1, 1)], "bond (1, 1) is a loop or repeats a pair"),
+    ({0: 1, 1: 1}, [Bond(0, 1), Bond(1, 0, 2, 0)], "bond (1, 0) is a loop or repeats a pair"),
+])
+def test_diagram_refuses_bonds_the_masks_cannot_hold(labels, bonds, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Diagram(1, labels, bonds)
 
 
 def test_contracted_rejects_a_bond_beyond_the_neighbours():

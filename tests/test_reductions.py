@@ -117,6 +117,7 @@ def test_contraction_drop_rejects_node_in_J():
         pytest.param(lambda g, J: contractible_pair(g, frozenset({99})), id="contractible_pair"),
         pytest.param(lambda g, J: in_Z(g, frozenset({99})), id="in_Z"),
         pytest.param(lambda g, J: switch_sites(g, frozenset({99})), id="switch_sites"),
+        pytest.param(lambda g, J: match_case(g, frozenset({99})), id="match_case"),
     ],
 )
 def test_node_outside_the_graph_is_rejected(call):
@@ -128,17 +129,17 @@ def test_contracted_child_equals_a_fresh_build():
     """Every contraction ``reduce_to_z`` makes over the classical diagrams
     to rank 9 derives a child equal to the same graph built from scratch
     (the parent's labels without ``i``; its bonds not at ``i``, in stored
-    order, then the added ones), and leaves the parent's adjacency as it
-    was."""
+    order, then the added ones), masks included, and leaves the parent's
+    masks as they were."""
     children = 0
     for d in _classical(9):
         for J in _nonempty_proper(d):
             g = d
             while (pair := contractible_pair(g, J)) is not None:
                 i = pair[0]
-                parent_adjacency = [(u, list(nb)) for u, nb in g.adjacency.items()]
+                parent_masks = (list(g.neighbours), g.node_mask, g.interior_mask)
                 child = contract(g, J, *pair)
-                assert [(u, list(nb)) for u, nb in g.adjacency.items()] == parent_adjacency
+                assert (list(g.neighbours), g.node_mask, g.interior_mask) == parent_masks
 
                 kept = tuple(b for b in g.bonds if i not in (b.u, b.v))
                 assert child.bonds[: len(kept)] == kept
@@ -146,7 +147,8 @@ def test_contracted_child_equals_a_fresh_build():
                 fresh = Diagram(g.e, labels, kept + child.bonds[len(kept):])
                 assert list(child.labels.items()) == list(fresh.labels.items())
                 assert child.bonds == fresh.bonds
-                assert list(child.adjacency.items()) == list(fresh.adjacency.items())
+                assert [child.neighbours[u] for u in child.nodes] == [
+                    fresh.neighbours[u] for u in fresh.nodes]
                 assert child.interior == fresh.interior
                 assert child.label_sum == fresh.label_sum
                 g = child
@@ -217,12 +219,12 @@ def test_memoised_children_equal_a_fresh_build():
         fresh = Diagram(parent.e, labels, kept + added)
         assert list(child.labels.items()) == list(fresh.labels.items())
         assert child.bonds == fresh.bonds
-        assert list(child.adjacency.items()) == list(fresh.adjacency.items())
         assert child.interior == fresh.interior
         assert child.label_sum == fresh.label_sum
         masks = [child.neighbours[u] for u in child.nodes]
         assert masks == [fresh.neighbours[u] for u in fresh.nodes]
-        assert masks == [sum(1 << v for v, _mult in fresh.adjacency[u]) for u in fresh.nodes]
+        assert masks == [sum(1 << (b.v if b.u == u else b.u)
+                             for b in fresh.bonds if u in (b.u, b.v)) for u in fresh.nodes]
         assert (child.node_mask, child.interior_mask) == (fresh.node_mask, fresh.interior_mask)
         assert child.interior_mask == sum(1 << u for u in fresh.nodes if fresh.degree(u) >= 2)
     assert len(found) == 1_194
@@ -286,7 +288,7 @@ def _components_runs(graph, nodes):
     """The reference run split: ``dynkin.connected_components``, with a run
     interior when each of its nodes has two or more bonds."""
     inner, outer = [], []
-    for comp in map(frozenset, connected_components(sorted(nodes), graph.adjacency)):
+    for comp in map(frozenset, connected_components(sorted(nodes), graph.bonds)):
         (inner if all(graph.degree(u) >= 2 for u in comp) else outer).append(comp)
     return inner, outer
 

@@ -268,9 +268,9 @@ def _component_walk_tables(d):
     nodes = d.nodes
     index = {u: i for i, u in enumerate(nodes)}
     neighbours = [0] * len(nodes)
-    for u, i in index.items():
-        for v, _mult in d.adjacency[u]:
-            neighbours[i] |= 1 << index[v]
+    for b in d.bonds:
+        neighbours[index[b.u]] |= 1 << index[b.v]
+        neighbours[index[b.v]] |= 1 << index[b.u]
     labels = [d.labels[u] for u in nodes]
     full = (1 << len(nodes)) - 1
     r = [0] * full
@@ -342,7 +342,7 @@ def test_subset_tables_classify_each_connected_set_once(monkeypatch):
         calls.clear()
         subset_tables(d)
         connected = sum(
-            len(connected_components(J, d.adjacency)) == 1
+            len(connected_components(J, d.bonds)) == 1
             for size in range(1, len(d.nodes))
             for J in itertools.combinations(d.nodes, size)
         )
