@@ -24,7 +24,8 @@ diagrams, when it has the largest label) and ``light`` when away.  ``ends``
 is None on untwisted A, E6-E8, F4, G2, 3D4 and 2E6.
 Everything downstream (subset scans, reductions, tables) consumes these
 graphs, and the reduction moves turn an ``AffineDiagram`` into bare
-``Diagram`` values.
+``Diagram`` values, each built by ``Diagram(e, labels, bonds)`` like any
+other.
 
 Node order conventions
 ----------------------
@@ -102,69 +103,35 @@ class Diagram:
     ``interior_mask`` (degree >= 2) and ``neighbours[u]`` are node masks.
     A mask holds one bond per pair, so a bond that is a loop, repeats a
     pair or has an end that is not a node raises ``ValueError``.
-    ``labels`` is stored in node order.  A diagram is not changed after
-    construction; :meth:`contracted` derives a child's masks from its
-    parent's, updating them only at the contracted node's neighbours.
-    Each instance memoises the factors of the components :meth:`factors`
-    has classified on it, by component mask, and the children
-    :meth:`contracted` has made, one per key; :mod:`kacscope.reductions`
-    keeps its move table in ``_moves`` and the child ``contract`` made per
-    validated pair in ``_contractions``.  All memos start empty and live as
-    long as the diagram, which for one that :func:`build` caches is the
-    whole process.
+    ``labels`` is stored in node order.  ``__init__`` is the only way a
+    diagram is made, and it is not changed after construction: a
+    contraction builds its child afresh.  Each instance memoises the
+    factors of the components :meth:`factors` has classified on it, by
+    component mask; :mod:`kacscope.reductions` keeps its move table in
+    ``_moves`` and the children ``contract`` made in ``_contractions``.
+    All memos start empty and live as long as the diagram, which for one
+    that :func:`build` caches is the whole process.
     """
 
     __slots__ = ("e", "labels", "label_sum", "bonds", "node_mask", "neighbours",
-                 "interior_mask", "_components", "_children", "_moves", "_contractions")
+                 "interior_mask", "_components", "_moves", "_contractions")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
         self.labels = dict(sorted(labels.items()))
         self.label_sum = sum(self.labels.values())
         self.bonds = tuple(bonds)
-        self.node_mask = sum(1 << u for u in self.labels)
+        self.node_mask = node_mask = sum(1 << u for u in self.labels)
         self.neighbours = neighbours = [0] * (max(self.labels, default=-1) + 1)
-        _link(neighbours, self.bonds, self.node_mask)
+        for b in self.bonds:
+            if not node_mask >> b.u & node_mask >> b.v & 1:
+                raise ValueError(f"bond ({b.u}, {b.v}) has an end that is not a node")
+            if b.u == b.v or neighbours[b.u] >> b.v & 1:
+                raise ValueError(f"bond ({b.u}, {b.v}) is a loop or repeats a pair")
+            neighbours[b.u] |= 1 << b.v
+            neighbours[b.v] |= 1 << b.u
         self.interior_mask = sum(1 << u for u in self.labels if neighbours[u].bit_count() >= 2)
-        self._components, self._children, self._moves, self._contractions = {}, {}, None, {}
-
-    def contracted(self, i: int, added: Sequence[Bond]) -> Diagram:
-        """This diagram without node ``i`` and its bonds, plus the bonds
-        ``added``, each joining two neighbours of ``i`` that no other bond
-        joins.
-
-        The result equals ``Diagram(e, labels, kept + added)`` built from
-        scratch, with ``kept`` the bonds not at ``i`` in stored order, but
-        only the neighbours of ``i`` get new masks and are re-evaluated for
-        the interior.  ``added`` is checked on every call, then the child is
-        memoised under ``(i, *added)``: a repeated call returns it, one child
-        per key.
-        """
-        nbrs = self.neighbours[i]
-        for b in added:
-            if not nbrs >> b.u & nbrs >> b.v & 1:
-                raise ValueError(f"an added bond must join two neighbours of node {i}")
-        key = (i, *added)
-        child = self._children.get(key)
-        if child is not None:
-            return child
-        child = object.__new__(Diagram)
-        child.e = self.e
-        child.labels = labels = dict(self.labels)
-        del labels[i]
-        child.label_sum = self.label_sum - self.labels[i]
-        child.bonds = tuple([b for b in self.bonds if b.u != i and b.v != i] + list(added))
-        child.neighbours = neighbours = list(self.neighbours)
-        neighbours[i] = 0
-        for v in nodes_of(nbrs):
-            neighbours[v] &= ~(1 << i)
-        child.node_mask = self.node_mask & ~(1 << i)
-        _link(neighbours, added, child.node_mask)
-        child.interior_mask = self.interior_mask & ~(1 << i) & ~nbrs | sum(
-            1 << v for v in nodes_of(nbrs) if neighbours[v].bit_count() >= 2)
-        child._components, child._children, child._moves, child._contractions = {}, {}, None, {}
-        self._children[key] = child
-        return child
+        self._components, self._moves, self._contractions = {}, None, {}
 
     # -- basic data ------------------------------------------------------
 
@@ -187,6 +154,9 @@ class Diagram:
         return frozenset(nodes_of(self.interior_mask))
 
     def degree(self, u: int) -> int:
+        """The number of bonds at node ``u``; ``ValueError`` for a non-node."""
+        if u < 0 or not self.node_mask >> u & 1:
+            raise ValueError(f"not a node subset: [{u}]")
         return self.neighbours[u].bit_count()
 
     # -- subset arithmetic -------------------------------------------------
@@ -195,12 +165,17 @@ class Diagram:
         return sum(map(self.labels.__getitem__, nodes))
 
     def mask_of(self, nodes) -> int:
-        """The node mask of ``nodes``; ``ValueError`` names any non-node."""
+        """The node mask of the collection ``nodes``; ``ValueError`` names
+        any non-node, a negative one included."""
         mask = 0
-        for u in nodes:
-            mask |= 1 << u
+        try:
+            for u in nodes:
+                mask |= 1 << u
+        except ValueError:  # a negative shift count
+            mask = -1
         if mask & ~self.node_mask:
-            raise ValueError(f"not a node subset: {nodes_of(mask & ~self.node_mask)}")
+            outside = {u for u in nodes if u < 0 or not self.node_mask >> u & 1}
+            raise ValueError(f"not a node subset: {sorted(outside)}")
         return mask
 
     def components(self, mask: int) -> list[int]:
@@ -240,19 +215,6 @@ class Diagram:
         """The bonds with both ends in ``subset``, in stored order.  They
         alone decide :meth:`factors` of ``subset``."""
         return tuple(b for b in self.bonds if b.u in subset and b.v in subset)
-
-
-def _link(neighbours: list[int], bonds: Sequence[Bond], node_mask: int) -> None:
-    """Add each bond to the neighbour masks of its two ends.  ``ValueError``
-    for a bond the masks cannot hold: an end not in ``node_mask``, a loop,
-    or a second bond on one pair."""
-    for b in bonds:
-        if not node_mask >> b.u & node_mask >> b.v & 1:
-            raise ValueError(f"bond ({b.u}, {b.v}) has an end that is not a node")
-        if b.u == b.v or neighbours[b.u] >> b.v & 1:
-            raise ValueError(f"bond ({b.u}, {b.v}) is a loop or repeats a pair")
-        neighbours[b.u] |= 1 << b.v
-        neighbours[b.v] |= 1 << b.u
 
 
 # ---------------------------------------------------------------------------

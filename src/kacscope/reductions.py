@@ -30,8 +30,8 @@ one-line certificate and never needs reduction.
 
 The moves work on ``J`` as an ``int`` node mask (see :class:`Diagram`), made
 once from the node set a public function takes and split into runs by
-:func:`_runs` alone.  Each graph memoises its move table and, per pair
-``(i, j)`` :func:`contract` has validated, the child it made.
+:func:`_runs` alone.  Each graph memoises its move table and the children
+:func:`contract` has made on it.
 """
 
 from __future__ import annotations
@@ -94,7 +94,8 @@ def _first_move(graph: Diagram, J: int) -> Optional[tuple[int, int]]:
     for bond in moves:
         if not bond & J:
             u, v = (bond & -bond).bit_length() - 1, bond.bit_length() - 1
-            return (v, u) if graph.degree(u) != 2 and graph.degree(v) == 2 else (u, v)
+            nbrs = graph.neighbours
+            return (v, u) if nbrs[u].bit_count() != 2 and nbrs[v].bit_count() == 2 else (u, v)
     return None
 
 
@@ -144,16 +145,26 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
     neighbours; the surviving bond keeps the higher multiplicity.  When the
     two dying bonds are both multiple the replacement is the symmetric
     quadruple bond.  A degree-three ``i`` hands its pendant tips to ``j``.
-    ``J`` itself, and hence the root system it spans, is untouched.  The
-    result comes from :meth:`Diagram.contracted`, memoised per valid pair.
+    ``J`` itself, and hence the root system it spans, is untouched.
+
+    The child is ``Diagram(e, labels, kept + added)``, with ``kept`` the
+    bonds not at ``i`` in stored order.  It is memoised on ``graph`` under
+    what decides it: ``i`` alone for a degree-two node, whose two partners
+    add the same bond, and ``(i, j)`` for a fork.  The nodes, ``J`` and
+    the bond ``(i, j)`` are checked on every call; the checks on the shape
+    around ``i`` depend on the key alone, which is stored once they pass.
     """
-    graph.mask_of((i, j))
+    labels = graph.labels
+    if not (i in labels and j in labels and labels.keys() >= J):
+        graph.mask_of((i, j, *J))  # raises, naming every non-node
     if i in J or j in J:
         raise ValueError("contraction applies to off-J nodes only")
-    if (child := graph._contractions.get((i, j))) is not None:
-        return child
-    if not graph.neighbours[i] >> j & 1:
+    nbrs = graph.neighbours[i]
+    if not nbrs >> j & 1:
         raise ValueError(f"nodes {i} and {j} are not adjacent")
+    key = i if nbrs.bit_count() == 2 else (i, j)
+    if (child := graph._contractions.get(key)) is not None:
+        return child
     mult_to = {b.v if b.u == i else b.u: b.mult for b in graph.bonds if i in (b.u, b.v)}
     deg = len(mult_to)
     added: list[Bond] = []
@@ -170,7 +181,9 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
             added.append(Bond(min(t, j), max(t, j)))
     else:
         raise ValueError(f"node {i} has degree {deg}; contraction needs 2 or 3")
-    graph._contractions[i, j] = child = graph.contracted(i, added)
+    kept = [b for b in graph.bonds if i != b.u and i != b.v]
+    child = Diagram(graph.e, {u: c for u, c in labels.items() if u != i}, kept + added)
+    graph._contractions[key] = child
     return child
 
 
@@ -290,7 +303,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     decrease must equal the predicted drop and be positive.  Any
     disagreement raises ``AssertionError``.  The result must lie in ``Z``,
     and its ``f`` value never exceeds the starting one.  Its ``final_graph``
-    is memoised by :meth:`Diagram.contracted`, so other traces may share it.
+    is memoised by :func:`contract`, so other traces may share it.
     """
     if diagram.cyclic:
         raise ValueError("cycle diagrams are not reduced; their bound is direct")
@@ -404,9 +417,9 @@ def switch_step(
     configuration ``q = 1, s = 0``.  Raises ``ValueError`` when ``i`` is
     not a fork with two pendant tips, ``j`` one of them and ``k`` its
     interior neighbour, and ``ValueError("not a node subset: ...")`` when
-    one of them is not a node of ``graph``.
+    one of them, or a node of ``J``, is not a node of ``graph``.
     """
-    graph.mask_of((i, j, k))
+    graph.mask_of((i, j, k, *J))
     if i in J or j in J or k not in J:
         return None
     nbrs = nodes_of(graph.neighbours[i])
@@ -424,14 +437,8 @@ def switch_step(
     s = 0 if far_tip in J else 1
     c_up = graph.label_sum - graph.label_sum_of(J)
     drop = 2 * (q + s - 1) * c_up
-    new_J = (J - {k}) | {i}
-    return SwitchResult(
-        new_J=frozenset(new_J),
-        q=q,
-        s=s,
-        drop=drop,
-        vexing=(q == 1 and s == 0),
-    )
+    return SwitchResult(new_J=frozenset(J - {k} | {i}), q=q, s=s, drop=drop,
+                        vexing=(q == 1 and s == 0))
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +515,11 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     alpha = (c * r_boundary + a * q * (q - 1)) - (b * c * (q - 1) + q * c_boundary)
     beta = (c * r_boundary + a * q * (q + 1)) - (b * c * q + (q + 1) * c_boundary)
     gamma = a * r_boundary - b * c_boundary
-    data = GreekData(
+    return GreekData(
         c=c, q=q, x=x, y=y, a=a, b=b,
         r_boundary=r_boundary, c_boundary=c_boundary,
         alpha=alpha, beta=beta, gamma=gamma,
     )
-    return data
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from kacscope.affine import (
 from kacscope.dynkin import (
     UnsupportedSubdiagramError, classify_nodes, factors_type_string, nodes_of,
 )
+from kacscope.reductions import contract, contraction_drop, runs_of
 from kacscope.thomae import proper_subsets
 
 
@@ -304,42 +305,49 @@ def _snapshot(g):
 
 
 def test_contracted_equals_a_fresh_build_for_any_node():
-    """``contracted`` on any node, with no added bond (the neighbours lose
-    a degree) or one joining two of its neighbours that no bond joins yet,
-    equals the same graph built from scratch and leaves its parent
-    unchanged."""
-    for d in catalog(8):
+    """``contract`` on any node toward any neighbour, on a bare copy of each
+    diagram in ``catalog(8)``, leaves its parent unchanged and either
+    refuses or makes a child equal to the same graph built anew:
+    the labels without the deleted node, then its parent's bonds not at
+    that node, in stored order, then the added ones."""
+    made = 0
+    for named in catalog(8):
+        d = Diagram(named.e, named.labels, named.bonds)
         for i in d.nodes:
-            nbrs = nodes_of(d.neighbours[i])
-            joined = len(nbrs) > 1 and d.neighbours[nbrs[0]] >> nbrs[1] & 1
-            choices = [[]] + ([[Bond(nbrs[0], nbrs[1], 2)]] if len(nbrs) > 1 and not joined else [])
-            for added in choices:
+            for j in nodes_of(d.neighbours[i]):
                 parent = _snapshot(d)
-                child = d.contracted(i, added)
+                try:
+                    child = contract(d, frozenset(), i, j)
+                except ValueError:
+                    child = None
                 assert _snapshot(d) == parent
-                kept = [b for b in d.bonds if i not in (b.u, b.v)]
+                if child is None:
+                    continue
+                kept = tuple(b for b in d.bonds if i not in (b.u, b.v))
+                assert child.bonds[:len(kept)] == kept
                 labels = {u: c for u, c in d.labels.items() if u != i}
-                assert _snapshot(child) == _snapshot(Diagram(d.e, labels, kept + added))
+                assert _snapshot(child) == _snapshot(Diagram(d.e, labels, child.bonds))
+                made += 1
+    assert made == 288
 
 
 def test_contracted_refuses_a_bond_on_a_joined_pair():
-    """An added bond may not repeat a pair that a kept bond or another
-    added bond already joins, nor be a loop.  In ``catalog(8)`` two
-    neighbours of one node are joined only on the 3-cycle A2."""
+    """A contraction may not add a bond on a pair that a kept bond already
+    joins.  In ``catalog(8)`` two neighbours of one node are joined only on
+    the 3-cycle A2: ``contract`` refuses each of its nodes toward either
+    neighbour, on every call, and memoises nothing."""
     joined = []
-    for d in catalog(8):
+    for named in catalog(8):
+        d = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
         for i in d.nodes:
             nbrs = nodes_of(d.neighbours[i])
             if len(nbrs) > 1 and d.neighbours[nbrs[0]] >> nbrs[1] & 1:
-                joined.append((d.spec, i))
-                with pytest.raises(ValueError, match="loop or repeats a pair"):
-                    d.contracted(i, [Bond(nbrs[0], nbrs[1], 2)])
-                assert (i, Bond(nbrs[0], nbrs[1], 2)) not in d._children
+                joined.append((named.spec, i))
+                for j in nbrs * 2:
+                    with pytest.raises(ValueError, match="loop or repeats a pair"):
+                        contract(d, frozenset(), i, j)
+                assert d._contractions == {}
     assert joined == [("A2", 0), ("A2", 1), ("A2", 2)]
-    d = build_spec("D6")
-    for added in ([Bond(2, 4), Bond(4, 2, 2)], [Bond(2, 2)]):
-        with pytest.raises(ValueError, match="loop or repeats a pair"):
-            d.contracted(3, added)
 
 
 @pytest.mark.parametrize("labels, bonds, message", [
@@ -352,28 +360,53 @@ def test_diagram_refuses_bonds_the_masks_cannot_hold(labels, bonds, message):
         Diagram(1, labels, bonds)
 
 
-def test_contracted_rejects_a_bond_beyond_the_neighbours():
-    d = build_spec("D6")
-    with pytest.raises(ValueError, match="two neighbours of node 3"):
-        d.contracted(3, [Bond(0, 4)])
-
-
 def test_contracted_memoises_one_child_per_key():
-    """A repeated ``contracted(i, added)`` returns the same child, keyed by
-    ``(i, *added)`` as values; the added bonds are still checked on every
-    call, and a new child starts with empty memos."""
+    """``contract`` memoises one child per key: ``i`` for a degree-two node,
+    whichever neighbour is its partner, and ``(i, j)`` for a fork.  A
+    repeated call returns that child whatever ``J``, every check still runs
+    and leaves no entry, and a new child starts with empty memos."""
     named = build_spec("D6")
     d = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
-    child = d.contracted(3, [Bond(2, 4, 2)])
-    assert d.contracted(3, (Bond(2, 4, 2),)) is child
-    bare = d.contracted(3, [])
-    assert bare is not child and d.contracted(3, []) is bare
-    assert d._children == {(3, Bond(2, 4, 2)): child, (3,): bare}
-    assert child._children == {} and child._components == {}
-    for added in ([Bond(0, 4)], [Bond(2, 4, 2), Bond(0, 4)]):
-        with pytest.raises(ValueError, match="two neighbours of node 3"):
-            d.contracted(3, added)
-    assert len(d._children) == 2
+    J = frozenset({0})
+    child = contract(d, J, 3, 2)
+    assert contract(d, frozenset({5}), 3, 4) is child and contract(d, J, 3, 2) is child
+    fork = contract(d, J, 4, 3)
+    assert contract(d, frozenset({1}), 4, 3) is fork
+    assert d._contractions == {3: child, (4, 3): fork}
+    assert child._contractions == {} and child._components == {} and child._moves is None
+    for call, message in [
+        (lambda: contract(d, frozenset({2}), 3, 2), "off-J nodes only"),
+        (lambda: contract(d, J, 3, 5), "nodes 3 and 5 are not adjacent"),
+        (lambda: contract(d, J, 4, 5), "toward the interior"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert len(d._contractions) == 2
+
+
+def _b4_child():
+    """B4 without its degree-two node 3."""
+    named = build_spec("B4")
+    return contract(Diagram(named.e, named.labels, named.bonds), frozenset({0}), 3, 2)
+
+
+@pytest.mark.parametrize("call, missing", [
+    pytest.param(lambda g: g.degree(5), [5], id="degree_past_the_last_node"),
+    pytest.param(lambda g: g.degree(99), [99], id="degree_far_past"),
+    pytest.param(lambda g: g.degree(-1), [-1], id="degree_negative"),
+    pytest.param(lambda g: _b4_child().degree(3), [3], id="degree_of_a_deleted_node"),
+    pytest.param(lambda g: g.mask_of({-1}), [-1], id="mask_of_negative"),
+    pytest.param(lambda g: g.mask_of((4, -3, 7)), [-3, 7], id="mask_of_mixed"),
+    pytest.param(lambda g: g.factors({-1}), [-1], id="factors"),
+    pytest.param(lambda g: runs_of(g, {-2}), [-2], id="runs_of"),
+    pytest.param(lambda g: contraction_drop(g, frozenset({0}), -1), [-1], id="contraction_drop"),
+])
+def test_a_non_node_is_named(call, missing):
+    """``degree`` and ``mask_of``, and so every function that reads them,
+    name any non-node of B4, a negative one or a contracted child's deleted
+    node included."""
+    with pytest.raises(ValueError, match=re.escape(f"not a node subset: {missing}")):
+        call(build_spec("B4"))
 
 
 if __name__ == "__main__":

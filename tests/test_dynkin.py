@@ -205,11 +205,26 @@ def test_root_system_oracle_on_every_finite_type():
         assert total_root_count(classify_nodes(range(size), bonds)) == want, (family, rank)
 
 
+def _check_component(closure, graph, nodes, factors):
+    """Assert that ``factors`` of the component ``nodes`` of ``graph`` count
+    the roots of its reflection closure.  The closure runs once per shape,
+    kept in ``closure`` under the component's bonds with nodes renumbered
+    in order."""
+    index = {u: k for k, u in enumerate(nodes)}
+    bonds = tuple(
+        Bond(index[b.u], index[b.v], b.mult, None if b.tip is None else index[b.tip])
+        for b in graph.induced_bonds(set(nodes))
+    )
+    key = (len(nodes), bonds)
+    if key not in closure:
+        closure[key] = _root_count(range(len(nodes)), bonds)
+    assert total_root_count(factors) == closure[key], (graph.bonds, nodes)
+
+
 def test_root_system_oracle_on_every_component_to_rank_12():
     """Every distinct connected component of every proper subset of every
     diagram in ``catalog(12)``: the classifier's |R| equals the reflection
-    closure's.  The closure runs once per shape, keyed by the component's
-    bonds with nodes renumbered in order."""
+    closure's."""
     closure: dict[tuple, int] = {}
     components = 0
     for d in catalog(12):
@@ -219,14 +234,20 @@ def test_root_system_oracle_on_every_component_to_rank_12():
             seen.update(d.components(J))
         for comp in seen:
             nodes = nodes_of(comp)
-            index = {u: k for k, u in enumerate(nodes)}
-            bonds = tuple(
-                Bond(index[b.u], index[b.v], b.mult, None if b.tip is None else index[b.tip])
-                for b in d.induced_bonds(set(nodes))
-            )
-            key = (len(nodes), bonds)
-            if key not in closure:
-                closure[key] = _root_count(range(len(nodes)), bonds)
-            assert total_root_count(d.factors(nodes)) == closure[key], (d.spec, nodes)
+            _check_component(closure, d, nodes, d.factors(nodes))
         components += len(seen)
     assert (components, len(closure)) == (2_884, 156)
+
+
+def test_root_system_oracle_on_the_contracted_graphs(rank10_sweep):
+    """Every component that ``Diagram.factors`` memoised on the graphs that
+    ``contract`` made in the rank-10 reduction sweep: the classifier's |R|
+    equals the reflection closure's.  The 52 shapes are 48 up to the order
+    of their bonds: a contraction stores the bonds it adds last."""
+    closure: dict[tuple, int] = {}
+    components = 0
+    for _parent, _key, child in rank10_sweep[0]:
+        for comp, factors in child._components.items():
+            _check_component(closure, child, nodes_of(comp), factors)
+        components += len(child._components)
+    assert (components, len(closure)) == (4_787, 52)

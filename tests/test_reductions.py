@@ -3,7 +3,6 @@ tip switches, the reduced class Z, and the quadratic form bookkeeping."""
 
 from __future__ import annotations
 
-import functools
 import gzip
 import itertools
 import re
@@ -12,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from kacscope import reductions
-from kacscope.affine import Bond, Diagram, build, build_spec, catalog
+from kacscope.affine import Bond, Diagram, build_spec, catalog
 from kacscope.dynkin import connected_components
 from kacscope.ellreg import expected_classes
 from kacscope.reductions import (
@@ -110,8 +109,10 @@ def test_contraction_drop_rejects_node_in_J():
     "call",
     [
         pytest.param(lambda g, J: contract(g, J, 99, 0), id="contract"),
+        pytest.param(lambda g, J: contract(g, frozenset({99}), 3, 4), id="contract_J"),
         pytest.param(lambda g, J: contraction_drop(g, J, 99), id="contraction_drop"),
         pytest.param(lambda g, J: switch_step(g, J, 99, 0, 1), id="switch_step"),
+        pytest.param(lambda g, J: switch_step(g, frozenset({99}), 4, 5, 3), id="switch_step_J"),
         pytest.param(lambda g, J: greek_decomposition(g, frozenset({99})), id="greek_decomposition"),
         pytest.param(lambda g, J: runs_of(g, frozenset({99})), id="runs_of"),
         pytest.param(lambda g, J: contractible_pair(g, frozenset({99})), id="contractible_pair"),
@@ -157,9 +158,11 @@ def test_contracted_child_equals_a_fresh_build():
 
 
 def test_contract_shares_one_child_and_checks_every_call():
-    """Contracting the same node with the same added bonds returns the same
-    child, whatever ``J`` and the partner node; every refusal of
-    ``contract`` and ``contracted`` still fires once that child exists."""
+    """Contracting the same node returns the same child, whatever ``J``, and
+    for a degree-two node whichever neighbour is its partner: the child is
+    memoised under ``i`` for a degree-two node and ``(i, j)`` for a fork,
+    and no key holds a ``Bond``.  Every refusal of ``contract`` still fires
+    once a child of that node exists."""
     named = build_spec("B6")
     g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
     J = frozenset({1, 2, 4})
@@ -168,57 +171,48 @@ def test_contract_shares_one_child_and_checks_every_call():
     assert contract(g, frozenset({0}), 5, 4) is child  # the same Bond(4, 6, 2) is added
     fork = contract(g, frozenset({5}), 2, 3)
     assert contract(g, frozenset({6}), 2, 3) is fork
-    g.contracted(6, [])
-    refusals = [
-        (lambda: contract(g, frozenset({5}), 5, 6), "off-J nodes only"),
-        (lambda: contract(g, J, 5, 3), "nodes 5 and 3 are not adjacent"),
-        (lambda: g.contracted(5, [Bond(3, 6)]), "two neighbours of node 5"),
-        (lambda: contract(g, frozenset({5}), 2, 0), "toward the interior"),
-        (lambda: contract(g, J, 6, 5), "node 6 has degree 1"),
-    ]
+    assert g._contractions == {5: child, (2, 3): fork}
     # node 1 is a fork whose tip 2 hangs by a double bond
     h = Diagram(1, {u: 1 for u in range(5)},
                 [Bond(0, 1), Bond(1, 2, 2, 2), Bond(1, 3), Bond(3, 4)])
-    h.contracted(1, [Bond(0, 3), Bond(2, 3, 2)])
-    refusals.append((lambda: contract(h, frozenset({4}), 1, 3), "node 1 is not a plain fork"))
+    refusals = [
+        (lambda: contract(g, frozenset({5}), 5, 6), "off-J nodes only"),
+        (lambda: contract(g, frozenset({4}), 5, 4), "off-J nodes only"),
+        (lambda: contract(g, J, 5, 3), "nodes 5 and 3 are not adjacent"),
+        (lambda: contract(g, frozenset({99}), 5, 6), re.escape("not a node subset: [99]")),
+        (lambda: contract(g, frozenset({5}), 2, 0), "toward the interior"),
+        (lambda: contract(g, J, 6, 5), "node 6 has degree 1"),
+        (lambda: contract(h, frozenset({4}), 1, 3), "node 1 is not a plain fork"),
+    ]
     for call, message in refusals:
         with pytest.raises(ValueError, match=message):
             call()
-    assert len(g._children) == 3 and len(h._children) == 1
+    assert g._contractions == {5: child, (2, 3): fork} and h._contractions == {}
 
 
-@functools.lru_cache(maxsize=None)
-def _memoised_children(max_rank):
-    """``(parent, key, child)`` for every child memoised by ``reduce_to_z``
-    over freshly built classical diagrams to ``max_rank`` (fresh, so that
-    no other test's contractions are counted), and the number of
-    contractions the traces made."""
-    named = [build.__wrapped__(d.ident) for d in _classical(max_rank)]
-    contractions = sum(
-        step.kind == "contract"
-        for d in named for J in _nonempty_proper(d) for step in reduce_to_z(d, J).steps
-    )
-    found, todo = [], list(named)
-    while todo:
-        parent = todo.pop()
-        for key, child in parent._children.items():
-            found.append((parent, key, child))
-            todo.append(child)
-    return found, contractions
-
-
-def test_memoised_children_equal_a_fresh_build():
-    """Every child ``reduce_to_z`` memoises over the classical diagrams to
-    rank 10 equals ``Diagram(e, labels, kept + added)`` built from scratch,
-    with ``(i, *added)`` its key and ``kept`` the parent's bonds not at
-    ``i`` in stored order, masks included."""
-    found, _contractions = _memoised_children(10)
-    for parent, (i, *added), child in found:
-        kept = [b for b in parent.bonds if i not in (b.u, b.v)]
+def test_memoised_children_equal_a_fresh_build(rank10_sweep):
+    """Every child ``contract`` memoises in the rank-10 sweep equals
+    ``Diagram(e, labels, kept + added)`` built anew, with ``kept``
+    the parent's bonds not at the deleted node ``i`` in stored order, masks
+    included.  The added bonds each join two neighbours of ``i`` in the
+    parent: one bond for a degree-two ``i``, keyed by ``i``, and one per tip
+    of a fork keyed by ``(i, j)``, each ending at ``j``."""
+    found, _contractions = rank10_sweep
+    for parent, key, child in found:
+        i = key if isinstance(key, int) else key[0]
+        kept = tuple(b for b in parent.bonds if i not in (b.u, b.v))
+        added = child.bonds[len(kept):]
+        assert child.bonds[:len(kept)] == kept
+        nbrs = parent.neighbours[i]
+        assert all(nbrs >> b.u & nbrs >> b.v & 1 for b in added)
+        if key == i:
+            assert parent.degree(i) == 2 and len(added) == 1
+        else:
+            assert parent.degree(i) == 3 and len(added) == 2
+            assert all(key[1] in (b.u, b.v) for b in added)
         labels = {u: c for u, c in parent.labels.items() if u != i}
         fresh = Diagram(parent.e, labels, kept + added)
         assert list(child.labels.items()) == list(fresh.labels.items())
-        assert child.bonds == fresh.bonds
         assert child.interior == fresh.interior
         assert child.label_sum == fresh.label_sum
         masks = [child.neighbours[u] for u in child.nodes]
@@ -230,12 +224,13 @@ def test_memoised_children_equal_a_fresh_build():
     assert len(found) == 1_194
 
 
-def test_reduce_sweep_shares_its_contracted_graphs():
+def test_reduce_sweep_shares_its_contracted_graphs(rank10_sweep):
     """The 14,436 traces over the classical diagrams to rank 10 make 25,610
-    contractions but leave 1,194 memoised children, each made once.  By
-    value there are 1,193 distinct (parent, i, added): 2A3 and 2D3 are the
+    contractions but leave 1,194 memoised children, each made once: a
+    degree-two node reached from either neighbour gives one child.  By
+    value there are 1,193 distinct (parent, key): 2A3 and 2D3 are the
     same graph under two names, and each builds its one child."""
-    found, contractions = _memoised_children(10)
+    found, contractions = rank10_sweep
     assert contractions == 25_610
     assert len({id(child) for _parent, _key, child in found}) == len(found) == 1_194
     by_value = {(parent.e, tuple(parent.labels.items()), parent.bonds, key)
@@ -322,31 +317,33 @@ def test_run_split_matches_connected_components(monkeypatch):
 
 def test_contract_memoises_each_validated_pair_once():
     """A repeated ``contract`` returns the same child, memoised once per
-    graph and valid pair; every refusal raises on every call, after a valid
-    call on the same graph too, and leaves no memo entry."""
+    graph and deleted degree-two node; every refusal raises on every call,
+    before and after a valid call on the same graph, and leaves no memo
+    entry."""
     named = build_spec("B6")
     g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
     J = frozenset({1, 2, 4})
-    child = contract(g, J, 5, 6)
-    assert contract(g, J, 5, 6) is child and contract(g, frozenset({0}), 5, 6) is child
-    assert g._contractions == {(5, 6): child}
     h = Diagram(1, {u: 1 for u in range(5)},
                 [Bond(0, 1), Bond(1, 2, 2, 2), Bond(1, 3), Bond(3, 4)])
-    path = contract(h, frozenset({0}), 3, 4)
-    assert path.bonds[-1] == Bond(1, 4)
     refusals = [
         (lambda: contract(g, frozenset({5}), 5, 6), "off-J nodes only"),
         (lambda: contract(g, frozenset({6}), 5, 6), "off-J nodes only"),
         (lambda: contract(g, J, 5, 3), "nodes 5 and 3 are not adjacent"),
         (lambda: contract(g, J, 99, 5), re.escape("not a node subset: [99]")),
+        (lambda: contract(g, frozenset({-1}), 5, 6), re.escape("not a node subset: [-1]")),
         (lambda: contract(h, frozenset({4}), 1, 3), "node 1 is not a plain fork"),
         (lambda: contract(h, frozenset({4}), 3, 4), "off-J nodes only"),
     ]
-    for _ in range(2):
+    for valid in (False, True):
+        if valid:
+            child = contract(g, J, 5, 6)
+            assert contract(g, J, 5, 6) is child and contract(g, frozenset({0}), 5, 6) is child
+            path = contract(h, frozenset({0}), 3, 4)
+            assert path.bonds[-1] == Bond(1, 4)
         for call, message in refusals:
             with pytest.raises(ValueError, match=message):
                 call()
-    assert g._contractions == {(5, 6): child} and h._contractions == {(3, 4): path}
+    assert g._contractions == {5: child} and h._contractions == {3: path}
 
 
 @pytest.mark.parametrize("spec", ["B6", "D7", "2A9"])
