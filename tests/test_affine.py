@@ -360,6 +360,21 @@ def test_diagram_refuses_bonds_the_masks_cannot_hold(labels, bonds, message):
         Diagram(1, labels, bonds)
 
 
+def test_contracted_rejects_a_bond_beyond_the_neighbours():
+    """``contract`` adds bonds only between neighbours of the deleted node:
+    in D6 node 3 may go toward 2 or 4, each giving the one bond (2, 4),
+    and is refused toward 0, which would reach beyond them."""
+    named = build_spec("D6")
+    d = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
+    with pytest.raises(ValueError, match="nodes 3 and 0 are not adjacent"):
+        contract(d, frozenset(), 3, 0)
+    for j in (2, 4):
+        child = contract(d, frozenset(), 3, j)
+        assert child.bonds[-1] == Bond(2, 4)
+        assert not child.neighbours[0] >> 4 & 1
+    assert d._contractions == {3: child}
+
+
 def test_contracted_memoises_one_child_per_key():
     """``contract`` memoises one child per key: ``i`` for a degree-two node,
     whichever neighbour is its partner, and ``(i, j)`` for a fork.  A
