@@ -162,7 +162,12 @@ class Diagram:
     # -- subset arithmetic -------------------------------------------------
 
     def label_sum_of(self, nodes) -> int:
-        return sum(map(self.labels.__getitem__, nodes))
+        """The label sum of ``nodes``; ``ValueError`` names any non-node."""
+        try:
+            return sum(map(self.labels.__getitem__, nodes))
+        except KeyError:
+            self.mask_of(nodes)  # raises, naming every non-node
+            raise
 
     def mask_of(self, nodes) -> int:
         """The node mask of the collection ``nodes``; ``ValueError`` names
@@ -202,9 +207,14 @@ class Diagram:
         and kept in the diagram's memo under its mask; a component the
         classifier rejects is not stored and raises on every call.
         """
+        return self._factors_of(self.components(self.mask_of(subset)))
+
+    def _factors_of(self, comps: list[int]) -> tuple[FiniteFactor, ...]:
+        """:meth:`factors` of the union of ``comps``, connected node masks
+        pairwise apart, each classified through the component memo."""
         memo = self._components
         found: list[FiniteFactor] = []
-        for comp in self.components(self.mask_of(subset)):
+        for comp in comps:
             factors = memo.get(comp)
             if factors is None:
                 factors = memo[comp] = _classify_component(comp, self.neighbours, self.bonds)
@@ -212,9 +222,13 @@ class Diagram:
         return sort_factors(found) if len(found) > 1 else tuple(found)
 
     def induced_bonds(self, subset) -> tuple[Bond, ...]:
-        """The bonds with both ends in ``subset``, in stored order.  They
-        alone decide :meth:`factors` of ``subset``."""
-        return tuple(b for b in self.bonds if b.u in subset and b.v in subset)
+        """The bonds with both ends in ``subset``, in stored order, which alone
+        decide :meth:`factors` of ``subset``; ``ValueError`` names any non-node."""
+        return self._induced_bonds(self.mask_of(subset))
+
+    def _induced_bonds(self, mask: int) -> tuple[Bond, ...]:
+        """:meth:`induced_bonds` of the node mask ``mask``."""
+        return tuple(b for b in self.bonds if mask >> b.u & mask >> b.v & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ Every subcommand refuses a base rank or a ``--max-rank`` above
 Exit status: 0 on success, 1 when a scan finds a counterexample or a
 classification mismatch, or check finds the bound violated, 2 on usage
 errors (including an ``--out`` file that cannot be written), 3 on
-internal errors (a subdiagram the classifier rejects, or a failed
-self-check of the class generators or the reduction moves).
+internal errors (a subdiagram the classifier rejects, a failed self-check
+of the class generators or the reduction moves, or any other exception).
 """
 
 from __future__ import annotations
@@ -456,6 +456,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except Exception as exc:  # any other fault is the program's; exit 1 means a counterexample
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if not args.out:
         sys.stdout.write(output)
         return code

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .affine import AffineDiagram, Bond, Diagram
 from .dynkin import nodes_of, total_root_count
@@ -71,9 +71,9 @@ def runs_of(
     return tuple([frozenset(nodes_of(r)) for r in runs] for runs in _runs(graph, graph.mask_of(J)))
 
 
-def run_sizes(graph: Diagram, J: frozenset[int]) -> list[int]:
-    """Sizes of the interior runs of ``J``, descending."""
-    return sorted((run.bit_count() for run in _runs(graph, graph.mask_of(J))[0]), reverse=True)
+def _sizes(graph: Diagram, J: int) -> list[int]:
+    """Sizes of the interior runs of the node mask ``J``, descending."""
+    return sorted((run.bit_count() for run in _runs(graph, J)[0]), reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -111,31 +111,34 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
     return _first_move(graph, graph.mask_of(J))
 
 
+def _in_z(graph: Diagram, J: int) -> bool:
+    """:func:`in_Z` on the node mask ``J``."""
+    if _first_move(graph, J) is not None:
+        return False
+    sizes = _sizes(graph, J)
+    return not sizes or sizes[0] - sizes[-1] <= 1
+
+
 def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
     """Whether ``J`` is reduced: in ``Y``, with interior run sizes that
     differ by at most 1.  Raises ``ValueError`` when ``J`` holds a node
     not in the graph."""
-    if _first_move(graph, graph.mask_of(J)) is not None:
-        return False
-    sizes = run_sizes(graph, J)
-    return not sizes or sizes[0] - sizes[-1] <= 1
+    return _in_z(graph, graph.mask_of(J))
 
 
-def contraction_drop(
-    graph: Diagram, J: frozenset[int], i: int, factors=None
-) -> int:
+def _contraction_drop(c_i: int, r_j: int, c_j: int) -> int:
+    """The drop ``c_i * |R_J| - c_J`` of contracting a node of label ``c_i``."""
+    return c_i * r_j - c_j
+
+
+def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
     """Exact decrease of ``f`` when the off-``J`` node ``i`` is contracted
-    away.
-
-    ``factors``, when the caller has already classified ``J`` on this
-    graph (or on one with the same bonds inside ``J``), saves classifying
-    it again.
-    """
+    away."""
     graph.mask_of((i,))
     if i in J:
         raise ValueError("contraction applies to off-J nodes only")
-    r_j, c_j, _c_up = zero_set_data(graph, J, factors)
-    return graph.labels[i] * r_j - c_j
+    r_j, c_j, _c_up = zero_set_data(graph, J)
+    return _contraction_drop(graph.labels[i], r_j, c_j)
 
 
 def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
@@ -192,9 +195,7 @@ def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def balance_step(
-    graph: Diagram, J: frozenset[int]
-) -> tuple[frozenset[int], int]:
+def balance_step(graph: Diagram, J: frozenset[int]) -> tuple[frozenset[int], int]:
     """Move one node of ``J`` from a largest interior run to a smallest.
 
     Requires a configuration in ``Y`` whose interior run sizes differ by
@@ -219,7 +220,7 @@ def balance_step(
     q1, q2 = sizes[0], sizes[-1]
 
     order = sorted(graph.interior)
-    links = sorted((min(b.u, b.v), max(b.u, b.v)) for b in graph.induced_bonds(graph.interior))
+    links = sorted((min(b.u, b.v), max(b.u, b.v)) for b in graph._induced_bonds(graph.interior_mask))
     if links != list(zip(order, order[1:])):
         raise ValueError("interior is not a path")
     boundary = sum(outer)
@@ -229,8 +230,7 @@ def balance_step(
     free = [order[t] for t in free_idx]
 
     flags = [u in J for u in free]
-    lead = not flags[0]
-    tail = not flags[-1]
+    lead, tail = not flags[0], not flags[-1]
     runs: list[int] = []
     for on, group in groupby(flags):
         size = len(list(group))
@@ -241,10 +241,7 @@ def balance_step(
     if sorted(runs, reverse=True) != sizes:
         raise ValueError("interior runs do not all lie in the free region")
 
-    new_sizes = list(sizes)
-    new_sizes[0] -= 1
-    new_sizes[-1] += 1
-    new_sizes.sort(reverse=True)
+    new_sizes = sorted([q1 - 1, *sizes[1:-1], q2 + 1], reverse=True)
 
     cells: list[bool] = [False] * int(lead)
     for idx, size in enumerate(new_sizes):
@@ -265,8 +262,7 @@ def balance_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     kind: str                 # "contract" or "balance"
     detail: str
     drop: int
@@ -287,8 +283,10 @@ class ReductionTrace:
 def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     """Run contractions, then balancing, verifying every predicted drop.
 
-    ``J`` must be a nonempty proper subset of the nodes.  ``J`` is
-    classified once, on the starting diagram.  After each contraction:
+    ``J`` must be a nonempty proper subset of the nodes.  It is made a
+    node mask and classified once, on the starting diagram, which gives
+    the ``|R_J|`` and ``c_J`` of every predicted drop ``c_i * |R_J| - c_J``
+    of a contraction.  After each contraction:
 
     * the bonds induced on ``J`` must equal, as ``Bond`` values in stored
       order, those of the starting diagram.  The factors of ``J`` depend on
@@ -296,8 +294,8 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
       is unchanged, and the starting factors stand in for reclassifying
       ``J``;
     * ``f`` is recomputed from the new graph's labels and node count with
-      those factors, and its decrease must equal the predicted drop
-      ``c_i * |R_J| - c_J`` and be positive.
+      those factors, and its decrease must equal the predicted drop and be
+      positive.
 
     After each balancing step ``f`` is recomputed from scratch, and its
     decrease must equal the predicted drop and be positive.  Any
@@ -320,16 +318,16 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
 
     mask = graph.mask_of(J)
     factors0 = graph.factors(J)
-    inside0 = graph.induced_bonds(J)
-    f = graph_f(graph, J, factors0)
-    f_start = f
+    inside0 = graph._induced_bonds(mask)
+    r_j, c_j = total_root_count(factors0), graph.label_sum_of(J)
+    f = f_start = graph_f(graph, J, factors0)
     steps: list[ReductionStep] = []
 
     while (pair := _first_move(graph, mask)) is not None:
         i, j = pair
-        predicted = contraction_drop(graph, J, i, factors0)
+        predicted = _contraction_drop(graph.labels[i], r_j, c_j)
         graph = contract(graph, J, i, j)
-        if graph.induced_bonds(J) != inside0:
+        if graph._induced_bonds(mask) != inside0:
             raise AssertionError("contraction changed the root system of J")
         new_f = graph_f(graph, J, factors0)
         if f - new_f != predicted:
@@ -341,7 +339,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         steps.append(ReductionStep("contract", f"removed node {i}", predicted, new_f))
         f = new_f
 
-    sizes = run_sizes(graph, J)
+    sizes = _sizes(graph, mask)
     while sizes and sizes[0] - sizes[-1] >= 2:
         new_J, predicted = balance_step(graph, J)
         new_f = graph_f(graph, new_J)
@@ -351,23 +349,13 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
             )
         if predicted <= 0:
             raise AssertionError("balancing must strictly decrease f")
-        new_sizes = run_sizes(graph, new_J)
-        steps.append(ReductionStep("balance", f"runs {sizes} -> {new_sizes}", predicted, new_f))
-        J = new_J
-        f = new_f
-        sizes = new_sizes
+        J, f, mask, old = new_J, new_f, graph.mask_of(new_J), sizes
+        sizes = _sizes(graph, mask)
+        steps.append(ReductionStep("balance", f"runs {old} -> {sizes}", predicted, f))
 
-    if not in_Z(graph, J):
+    if not _in_z(graph, mask):
         raise AssertionError("reduction terminated outside Z")
-    return ReductionTrace(
-        spec=diagram.spec,
-        start=start,
-        f_start=f_start,
-        steps=tuple(steps),
-        final_graph=graph,
-        final_J=frozenset(J),
-        f_final=f,
-    )
+    return ReductionTrace(diagram.spec, start, f_start, tuple(steps), graph, J, f)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +434,7 @@ def switch_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreekData:
+class GreekData(NamedTuple):
     """Coefficients of ``f = c*x*y + alpha*x + beta*y + gamma``.
 
     ``x`` runs count interior runs of size ``q - 1`` and ``y`` those of
@@ -504,9 +491,8 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     q, x = low + 1, sizes.count(low)
     y = len(sizes) - x
 
-    boundary = nodes_of(sum(outer))
-    r_boundary = total_root_count(graph.factors(boundary) if outer else ())
-    c_boundary = graph.label_sum_of(boundary)
+    r_boundary = total_root_count(graph._factors_of(outer))
+    c_boundary = graph.label_sum_of(nodes_of(sum(outer)))
     c_j = graph.label_sum_of(J)
     c_up = graph.label_sum - c_j
     a = c_up - c * (x + y)
@@ -515,11 +501,7 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     alpha = (c * r_boundary + a * q * (q - 1)) - (b * c * (q - 1) + q * c_boundary)
     beta = (c * r_boundary + a * q * (q + 1)) - (b * c * q + (q + 1) * c_boundary)
     gamma = a * r_boundary - b * c_boundary
-    return GreekData(
-        c=c, q=q, x=x, y=y, a=a, b=b,
-        r_boundary=r_boundary, c_boundary=c_boundary,
-        alpha=alpha, beta=beta, gamma=gamma,
-    )
+    return GreekData(c, q, x, y, a, b, r_boundary, c_boundary, alpha, beta, gamma)
 
 
 # ---------------------------------------------------------------------------

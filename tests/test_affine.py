@@ -415,11 +415,15 @@ def _b4_child():
     pytest.param(lambda g: g.factors({-1}), [-1], id="factors"),
     pytest.param(lambda g: runs_of(g, {-2}), [-2], id="runs_of"),
     pytest.param(lambda g: contraction_drop(g, frozenset({0}), -1), [-1], id="contraction_drop"),
+    pytest.param(lambda g: g.label_sum_of({99}), [99], id="label_sum_of"),
+    pytest.param(lambda g: g.label_sum_of((0, -1)), [-1], id="label_sum_of_negative"),
+    pytest.param(lambda g: g.induced_bonds({99}), [99], id="induced_bonds"),
+    pytest.param(lambda g: g.induced_bonds({2, -1}), [-1], id="induced_bonds_negative"),
 ])
 def test_a_non_node_is_named(call, missing):
-    """``degree`` and ``mask_of``, and so every function that reads them,
-    name any non-node of B4, a negative one or a contracted child's deleted
-    node included."""
+    """``degree``, ``mask_of``, ``label_sum_of`` and ``induced_bonds``, and
+    so every function that reads them, name any non-node of B4, a negative
+    one or a contracted child's deleted node included."""
     with pytest.raises(ValueError, match=re.escape(f"not a node subset: {missing}")):
         call(build_spec("B4"))
 

@@ -243,6 +243,21 @@ def test_failed_self_check_is_an_internal_error(capsys, monkeypatch):
     assert err == "internal error: G2: duplicate class (1, 1, 1)\n"
 
 
+@pytest.mark.parametrize("error", [KeyError(7), IndexError("list index out of range"),
+                                   TypeError("unhashable type: 'list'")])
+def test_any_other_exception_is_an_internal_error(capsys, monkeypatch, error):
+    """A stray exception is a fault of the program: exit 3 with one stderr
+    line, never Python's exit 1, which means a counterexample."""
+    def broken(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_check", broken)
+    code, out, err = _run(capsys, "check", "G2", "--kac", "1,1,1")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
+
+
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "report.txt"
     code, out, err = _run(capsys, "check", "G2", "--kac", "1,1,1", "--out", str(target))

@@ -136,23 +136,32 @@ def test_classify_rejects_non_finite_shapes(nodes, adj):
         classify_nodes(nodes, _bonds(adj))
 
 
-def _root_count(nodes, bonds):
-    """|R| of the root system whose simple roots are ``nodes`` and whose
-    Dynkin diagram is ``bonds``, independent of the shape classifier: the
-    Cartan matrix is read from the bonds and the simple roots are closed
-    under the simple reflections, as integer vectors in the basis of simple
-    roots (Kac, *Infinite-Dimensional Lie Algebras*, ch. 1 and 4).  A
-    multiple bond makes its ``tip`` the short root, or ``v`` when it has
-    no tip; the count does not depend on that choice."""
+def _cartan(nodes, bonds):
+    """The Cartan matrix of the Dynkin diagram ``bonds`` on ``nodes``, rows
+    and columns in the order of ``nodes``.  A multiple bond makes its
+    ``tip`` the short root, or ``v`` when it has no tip, and the short
+    root's row carries ``-mult``."""
     index = {u: k for k, u in enumerate(nodes)}
-    rank = len(nodes)
-    cartan = [[2 * (k == m) for m in range(rank)] for k in range(rank)]
+    cartan = [[2 * (k == m) for m in range(len(nodes))] for k in range(len(nodes))]
     for b in bonds:
-        assert b.mult <= 3, "a quadruple bond is not finite type"
         short = b.v if b.tip is None else b.tip
         long_ = b.u if short == b.v else b.v
         cartan[index[short]][index[long_]] = -b.mult
         cartan[index[long_]][index[short]] = -1
+    return cartan
+
+
+def _root_count(nodes, bonds):
+    """|R| of the root system whose simple roots are ``nodes`` and whose
+    Dynkin diagram is ``bonds``, independent of the shape classifier: the
+    Cartan matrix is read from the bonds by :func:`_cartan` and the simple
+    roots are closed under the simple reflections, as integer vectors in
+    the basis of simple roots (Kac, *Infinite-Dimensional Lie Algebras*,
+    ch. 1 and 4).  The count does not depend on which end of a multiple
+    bond without a tip is taken as short."""
+    assert all(b.mult <= 3 for b in bonds), "a quadruple bond is not finite type"
+    rank = len(nodes)
+    cartan = _cartan(nodes, bonds)
     todo = [tuple(int(k == m) for m in range(rank)) for k in range(rank)]
     roots = set(todo)
     while todo:
@@ -251,3 +260,31 @@ def test_root_system_oracle_on_the_contracted_graphs(rank10_sweep):
             _check_component(closure, child, nodes_of(comp), factors)
         components += len(child._components)
     assert (components, len(closure)) == (4_787, 52)
+
+
+# The affine Cartan matrices of the two diagrams with a quadruple bond, rows
+# and columns in node order (Kac, *Infinite-Dimensional Lie Algebras*,
+# Tables Aff 1 and Aff 2): the symmetric A1 and the twisted 2A2, whose arrow
+# tip 1 is the short root and so carries the -4.
+_QUADRUPLE = {
+    "A1": ((Bond(0, 1, 4, None),), [[2, -2], [-2, 2]]),
+    "2A2": ((Bond(0, 1, 4, 1),), [[2, -1], [-4, 2]]),
+}
+
+
+def test_labels_are_the_null_vector_of_the_cartan_matrix():
+    """A·c = 0 on every diagram of ``catalog(40)``: the labels c are the
+    null vector of the affine Cartan matrix A, read from the bonds by
+    ``_cartan``, or written out above for the two quadruple bonds.  This
+    ties every label of every builder to its bonds."""
+    diagrams = catalog(40)
+    for d in diagrams:
+        if d.spec in _QUADRUPLE:
+            bonds, cartan = _QUADRUPLE[d.spec]
+            assert d.bonds == bonds, d.spec
+        else:
+            assert all(b.mult <= 3 for b in d.bonds), d.spec
+            cartan = _cartan(d.nodes, d.bonds)
+        c = [d.labels[u] for u in d.nodes]
+        assert [sum(a * x for a, x in zip(row, c)) for row in cartan] == [0] * len(c), d.spec
+    assert len(diagrams) == 238

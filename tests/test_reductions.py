@@ -15,6 +15,8 @@ from kacscope.affine import Bond, Diagram, build_spec, catalog
 from kacscope.dynkin import connected_components
 from kacscope.ellreg import expected_classes
 from kacscope.reductions import (
+    GreekData,
+    ReductionStep,
     balance_step,
     contract,
     contractible_pair,
@@ -24,7 +26,6 @@ from kacscope.reductions import (
     in_Z,
     match_case,
     reduce_to_z,
-    run_sizes,
     runs_of,
     switch_sites,
     switch_step,
@@ -449,6 +450,11 @@ def test_arrows_never_reach_root_counts():
 # balancing
 
 
+def _run_sizes(graph, J):
+    """Sizes of the interior runs of ``J``, descending."""
+    return sorted((len(run) for run in runs_of(graph, J)[0]), reverse=True)
+
+
 def test_balance_step_exact():
     checked = 0
     for d in _classical(9):
@@ -461,7 +467,7 @@ def test_balance_step_exact():
             J2, drop = balance_step(g, J)
             assert drop >= 0
             assert graph_f(g, J) - graph_f(g, J2) == drop
-            sizes, sizes2 = run_sizes(g, J), run_sizes(g, J2)
+            sizes, sizes2 = _run_sizes(g, J), _run_sizes(g, J2)
             assert sizes2[0] - sizes2[-1] < sizes[0] - sizes[-1]
             checked += 1
     assert checked > 50
@@ -502,7 +508,7 @@ def test_balance_step_needs_an_increasing_interior_path(graph, J):
     """Each J has interior runs of sizes 3 and 1, so only the path check
     refuses it."""
     g, J = graph(), frozenset(J)
-    assert run_sizes(g, J) == [3, 1]
+    assert _run_sizes(g, J) == [3, 1]
     with pytest.raises(ValueError, match="interior is not a path"):
         balance_step(g, J)
 
@@ -682,6 +688,25 @@ def test_greek_two_node_diagrams():
             data = greek_decomposition(g, J)
             assert data.x == 0 and data.y == 0
             assert data.f_via_form == graph_f(g, J)
+
+
+@pytest.mark.parametrize("record, fields", [
+    (GreekData, ("c", "q", "x", "y", "a", "b", "r_boundary", "c_boundary",
+                 "alpha", "beta", "gamma")),
+    (ReductionStep, ("kind", "detail", "drop", "f_after")),
+])
+def test_records_keep_their_fields_and_refuse_assignment(record, fields):
+    """Built positionally, a record holds each value under its field name,
+    in order; assigning to a field or deleting it raises."""
+    value = record(*range(len(fields)))
+    assert [getattr(value, name) for name in fields] == list(range(len(fields)))
+    assert value == record(**dict(zip(fields, range(len(fields)))))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, -1)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert [getattr(value, name) for name in fields] == list(range(len(fields)))
 
 
 # ---------------------------------------------------------------------------
