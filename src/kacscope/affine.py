@@ -106,7 +106,7 @@ class Diagram:
     ``labels`` is stored in node order.  ``__init__`` is the only way a
     diagram is made, and it is not changed after construction: a
     contraction builds its child afresh.  Each instance memoises the
-    factors of the components :meth:`factors` has classified on it, by
+    factors of every component ``_factors_of`` has classified on it, by
     component mask; :mod:`kacscope.reductions` keeps its move table in
     ``_moves`` and the children ``contract`` made in ``_contractions``.
     All memos start empty and live as long as the diagram, which for one
