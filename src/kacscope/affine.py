@@ -327,7 +327,7 @@ class AffineDiagram(Diagram):
     the bond to it; both are None on the last record.
     """
 
-    __slots__ = ("ident", "omega", "layout", "ends")
+    __slots__ = ("ident", "spec", "omega", "layout", "ends")
 
     def __init__(
         self,
@@ -340,6 +340,7 @@ class AffineDiagram(Diagram):
     ):
         super().__init__(ident.e, labels, bonds)
         self.ident = ident
+        self.spec = ident.spec
         self.omega = omega
         hang = hang or {}
         chain = list(chain)
@@ -350,10 +351,6 @@ class AffineDiagram(Diagram):
             layout.append((u, tuple(hang.get(u, ())), right, bond))
         self.layout = tuple(layout)
         self.ends = _spine_ends(self)
-
-    @property
-    def spec(self) -> str:
-        return self.ident.spec
 
     @property
     def cyclic(self) -> bool:

@@ -53,7 +53,7 @@ def from_zero_set(diagram: AffineDiagram, J: Iterable[int]) -> tuple[int, ...]:
     """The order-minimal vector vanishing exactly on J: ones elsewhere."""
     J = set(J)
     if not diagram.labels.keys() >= J:
-        raise ValueError(f"not a node subset: {sorted(J)}")
+        diagram.mask_of(J)  # raises, naming every non-node
     if len(J) == len(diagram.labels):
         raise ValueError("the zero set must be a proper subset of the nodes")
     return tuple(0 if i in J else 1 for i in diagram.nodes)
@@ -100,7 +100,11 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
     value is smaller cuts the branch, since every completion of the
     prefix would be rejected; one where it is larger drops p, since every
     completion passes it.  The walk thus skips the subtrees of non-least
-    prefixes instead of visiting each of their vectors.
+    prefixes instead of visiting each of their vectors.  Entries are >= 0
+    as built and the prefix's gcd is carried down for admissibility.
+    Once the weight is spent, or at the last position, the one completion
+    (zeros, then the rest of the weight at the last node) is set at once
+    and every open p decided on it in one step.
 
     Empty when m is not a positive multiple of the twist e.  The number
     of compositions still grows quickly on low-label diagrams (untwisted
@@ -140,21 +144,24 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
                 carried.append((p, decided_at, i))
         return carried
 
-    def fill(idx: int, remaining: int, open_perms: list) -> None:
-        c = labels[idx]
-        if idx == last:
-            if remaining % c == 0:
-                prefix[idx] = remaining // c
-                if advance(open_perms, idx) is not None and is_admissible(prefix):
+    def fill(idx: int, remaining: int, g: int, open_perms: list) -> None:
+        # fill positions idx..last; g is the gcd of the entries before idx
+        if not remaining or idx == last:
+            # the one completion: zeros, then the rest of the weight at last
+            if remaining % labels[last] == 0:
+                prefix[idx:last] = [0] * (last - idx)
+                prefix[last] = top = remaining // labels[last]
+                if gcd(g, top) == 1 and (not open_perms or advance(open_perms, last) is not None):
                     found.append(tuple(prefix))
             return
+        c = labels[idx]
         for val in range(remaining // c + 1):
             prefix[idx] = val
-            carried = advance(open_perms, idx)
+            carried = open_perms and advance(open_perms, idx)
             if carried is not None:
-                fill(idx + 1, remaining - c * val, carried)
+                fill(idx + 1, remaining - c * val, gcd(g, val), carried)
 
-    fill(0, m // diagram.e, start)
+    fill(0, m // diagram.e, 0, start)
     return found
 
 

@@ -314,6 +314,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     start = tuple(sorted(J))
     graph = diagram
     if not J or not J < frozenset(graph.labels):
+        graph.mask_of(J)  # raises, naming every non-node
         raise ValueError("J must be a nonempty proper subset of the nodes")
 
     mask = graph.mask_of(J)

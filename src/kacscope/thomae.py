@@ -22,7 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from itertools import compress
+from operator import mul, not_
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .affine import AffineDiagram, Diagram
 from .dynkin import factors_type_string, nodes_of, total_root_count
@@ -37,7 +39,7 @@ def zero_set_data(diagram: Diagram, J: frozenset[int], factors=None) -> tuple[in
     """
     J = frozenset(J)
     if not diagram.labels.keys() >= J:
-        raise ValueError(f"not a node subset: {sorted(J)}")
+        diagram.mask_of(J)  # raises, naming every non-node
     if len(J) == len(diagram.labels):
         raise ValueError("zero set must be a proper subset of the nodes")
     if factors is None:
@@ -52,8 +54,7 @@ def f_value(diagram: Diagram, J: frozenset[int], factors=None) -> int:
     return c_up * r_j - diagram.n_e * c_j
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """The bound, evaluated exactly for one torsion class; ``tau = 1/m`` is derived."""
 
     spec: str
@@ -89,13 +90,15 @@ def check_class(
     from ``memo``, a dict the caller holds for one diagram and passes to
     every class it checks; on a miss J is classified once and its fields
     are stored there.  The order and the comparison are computed for
-    every class."""
-    if len(s) != diagram.n_e + 1 or not kac.is_admissible(s):
+    every class, after one length check."""
+    s = tuple(s)
+    labels = diagram.labels
+    if len(s) != len(labels) or not kac.is_admissible(s):
         raise ValueError(
             f"{','.join(str(v) for v in s)!r} is not an admissible Kac vector for "
-            f"{diagram.spec} ({diagram.n_e + 1} non-negative entries with gcd 1)"
+            f"{diagram.spec} ({len(labels)} non-negative entries with gcd 1)"
         )
-    J = kac.zero_set(diagram, s)
+    J = frozenset(compress(labels, map(not_, s)))
     if memo is None:
         memo = {}
     fields = memo.get(J)
@@ -109,17 +112,7 @@ def check_class(
             Fraction(fixed_dim, diagram.base_root_count),
             f_value(diagram, J, factors),
         )
-    zero_set, fixed_type, fixed_dim, bound, f = fields
-    return ClassReport(
-        spec=diagram.spec,
-        m=kac.order_of(diagram, s),
-        s=tuple(s),
-        zero_set=zero_set,
-        fixed_type=fixed_type,
-        fixed_dim=fixed_dim,
-        bound=bound,
-        f=f,
-    )
+    return ClassReport(diagram.spec, diagram.e * sum(map(mul, labels.values(), s)), s, *fields)
 
 
 @dataclass(frozen=True)
@@ -176,12 +169,12 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
     are taken in decreasing order, so ``sub``, whose lowest node is above
     i, is filled before it is read.  For each i the connected sets C with
     lowest node i are grown from ``{i}`` one neighbour above i at a time,
-    and each is classified once, by the shape recognizer behind
-    :meth:`Diagram.factors`, so an unsupported shape still raises; ``sub``
-    then runs over the submasks of the nodes above i that are neither in
-    C nor next to it (``sub = (sub - 1) & allowed``).  A component of a
-    disconnected diagram reaches the full mask, which is skipped.  The
-    tables live only as long as the caller holds them.
+    and each is classified once, from its node mask ``node_C`` through the
+    component memo of :meth:`Diagram.factors`, so an unsupported shape
+    still raises; ``sub`` then runs over the submasks of the nodes above
+    i that are neither in C nor next to it (``sub = (sub - 1) & allowed``).
+    A component of a disconnected diagram reaches the full mask, which is
+    skipped.  The tables live only as long as the caller holds them.
     """
     nodes = diagram.nodes
     index = {u: i for i, u in enumerate(nodes)}
@@ -192,10 +185,10 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
     c = [0] * full
     for i in reversed(range(len(nodes))):
         above = full & -(2 << i)
-        stack = [(1 << i, neighbours[i], labels[i], (nodes[i],))]
+        stack = [(1 << i, neighbours[i], labels[i], 1 << nodes[i])]
         seen = {1 << i}
         while stack:
-            C, near, c_C, members = stack.pop()
+            C, near, c_C, node_C = stack.pop()
             frontier = near & above & ~C
             while frontier:
                 bit = frontier & -frontier
@@ -204,10 +197,10 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
                     seen.add(C | bit)
                     b = bit.bit_length() - 1
                     stack.append((C | bit, near | neighbours[b], c_C + labels[b],
-                                  members + (nodes[b],)))
+                                  node_C | 1 << nodes[b]))
             if C == full:
                 continue
-            roots = total_root_count(diagram.factors(members))
+            roots = total_root_count(diagram._factors_of([node_C]))
             allowed = above & ~C & ~near
             r[C] = roots
             c[C] = c_C

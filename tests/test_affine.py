@@ -14,8 +14,9 @@ from kacscope.affine import (
 from kacscope.dynkin import (
     UnsupportedSubdiagramError, classify_nodes, factors_type_string, nodes_of,
 )
-from kacscope.reductions import contract, contraction_drop, runs_of
-from kacscope.thomae import proper_subsets
+from kacscope.kac import from_zero_set
+from kacscope.reductions import contract, contraction_drop, reduce_to_z, runs_of
+from kacscope.thomae import f_value, proper_subsets, zero_set_data
 
 
 def test_parse_spec_round_trip():
@@ -419,11 +420,16 @@ def _b4_child():
     pytest.param(lambda g: g.label_sum_of((0, -1)), [-1], id="label_sum_of_negative"),
     pytest.param(lambda g: g.induced_bonds({99}), [99], id="induced_bonds"),
     pytest.param(lambda g: g.induced_bonds({2, -1}), [-1], id="induced_bonds_negative"),
+    pytest.param(lambda g: reduce_to_z(g, {0, 99}), [99], id="reduce_to_z"),
+    pytest.param(lambda g: zero_set_data(g, {0, 99}), [99], id="zero_set_data"),
+    pytest.param(lambda g: f_value(g, {0, 99}), [99], id="f_value"),
+    pytest.param(lambda g: from_zero_set(g, {0, 99}), [99], id="from_zero_set"),
 ])
 def test_a_non_node_is_named(call, missing):
     """``degree``, ``mask_of``, ``label_sum_of`` and ``induced_bonds``, and
     so every function that reads them, name any non-node of B4, a negative
-    one or a contracted child's deleted node included."""
+    one or a contracted child's deleted node included; a zero set that
+    also holds nodes names the non-nodes alone."""
     with pytest.raises(ValueError, match=re.escape(f"not a node subset: {missing}")):
         call(build_spec("B4"))
 

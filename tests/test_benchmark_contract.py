@@ -50,3 +50,28 @@ assert metrics["dynkin.classify_calls"] > 0, metrics
 """
     done = _python("-c", script)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_tracer_counts_one_check_per_enumerated_class():
+    """In a traced ``enumerate`` pass, ``thomae.check_calls`` is one per
+    class the CLI printed, and ``kac.enumerate`` counted those classes."""
+    script = f"""
+import json
+import sys
+sys.path[:0] = [{str(BENCH)!r}, {str(ROOT / "src")!r}]
+import tracing
+import workloads
+
+tracer = tracing.Tracer()
+tracer.install()
+state = workloads.EnumerateState([("B5", 6, 0)])
+(code, text), = workloads.enumerate_run(state)
+classes = len(json.loads(text)["classes"])
+assert code == 0 and classes > 0, (code, classes)
+metrics = tracer.layer_metrics(diagrams=state.diagrams(), output_bytes=0)
+assert metrics["thomae.check_calls"] == classes, (metrics, classes)
+assert tracer.counts["kac.enumerate"] == classes, (tracer.counts, classes)
+assert tracer.totals()["kac.enumerate"][0] == 1, tracer.totals()
+"""
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -6,6 +6,7 @@ from __future__ import annotations
 import gzip
 import itertools
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,7 @@ from kacscope.reductions import (
     switch_sites,
     switch_step,
 )
-from kacscope.thomae import f_value, proper_subsets, subset_tables, zero_set_data
+from kacscope.thomae import ClassReport, f_value, proper_subsets, subset_tables, zero_set_data
 
 TRACE_GOLDEN = Path(__file__).parent / "golden" / "reduce_classical9.tsv.gz"
 CASE_GOLDEN = Path(__file__).parent / "golden" / "match_case_classical10.tsv.gz"
@@ -120,6 +121,7 @@ def test_contraction_drop_rejects_node_in_J():
         pytest.param(lambda g, J: in_Z(g, frozenset({99})), id="in_Z"),
         pytest.param(lambda g, J: switch_sites(g, frozenset({99})), id="switch_sites"),
         pytest.param(lambda g, J: match_case(g, frozenset({99})), id="match_case"),
+        pytest.param(lambda g, J: reduce_to_z(g, J | {99}), id="reduce_to_z"),
     ],
 )
 def test_node_outside_the_graph_is_rejected(call):
@@ -694,6 +696,7 @@ def test_greek_two_node_diagrams():
     (GreekData, ("c", "q", "x", "y", "a", "b", "r_boundary", "c_boundary",
                  "alpha", "beta", "gamma")),
     (ReductionStep, ("kind", "detail", "drop", "f_after")),
+    (ClassReport, ("spec", "m", "s", "zero_set", "fixed_type", "fixed_dim", "bound", "f")),
 ])
 def test_records_keep_their_fields_and_refuse_assignment(record, fields):
     """Built positionally, a record holds each value under its field name,
@@ -707,6 +710,20 @@ def test_records_keep_their_fields_and_refuse_assignment(record, fields):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert [getattr(value, name) for name in fields] == list(range(len(fields)))
+
+
+def test_class_report_derives_its_properties_and_refuses_assignment():
+    """``tau``, ``holds`` and ``is_equality`` are read from ``m`` and
+    ``bound``, and cannot be assigned, on a bound equal to 1/m, above it
+    and below it."""
+    for m, bound, holds in ((6, Fraction(1, 6), True), (6, Fraction(1, 4), True),
+                            (6, Fraction(1, 7), False)):
+        report = ClassReport("G2", m, (1, 1, 1), (), "0", 2, bound, 0)
+        assert report.tau == Fraction(1, m)
+        assert (report.holds, report.is_equality) == (holds, bound == Fraction(1, m))
+        for name in ("tau", "holds", "is_equality"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ and the extremal tables for the inner exceptional types."""
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
+from kacscope import affine
 from kacscope.affine import Bond, Diagram, build_spec, catalog
 from kacscope.dynkin import connected_components, total_root_count
 from kacscope.kac import enumerate_classes, from_zero_set
@@ -69,7 +69,7 @@ def test_integer_comparisons_equal_their_fraction_forms():
 
     g2_report = check_class(build_spec("G2"), (1, 1, 1))
     outcomes = {
-        outcome(dataclasses.replace(g2_report, m=m, bound=Fraction(a, b)))
+        outcome(g2_report._replace(m=m, bound=Fraction(a, b)))
         for a, b, m in itertools.product(range(1, 8), range(1, 25), range(1, 25))
     }
     classes = 0
@@ -334,9 +334,9 @@ def test_subset_tables_classify_each_connected_set_once(monkeypatch):
     """On a diagram with an empty memo, the kernel classifies exactly the
     proper connected node sets, each once."""
     calls = []
-    factors = Diagram.factors
-    monkeypatch.setattr(Diagram, "factors",
-                        lambda self, subset: calls.append(frozenset(subset)) or factors(self, subset))
+    classify = affine._classify_component
+    monkeypatch.setattr(affine, "_classify_component",
+                        lambda comp, *graph: calls.append(comp) or classify(comp, *graph))
     for named in catalog(8):
         d = Diagram(named.e, named.labels, named.bonds)
         calls.clear()
