@@ -100,21 +100,23 @@ class Diagram:
 
     The graph is ``bonds`` plus node masks derived from them once, in
     ``__init__``: node u is bit ``1 << u``, and ``node_mask``,
-    ``interior_mask`` (degree >= 2) and ``neighbours[u]`` are node masks.
-    A mask holds one bond per pair, so a bond that is a loop, repeats a
-    pair or has an end that is not a node raises ``ValueError``.
+    ``interior_mask`` (degree >= 2), ``neighbours[u]`` and ``bond_masks``
+    (``1 << u | 1 << v`` per bond, aligned with ``bonds``) are node masks,
+    which hold one bond per pair: a bond that is a loop, repeats a pair or
+    has an end that is not a node raises ``ValueError``.
     ``labels`` is stored in node order.  ``__init__`` is the only way a
     diagram is made, and it is not changed after construction: a
     contraction builds its child afresh.  Each instance memoises the
     factors of every component ``_factors_of`` has classified on it, by
     component mask; :mod:`kacscope.reductions` keeps its move table in
-    ``_moves`` and the children ``contract`` made in ``_contractions``.
+    ``_moves``, the interior's label, node order and path verdict in
+    ``_spine`` and the children ``contract`` made in ``_contractions``.
     All memos start empty and live as long as the diagram, which for one
     that :func:`build` caches is the whole process.
     """
 
-    __slots__ = ("e", "labels", "label_sum", "bonds", "node_mask", "neighbours",
-                 "interior_mask", "_components", "_moves", "_contractions")
+    __slots__ = ("e", "labels", "label_sum", "bonds", "bond_masks", "node_mask", "neighbours",
+                 "interior_mask", "_components", "_moves", "_spine", "_contractions")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
@@ -130,8 +132,9 @@ class Diagram:
                 raise ValueError(f"bond ({b.u}, {b.v}) is a loop or repeats a pair")
             neighbours[b.u] |= 1 << b.v
             neighbours[b.v] |= 1 << b.u
+        self.bond_masks = tuple(1 << b.u | 1 << b.v for b in self.bonds)
         self.interior_mask = sum(1 << u for u in self.labels if neighbours[u].bit_count() >= 2)
-        self._components, self._moves, self._contractions = {}, None, {}
+        self._components, self._moves, self._spine, self._contractions = {}, None, None, {}
 
     # -- basic data ------------------------------------------------------
 
@@ -147,11 +150,6 @@ class Diagram:
     def coxeter(self) -> int:
         """Twisted Coxeter number h_e = e * sum of labels."""
         return self.e * self.label_sum
-
-    @property
-    def interior(self) -> frozenset[int]:
-        """The nodes of degree >= 2."""
-        return frozenset(nodes_of(self.interior_mask))
 
     def degree(self, u: int) -> int:
         """The number of bonds at node ``u``; ``ValueError`` for a non-node."""
@@ -228,7 +226,7 @@ class Diagram:
 
     def _induced_bonds(self, mask: int) -> tuple[Bond, ...]:
         """:meth:`induced_bonds` of the node mask ``mask``."""
-        return tuple(b for b in self.bonds if mask >> b.u & mask >> b.v & 1)
+        return tuple(b for b, ends in zip(self.bonds, self.bond_masks) if ends & mask == ends)
 
 
 # ---------------------------------------------------------------------------

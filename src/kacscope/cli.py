@@ -22,9 +22,9 @@ Every subcommand refuses a base rank or a ``--max-rank`` above
 :data:`MAX_RANK` before it builds anything.
 
 Exit status: 0 on success, 1 when a scan finds a counterexample or a
-classification mismatch, or check finds the bound violated, 2 on usage
-errors (including an ``--out`` file that cannot be written), 3 on
-internal errors (a subdiagram the classifier rejects, a failed self-check
+classification mismatch, or check or enumerate finds the bound violated,
+2 on usage errors (including an ``--out`` file that cannot be written), 3
+on internal errors (a subdiagram the classifier rejects, a failed self-check
 of the class generators or the reduction moves, or any other exception).
 """
 
@@ -208,8 +208,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
     # classes share zero sets, and one memo gives each its fields once
     records = []
     memo: dict = {}
+    violated = False
     for s in classes:
         report = thomae.check_class(diagram, s, memo)
+        if report.m != args.order:
+            raise AssertionError(f"class {_kac_text(s)} has order {report.m}, not {args.order}")
+        violated = violated or not report.holds
         records.append(
             {
                 "kac": _kac_text(s),
@@ -230,7 +234,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
             )
         return lines
 
-    return 0, doc, text
+    return (1 if violated else 0), doc, text
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ one-line certificate and never needs reduction.
 
 The moves work on ``J`` as an ``int`` node mask (see :class:`Diagram`), made
 once from the node set a public function takes and split into runs by
-:func:`_runs` alone.  Each graph memoises its move table and the children
-:func:`contract` has made on it.
+:func:`_runs` alone.  Each graph memoises its move table, its interior spine
+(:func:`_spine`) and the children :func:`contract` has made on it.
 """
 
 from __future__ import annotations
@@ -79,6 +79,20 @@ def _sizes(graph: Diagram, J: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # contraction
 # ---------------------------------------------------------------------------
+
+
+def _spine(graph: Diagram) -> tuple[Optional[int], tuple[int, ...], bool]:
+    """The interior's label (None when its labels differ, 0 when there is
+    no interior), its nodes in order, and whether the bonds inside it link
+    those nodes into that path; worked out once per graph."""
+    if graph._spine is None:
+        inner = graph.interior_mask
+        order, inside = tuple(nodes_of(inner)), graph._induced_bonds(inner)
+        labels = {graph.labels[u] for u in order}
+        links = sorted((min(b.u, b.v), max(b.u, b.v)) for b in inside)
+        graph._spine = (None if len(labels) > 1 else max(labels, default=0), order,
+                        links == list(zip(order, order[1:])))
+    return graph._spine
 
 
 def _first_move(graph: Diagram, J: int) -> Optional[tuple[int, int]]:
@@ -211,17 +225,15 @@ def balance_step(graph: Diagram, J: frozenset[int]) -> tuple[frozenset[int], int
     one interior label, which is checked first: E6, E7, E8, F4 and 2E6
     raise "interior label is not constant".
     """
-    if len({graph.labels[u] for u in graph.interior}) > 1:
+    label, order, is_path = _spine(graph)
+    if label is None:
         raise ValueError("interior label is not constant")
     inner, outer = _runs(graph, graph.mask_of(J))
     sizes = sorted((run.bit_count() for run in inner), reverse=True)
     if not sizes or sizes[0] - sizes[-1] < 2:
         raise ValueError("balancing needs two interior runs differing by >= 2")
     q1, q2 = sizes[0], sizes[-1]
-
-    order = sorted(graph.interior)
-    links = sorted((min(b.u, b.v), max(b.u, b.v)) for b in graph._induced_bonds(graph.interior_mask))
-    if links != list(zip(order, order[1:])):
+    if not is_path:
         raise ValueError("interior is not a path")
     boundary = sum(outer)
     free_idx = [t for t, u in enumerate(order) if not boundary >> u & 1]
@@ -269,7 +281,7 @@ class ReductionStep(NamedTuple):
     f_after: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReductionTrace:
     spec: str
     start: tuple[int, ...]
@@ -312,13 +324,10 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         )
     J = frozenset(J)
     start = tuple(sorted(J))
-    graph = diagram
-    if not J or not J < frozenset(graph.labels):
-        graph.mask_of(J)  # raises, naming every non-node
+    graph, mask = diagram, diagram.mask_of(J)
+    if not mask or mask == graph.node_mask:
         raise ValueError("J must be a nonempty proper subset of the nodes")
-
-    mask = graph.mask_of(J)
-    factors0 = graph.factors(J)
+    factors0 = graph._factors_of(graph.components(mask))
     inside0 = graph._induced_bonds(mask)
     r_j, c_j = total_root_count(factors0), graph.label_sum_of(J)
     f = f_start = graph_f(graph, J, factors0)
@@ -477,12 +486,10 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     otherwise.  The interior label must be constant, which holds for every
     supported diagram and survives contraction.
     """
-    interior_labels = {graph.labels[u] for u in nodes_of(graph.interior_mask)}
-    if len(interior_labels) > 1:
+    # c (0 on a two-node graph, which has no interior) multiplies only x and y
+    c = _spine(graph)[0]
+    if c is None:
         raise ValueError("interior label is not constant")
-    # a two-node graph has no interior: every term involving c carries a
-    # factor of x or y, both zero, so any value is exact — use 0
-    c = interior_labels.pop() if interior_labels else 0
 
     inner, outer = _runs(graph, graph.mask_of(J))
     sizes = [run.bit_count() for run in inner]
@@ -676,8 +683,8 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
     returned rather than a wrong closed form.  Raises ``ValueError`` when
     ``J`` holds a node not in the diagram.
     """
-    diagram.mask_of(J)
-    if not diagram.interior:
+    mask = diagram.mask_of(J)
+    if not diagram.interior_mask:
         return None  # two-node diagram: no spine for the case taxonomy
     try:
         g = greek_decomposition(diagram, J)
@@ -687,12 +694,13 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
     if pattern is None:
         return None
     name, wanted = pattern
-    size = _run_params(runs_of(diagram, J)[1], wanted)
+    inner, outer = _runs(diagram, mask)
+    size = _run_params([frozenset(nodes_of(run)) for run in outer], wanted)
     if size is None:
         return None
     q, x, y = g.q, g.x, g.y
     n = diagram.n_e
-    r_j, c_j, c_up = zero_set_data(diagram, J)
+    r_j, c_j, c_up = zero_set_data(diagram, J, diagram._factors_of(inner + outer))
     c, names, boundary, greek = _CASES[name]
     p, r = size["p"], size["r"]
     r_b, c_up_b, n_b, c_b = boundary(p, r)

@@ -143,7 +143,7 @@ def test_criterion_4_coxeter_identity_rank_16():
 def _glossary_z(graph, J):
     """No two adjacent off-J interior nodes, and the interior runs of J
     have at most two consecutive sizes."""
-    interior = graph.interior
+    interior = {u for u in graph.nodes if graph.degree(u) >= 2}
     off = {u for u in graph.nodes if u not in J and u in interior}
     if any(b.u in off and b.v in off for b in graph.bonds):
         return False

@@ -73,7 +73,7 @@ def _diagram_line(ident):
         " ".join(",".join(map(str, p)) for p in d.omega),
         layout,
         f"cyclic={d.cyclic}",
-        "interior=" + ",".join(map(str, sorted(d.interior))),
+        "interior=" + ",".join(str(u) for u in d.nodes if d.degree(u) >= 2),
         f"label_sum={d.label_sum} base_dim={d.base_dim}",
     ])
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -457,6 +458,28 @@ def test_enumerate_json(capsys):
     assert kacs == {"1,0,0,1", "0,0,1,0"}
     eq = {entry["kac"]: entry["is_equality"] for entry in doc["classes"]}
     assert eq["1,0,0,1"] is True and eq["0,0,1,0"] is False
+
+
+def _patch_class_reports(monkeypatch, **fields):
+    """Make ``thomae.check_class`` report every class with ``fields`` replaced."""
+    real = cli.thomae.check_class
+    monkeypatch.setattr(cli.thomae, "check_class",
+                        lambda d, s, memo=None: real(d, s, memo)._replace(**fields))
+
+
+def test_enumerate_reports_a_violated_bound_with_exit_1(capsys, monkeypatch):
+    # dim ratio 1/7 is below the bound 1/6 of every G2 class of order 6
+    _patch_class_reports(monkeypatch, bound=Fraction(1, 7))
+    code, out, _ = _run(capsys, "enumerate", "G2", "--order", "6")
+    assert code == 1
+    assert out.splitlines()[0] == "G2: 3 class(es) of order 6"
+
+
+def test_enumerate_class_of_another_order_is_an_internal_error(capsys, monkeypatch):
+    _patch_class_reports(monkeypatch, m=5)
+    code, out, err = _run(capsys, "enumerate", "G2", "--order", "6")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: class ") and "has order 5, not 6" in err
 
 
 @pytest.mark.parametrize("order", ["0", "-3"])

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import gzip
 import itertools
+import random
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,11 +15,12 @@ import pytest
 
 from kacscope import reductions
 from kacscope.affine import Bond, Diagram, build_spec, catalog
-from kacscope.dynkin import connected_components
+from kacscope.dynkin import connected_components, nodes_of
 from kacscope.ellreg import expected_classes
 from kacscope.reductions import (
     GreekData,
     ReductionStep,
+    ReductionTrace,
     balance_step,
     contract,
     contractible_pair,
@@ -153,7 +156,7 @@ def test_contracted_child_equals_a_fresh_build():
                 assert child.bonds == fresh.bonds
                 assert [child.neighbours[u] for u in child.nodes] == [
                     fresh.neighbours[u] for u in fresh.nodes]
-                assert child.interior == fresh.interior
+                assert child.interior_mask == fresh.interior_mask
                 assert child.label_sum == fresh.label_sum
                 g = child
                 children += 1
@@ -216,7 +219,6 @@ def test_memoised_children_equal_a_fresh_build(rank10_sweep):
         labels = {u: c for u, c in parent.labels.items() if u != i}
         fresh = Diagram(parent.e, labels, kept + added)
         assert list(child.labels.items()) == list(fresh.labels.items())
-        assert child.interior == fresh.interior
         assert child.label_sum == fresh.label_sum
         masks = [child.neighbours[u] for u in child.nodes]
         assert masks == [fresh.neighbours[u] for u in fresh.nodes]
@@ -244,7 +246,7 @@ def test_reduce_sweep_shares_its_contracted_graphs(rank10_sweep):
 def _sorted_contractible_pair(graph, J):
     """The reference search: sort the bonds by (min, max) of their ends
     and take the first one where a contraction applies."""
-    interior = graph.interior
+    interior = {u for u in graph.nodes if graph.degree(u) >= 2}
     for b in sorted(graph.bonds, key=lambda b: (min(b.u, b.v), max(b.u, b.v))):
         u, v = min(b.u, b.v), max(b.u, b.v)
         if u in J or v in J:
@@ -362,6 +364,82 @@ def test_contractible_pair_ignores_bond_order(spec):
     for J in _nonempty_proper(d):
         pair = contractible_pair(shuffled, J)
         assert pair == _sorted_contractible_pair(shuffled, J) == contractible_pair(d, J)
+
+
+def _spine_oracle(graph):
+    """The interior's label, nodes and path verdict from the bonds alone:
+    a node is interior when two bonds meet it, and the interior is that
+    path when each consecutive pair is bonded and no other pair is."""
+    degree = Counter(u for b in graph.bonds for u in (b.u, b.v))
+    order = tuple(sorted(u for u in graph.labels if degree[u] >= 2))
+    labels = {graph.labels[u] for u in order}
+    label = None if len(labels) > 1 else next(iter(labels), 0)
+    inside = {frozenset((b.u, b.v)) for b in graph.bonds if {b.u, b.v} <= set(order)}
+    return label, order, inside == {frozenset(pair) for pair in zip(order, order[1:])}
+
+
+def test_spine_and_bond_masks_match_oracles(rank10_sweep):
+    """``_spine`` and ``_induced_bonds`` against their definitions on every
+    diagram of ``catalog(12)`` and every memoised child of the reduce sweep:
+    the spine both as first worked out and as read back from the memo (the
+    sweep's children hold the one their traces filled), and the induced
+    bonds on every single node, every bonded pair, the interior, the
+    interior's complement and 40 seeded random node sets.  Each child is
+    also made again from a copy of its parent whose spine is already
+    worked out, and must work out its own."""
+    rng = random.Random(23)
+    graphs = catalog(12) + [child for _parent, _key, child in rank10_sweep[0]]
+    for parent, key, _child in rank10_sweep[0]:
+        i, j = key if isinstance(key, tuple) else (key, nodes_of(parent.neighbours[key])[0])
+        fresh = Diagram(parent.e, parent.labels, parent.bonds)
+        reductions._spine(fresh)
+        child = contract(fresh, frozenset(), i, j)
+        assert reductions._spine(child) == _spine_oracle(child), (parent.bonds, key)
+    for g in graphs:
+        assert reductions._spine(g) == reductions._spine(g) == _spine_oracle(g), g.bonds
+        subsets = [{u} for u in g.nodes] + [{b.u, b.v} for b in g.bonds]
+        subsets += [set(nodes_of(g.interior_mask)), set(nodes_of(g.node_mask & ~g.interior_mask))]
+        subsets += [{u for u in g.nodes if rng.random() < 0.5} for _ in range(40)]
+        for nodes in subsets:
+            want = tuple(b for b in g.bonds if b.u in nodes and b.v in nodes)
+            assert g._induced_bonds(g.mask_of(nodes)) == want, (g.bonds, sorted(nodes))
+    assert len(graphs) == 70 + 1_194
+
+
+@pytest.mark.parametrize("spec", ["E6", "F4"])
+def test_nonconstant_interior_label_raises_before_and_after_the_memo(spec):
+    """Every call raises, the ones after the spine memo is filled included."""
+    d = build_spec(spec)
+    g = Diagram(d.e, d.labels, d.bonds)
+    assert g._spine is None
+    for _ in range(2):
+        for J in proper_subsets(g):
+            for call in (greek_decomposition, balance_step):
+                with pytest.raises(ValueError, match="interior label is not constant"):
+                    call(g, J)
+        assert g._spine is not None
+
+
+def test_reduce_to_z_evaluates_f_once_per_state(monkeypatch):
+    """One ``graph_f`` call for the start and one after each move: the
+    independent recompute stays, and nothing else evaluates f."""
+    calls = 0
+    real = reductions.graph_f
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(reductions, "graph_f", counting)
+    traces = 0
+    for d in _classical(8):
+        for J in _nonempty_proper(d):
+            before = calls
+            trace = reduce_to_z(d, J)
+            assert calls - before == 1 + len(trace.steps), (d.spec, sorted(J))
+            traces += 1
+    assert traces > 3_000
 
 
 def test_induced_bonds_agree_with_reclassification():
@@ -697,6 +775,7 @@ def test_greek_two_node_diagrams():
                  "alpha", "beta", "gamma")),
     (ReductionStep, ("kind", "detail", "drop", "f_after")),
     (ClassReport, ("spec", "m", "s", "zero_set", "fixed_type", "fixed_dim", "bound", "f")),
+    (ReductionTrace, ("spec", "start", "f_start", "steps", "final_graph", "final_J", "f_final")),
 ])
 def test_records_keep_their_fields_and_refuse_assignment(record, fields):
     """Built positionally, a record holds each value under its field name,
@@ -795,6 +874,30 @@ def test_cases_need_distinct_boundary_runs(spec, J):
     assert outer == [J]
     assert reductions._run_params(outer, wanted) is None
     assert match_case(d, J) is None
+
+
+def test_match_case_checks_and_splits_j_at_most_twice(monkeypatch):
+    """``match_case`` validates J into a mask, and splits it into
+    components, at most twice per call."""
+    counts = Counter()
+
+    def counted(name):
+        real = getattr(Diagram, name)
+
+        def call(self, arg):
+            counts[name] += 1
+            return real(self, arg)
+        return call
+
+    for name in ("mask_of", "components"):
+        monkeypatch.setattr(Diagram, name, counted(name))
+    worst = Counter()
+    for d in _classical(8):
+        for J in _nonempty_proper(d):
+            counts.clear()
+            match_case(d, J)
+            worst |= counts
+    assert worst == {"mask_of": 2, "components": 2}
 
 
 def test_cases_agree_with_decomposition():
