@@ -17,6 +17,8 @@ Each subcommand computes its records once and returns its exit code, its
 JSON document (without ``version``) and a renderer of its text lines.
 :func:`main` is the one writer: it adds ``version``, renders the format
 asked for (JSON by :func:`_json`) and writes the result to ``--out`` or stdout.
+enumerate renders what depends only on a zero set once, and hands the writer
+one pre-rendered string per class, in a :class:`_Rendered` list.
 
 Every subcommand refuses a base rank or a ``--max-rank`` above
 :data:`MAX_RANK` before it builds anything.
@@ -34,7 +36,7 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import __version__
 from . import ellreg as ellreg_mod
@@ -45,6 +47,7 @@ from .dynkin import UnsupportedSubdiagramError
 # what every subcommand returns: exit code, JSON document, text renderer
 Report = tuple[int, dict, Callable[[], list[str]]]
 _LITERALS = {None: "null", True: "true", False: "false"}
+_DIGITS = {v: str(v) for v in range(100)}
 
 
 # the highest base rank any subcommand builds.  A diagram of base rank n takes O(n^2) to
@@ -69,14 +72,25 @@ def _resolve_diagrams(specs: list[str], max_rank: int = 0) -> list[AffineDiagram
     return catalog(max_rank)
 
 
-def _kac_text(s: Iterable[int]) -> str:
-    return ",".join(map(str, s))
+def _kac_text(s: tuple[int, ...]) -> str:
+    try:
+        return ",".join(map(_DIGITS.__getitem__, s))
+    except KeyError:  # an entry of 100 or more is formatted, not added to the table
+        return ",".join(map(str, s))
+
+
+class _Rendered(list):
+    """JSON entries already rendered at the depth ``pad``, which :func:`_json` joins as they are."""
+
+    def __init__(self, pad: str):
+        self.pad = pad
 
 
 def _json(value, pad: str = "\n", head: str = "") -> str:
     """``head``, then the bytes of ``json.dumps(value)`` at a two-space indent,
     without the stdlib's pure-Python indent encoder.  Each container is one join,
-    with ``head`` and its brackets put on its end entries; keys must be strings."""
+    with ``head`` and its brackets put on its end entries; keys must be strings.
+    A :class:`_Rendered` list is joined as it stands, at its own depth only."""
     if isinstance(value, str):
         return head + _quote(value)
     if value is None or value is True or value is False:
@@ -86,6 +100,10 @@ def _json(value, pad: str = "\n", head: str = "") -> str:
     inner = pad + "  "
     if isinstance(value, dict):
         entries, brackets = [_json(v, inner, _quote(k) + ": ") for k, v in value.items()], "{}"
+    elif isinstance(value, _Rendered):
+        if value.pad != inner:
+            raise AssertionError(f"entries rendered for pad {value.pad!r} sit at pad {inner!r}")
+        entries, brackets = list(value), "[]"
     elif isinstance(value, (list, tuple)):
         entries, brackets = [_json(v, inner) for v in value], "[]"
     else:  # floats and any other scalar
@@ -203,38 +221,35 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
             f"that enumerate walks"
         )
     classes = kac.enumerate_classes(diagram, args.order)
-    # one small record per class: a class list can be long, so the
-    # reports are not kept, and the text renders from these records;
-    # classes share zero sets, and one memo gives each its fields once
-    records = []
+    # every class is checked and its m compared with --order; what depends only on its
+    # zero set (the verdict too, as m is fixed) is then decided and rendered once, and a
+    # class costs one string: its Kac text, digits and commas needing no quoting, in its record
     memo: dict = {}
+    shared: dict = {}
+    records, line_tails = _Rendered("\n    "), []
     violated = False
     for s in classes:
         report = thomae.check_class(diagram, s, memo)
         if report.m != args.order:
             raise AssertionError(f"class {_kac_text(s)} has order {report.m}, not {args.order}")
-        violated = violated or not report.holds
-        records.append(
-            {
-                "kac": _kac_text(s),
-                "fixed_type": report.fixed_type,
-                "fixed_dim": report.fixed_dim,
-                "is_equality": report.is_equality,
-            }
-        )
+        parts = shared.get(report.zero_set)
+        if parts is None:
+            violated = violated or not report.holds
+            record = {"kac": "", "fixed_type": report.fixed_type,
+                      "fixed_dim": report.fixed_dim, "is_equality": report.is_equality}
+            head, _, tail = _json(record, records.pad).partition('""')
+            mark = "  *" if report.is_equality else "" if report.holds else "  VIOLATED"
+            line = f"   [{report.fixed_type}, dim {report.fixed_dim}]{mark}"
+            parts = shared[report.zero_set] = head, tail, line
+        head, tail, line = parts
+        records.append(f'{head}"{_kac_text(s)}"{tail}')
+        line_tails.append(line)
     doc = {"spec": diagram.spec, "order": args.order, "classes": records}
-
-    def text() -> list[str]:
-        lines = [f"{diagram.spec}: {len(classes)} class(es) of order {args.order}"]
-        for s, record in zip(classes, records):
-            star = "  *" if record["is_equality"] else ""
-            lines.append(
-                f"  {render_kac(diagram, s, unicode=args.unicode)}"
-                f"   [{record['fixed_type']}, dim {record['fixed_dim']}]{star}"
-            )
-        return lines
-
-    return (1 if violated else 0), doc, text
+    return (1 if violated else 0), doc, lambda: [
+        f"{diagram.spec}: {len(classes)} class(es) of order {args.order}",
+        *(f"  {render_kac(diagram, s, unicode=args.unicode)}{line}"
+          for s, line in zip(classes, line_tails)),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from kacscope import cli, kac
-from kacscope.affine import catalog
+from kacscope import __version__, cli, kac
+from kacscope.affine import build_spec, catalog, render_kac
 
 GOLDEN = Path(__file__).parent / "golden" / "ellreg"
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
@@ -102,6 +102,41 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_matches_the_indented_stdlib_encoder(value):
     assert cli._json(value) == json.dumps(value, indent=2)
+
+
+@given(st.lists(JSON_VALUES, max_size=4), st.integers(min_value=0, max_value=3), st.booleans())
+def test_json_writer_joins_a_rendered_list_at_its_depth(items, depth, in_dicts):
+    # the items are rendered for the depth the list then sits at, inside lists or dicts
+    rendered = cli._Rendered("\n" + "  " * (depth + 1))
+    rendered.extend(cli._json(item, rendered.pad) for item in items)
+    doc, plain = rendered, items
+    for _ in range(depth):
+        doc, plain = ({"k": doc}, {"k": plain}) if in_dicts else ([doc], [plain])
+    assert cli._json(doc) == json.dumps(plain, indent=2)
+
+
+@pytest.mark.parametrize("items", [[], ["1"]])
+@pytest.mark.parametrize("pad", ["\n  ", "\n      "])
+def test_json_writer_refuses_a_rendered_list_at_another_depth(items, pad):
+    # under a top-level key the list's items sit at "\n    "
+    rendered = cli._Rendered(pad)
+    rendered.extend(items)
+    with pytest.raises(AssertionError, match="rendered for pad"):
+        cli._json({"classes": rendered})
+
+
+def test_enumerate_records_at_another_depth_are_an_internal_error(capsys, monkeypatch):
+    real = cli._cmd_enumerate
+
+    def nested(args):
+        code, doc, text = real(args)
+        return code, {"result": doc}, text
+
+    monkeypatch.setattr(cli, "_cmd_enumerate", nested)
+    code, out, err = _run(capsys, "enumerate", "G2", "--order", "6", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: entries rendered for pad ")
+    assert _run(capsys, "enumerate", "G2", "--order", "6")[0] == 0  # text has no depth
 
 
 def test_verify_without_diagrams_is_a_usage_error(capsys):
@@ -472,7 +507,9 @@ def test_enumerate_reports_a_violated_bound_with_exit_1(capsys, monkeypatch):
     _patch_class_reports(monkeypatch, bound=Fraction(1, 7))
     code, out, _ = _run(capsys, "enumerate", "G2", "--order", "6")
     assert code == 1
-    assert out.splitlines()[0] == "G2: 3 class(es) of order 6"
+    head, *lines = out.splitlines()
+    assert head == "G2: 3 class(es) of order 6"
+    assert len(lines) == 3 and all(line.endswith("]  VIOLATED") for line in lines)
 
 
 def test_enumerate_class_of_another_order_is_an_internal_error(capsys, monkeypatch):
@@ -480,6 +517,43 @@ def test_enumerate_class_of_another_order_is_an_internal_error(capsys, monkeypat
     code, out, err = _run(capsys, "enumerate", "G2", "--order", "6")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: class ") and "has order 5, not 6" in err
+
+
+def _enumerate_oracle(diagram, order) -> dict:
+    """``enumerate`` output in each format, built the plain way: a dict record and a
+    text line per class, from its ``check_class`` report, and ``json.dumps`` at indent 2."""
+    memo: dict = {}
+    reports = [cli.thomae.check_class(diagram, s, memo) for s in kac.enumerate_classes(diagram, order)]
+    code = 0 if all(r.holds for r in reports) else 1
+    records = [{"kac": ",".join(map(str, r.s)), "fixed_type": r.fixed_type,
+                "fixed_dim": r.fixed_dim, "is_equality": r.is_equality} for r in reports]
+    doc = {"version": __version__, "spec": diagram.spec, "order": order, "classes": records}
+    outputs = {"json": json.dumps(doc, indent=2) + "\n"}
+    for fmt in ("text", "unicode"):
+        lines = [f"{diagram.spec}: {len(reports)} class(es) of order {order}"]
+        for r in reports:
+            mark = "  *" if r.is_equality else "" if r.holds else "  VIOLATED"
+            lines.append(f"  {render_kac(diagram, r.s, unicode=fmt == 'unicode')}"
+                         f"   [{r.fixed_type}, dim {r.fixed_dim}]{mark}")
+        outputs[fmt] = "\n".join(lines) + "\n"
+    return {fmt: (code, out, "") for fmt, out in outputs.items()}
+
+
+ENUMERATE_FLAGS = {"json": ("--format", "json"), "text": (), "unicode": ("--unicode",)}
+
+
+def test_enumerate_matches_a_plain_oracle_byte_for_byte(capsys):
+    # every diagram to rank 4 at orders 1-12, an order off the twist (no classes) and
+    # a prime A1 order whose classes hold every entry 1-100: the writer's table of
+    # digit texts ends at 99, so (1, 100) is formatted and the rest read from the table
+    cases = [(d, order) for d in catalog(4) for order in range(1, 13)]
+    cases += [(build_spec("2A5"), 3), (build_spec("A1"), 101)]
+    assert {v for s in kac.enumerate_classes(build_spec("A1"), 101) for v in s} == set(range(1, 101))
+    for diagram, order in cases:
+        expected = _enumerate_oracle(diagram, order)
+        for fmt, flags in ENUMERATE_FLAGS.items():
+            got = _run(capsys, "enumerate", diagram.spec, "--order", str(order), *flags)
+            assert got == expected[fmt], (diagram.spec, order, fmt)
 
 
 @pytest.mark.parametrize("order", ["0", "-3"])
