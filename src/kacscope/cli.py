@@ -33,6 +33,7 @@ of the class generators or the reduction moves, or any other exception).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -60,7 +61,7 @@ MAX_RANK = 200
 
 def _resolve_diagrams(specs: list[str], max_rank: int = 0) -> list[AffineDiagram]:
     """The diagrams ``specs`` names, or else the catalog to ``max_rank``; a rank above
-    :data:`MAX_RANK` is refused before anything is built."""
+    :data:`MAX_RANK` is refused before anything is built, and an empty catalog after."""
     for ident in map(parse_spec, specs):
         if ident.base_rank > MAX_RANK:
             raise ValueError(f"{ident.spec} has base rank {ident.base_rank}, "
@@ -69,7 +70,9 @@ def _resolve_diagrams(specs: list[str], max_rank: int = 0) -> list[AffineDiagram
         return [build_spec(s) for s in specs]
     if max_rank > MAX_RANK:
         raise ValueError(f"--max-rank {max_rank} is more than the {MAX_RANK} that kacscope builds")
-    return catalog(max_rank)
+    if not (diagrams := catalog(max_rank)):
+        raise ValueError(f"no supported diagram has rank <= {max_rank}; nothing to verify")
+    return diagrams
 
 
 def _kac_text(s: tuple[int, ...]) -> str:
@@ -134,10 +137,6 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
             raise ValueError(f"{ident.spec} has base rank {ident.base_rank}, so more than "
                              f"the {MAX_VERIFY_NODES} nodes that verify scans")
     diagrams = _resolve_diagrams(args.spec, min(args.max_rank, 2 * MAX_VERIFY_NODES))
-    if not diagrams:
-        raise ValueError(
-            f"no supported diagram has rank <= {args.max_rank}; nothing to verify"
-        )
     for diagram in diagrams:
         nodes = len(diagram.nodes)
         if nodes > MAX_VERIFY_NODES:
@@ -413,7 +412,9 @@ def _cmd_catalog(args: argparse.Namespace) -> Report:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; :func:`main` calls ``_cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="kacscope",
         description="Exact certification of the torsion fixed-point dimension bound.",
@@ -432,31 +433,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="scan diagrams and certify the bound")
     common(p, "*")
     p.add_argument("--max-rank", type=int, default=12)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("enumerate", help="torsion classes of one order")
     common(p, 1, unicode=True)
     p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check", help="evaluate the bound for one Kac vector")
     common(p, 1, unicode=True)
     p.add_argument("--kac", required=True, help="comma-separated coordinates")
-    p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("ellreg", help="predicted equality classification")
     common(p, "*", formats=("text", "json", "tsv"), unicode=True)
     p.add_argument("--max-rank", type=int, default=12)
-    p.set_defaults(func=_cmd_ellreg)
 
     p = sub.add_parser("steps", help="extremal tables (E6/E7/E8)")
     common(p, 1, unicode=True)
-    p.set_defaults(func=_cmd_steps)
 
     p = sub.add_parser("catalog", help="list supported diagrams")
     common(p, "")
     p.add_argument("--max-rank", type=int, default=12)
-    p.set_defaults(func=_cmd_catalog)
 
     return parser
 
@@ -464,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, doc, text = args.func(args)
+        code, doc, text = globals()[f"_cmd_{args.command}"](args)
         if args.format == "json":
             output = _json({"version": __version__, **doc}) + "\n"
         else:

@@ -22,8 +22,10 @@ A configuration is *reduced* (in the set ``Z``) when no contraction
 applies and the interior runs of ``J`` have at most two, consecutive,
 sizes.  On such configurations ``f`` is the bilinear form
 ``c*x*y + alpha*x + beta*y + gamma`` computed by
-:func:`greek_decomposition`, and for the classical families the
-coefficients collapse to the closed forms in :func:`match_case`.
+:func:`greek_decomposition`.  On the classical families :func:`match_case`
+reads that form's boundary part off the two spine ends: one table,
+``_END``, gives what each of the eight end states adds to the four
+counting quantities, and the two parts add.
 
 Only acyclic diagrams are supported here; the cycle family has its own
 one-line certificate and never needs reduction.
@@ -513,17 +515,18 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
 
 
 # ---------------------------------------------------------------------------
-# closed forms for the classical families
+# the end table for the classical families
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CaseMatch:
-    """A reduced classical configuration recognised by its tip pattern.
+    """A reduced classical configuration recognised by its two spine ends.
 
-    ``alpha``/``gamma`` are the closed forms predicted by the case; they
-    must agree with the values computed by :func:`greek_decomposition`,
-    and ``beta`` with ``alpha_at(q + 1)``.
+    ``name`` names the pair of end states and ``params`` holds what, with
+    ``_END`` and the interior label, gives ``f``.  ``alpha`` and ``gamma``
+    are :func:`greek_decomposition`'s, returned once the end table's four
+    counting identities hold.
     """
 
     name: str
@@ -532,185 +535,115 @@ class CaseMatch:
     gamma: int
 
 
-# The closed-form cases: name -> (c, params, boundary, greek).  ``c`` is the
-# interior label and ``params`` the boundary parameters the case reports (an
-# absent run counts as 0).  ``boundary(p, r)`` is what the boundary runs add
-# to (|R_J|, c^J, n, c_J), and ``greek(p, q, r)`` is (alpha, gamma).
-_Form = Callable[..., tuple[int, ...]]
-_CASES: dict[str, tuple[int, str, _Form, _Form]] = {
-    "2A-even terminal run": (
-        2, "r", lambda p, r: (2 * r * r, 1, r, 2 * r),
-        lambda p, q, r: ((q - 2 * r) * (q - 2 * r - 1), 0),
-    ),
-    "C interior runs": (
-        2, "", lambda p, r: (0, 0, 0, 0),
-        lambda p, q, r: (0, 0),
-    ),
-    "2D two terminal runs": (
-        1, "pr", lambda p, r: (2 * p * p + 2 * r * r, 1, p + r, p + r),
-        lambda p, q, r: ((p - r) ** 2 + (p + r - q) * (p + r - q + 1), (p - r) ** 2),
-    ),
-    "2A-odd fork run": (
-        2, "p", lambda p, r: (2 * p * (p - 1), 1, p, 2 * (p - 1)),
-        lambda p, q, r: ((2 * p - q) * (2 * p - q - 1), 0),
-    ),
-    "2A-odd one-tip run": (
-        2, "p", lambda p, r: (p * (p + 1), 2, 1 + p, 2 * p - 1),
-        lambda p, q, r: (2 * (p - q + 1) ** 2 + q, p + 1),
-    ),
-    "2A-odd interior runs": (
-        2, "", lambda p, r: (0, 1, 1, 0),
-        lambda p, q, r: ((q - 1) * (q - 2), 0),
-    ),
-    "B fork and terminal runs": (
-        2, "pr", lambda p, r: (2 * p * (p - 1) + 2 * r * r, 2, p + r, 2 * (p + r - 1)),
-        lambda p, q, r: (
-            2 * (p - r) * (p - r - 1) + 2 * (p + r - q) ** 2, 2 * (p - r) * (p - r - 1)
-        ),
-    ),
-    # alpha is the x-coefficient of c^J*|R_J| - n*c_J expanded through the
-    # four identities; the final 2(1-q)(1+r) term is forced by that
-    # expansion.  Without a terminal run r is 0.
-    "B one-tip and terminal runs": (
-        2, "pr", lambda p, r: (p * (p + 1) + 2 * r * r, 3, p + r + 1, 2 * p + 2 * r - 1),
-        lambda p, q, r: (
-            2 * (p - q) * (p - q + 1) + (q - r) ** 2 + 3 * r * r + 2 * p
-            + 2 * (1 - q) * (1 + r),
-            (2 * r - p - 1) ** 2 + 3 * r,
-        ),
-    ),
-    "B terminal run": (
-        2, "r", lambda p, r: (2 * r * r, 2, r + 1, 2 * r),
-        lambda p, q, r: (2 * (q - r - 1) ** 2 + 2 * r * (r - 1), 2 * r * (r - 1)),
-    ),
-    "D two full forks": (
-        2, "pr", lambda p, r: (2 * p * (p - 1) + 2 * r * (r - 1), 2, p + r, 2 * (p + r - 2)),
-        lambda p, q, r: (2 * (p - r) ** 2 + 2 * (p + r - q) * (p + r - q - 1), 2 * (p - r) ** 2),
-    ),
-    "D two half forks": (
-        2, "pr", lambda p, r: (p * (p - 1) + r * (r - 1), 4, p + r, 2 * (p + r - 3)),
-        lambda p, q, r: (
-            2 * (p - q) ** 2 + 2 * (r - q) ** 2 + 2 * q, 2 * (p - r) ** 2 + 2 * (p + r)
-        ),
-    ),
-    "D one full fork": (
-        2, "p", lambda p, r: (2 * p * (p - 1), 2, 1 + p, 2 * (p - 1)),
-        lambda p, q, r: (2 * ((p - q + 1) ** 2 + (p - 2) * (p - 1) + (q - 2)), 2 * (p - 1) ** 2),
-    ),
-    "D one half fork": (
-        2, "p", lambda p, r: (p * (p - 1), 3, 1 + p, 2 * p - 3),
-        lambda p, q, r: (2 * (p - q) ** 2 + (q - 1) ** 2 + 1, (p - 1) ** 2 + 2),
-    ),
-    "D interior runs": (
-        2, "", lambda p, r: (0, 2, 2, 0),
-        lambda p, q, r: (2 * (q - 1) * (q - 2), 0),
-    ),
+# What a spine end adds to (|R_J|, c^J, n, c_J), by its state: its kind, how
+# many of its nodes J holds, and "split" when those fall in two runs.  ``s``
+# is the node count of the end's runs (0 when J holds none of its nodes), and
+# the c^J and c_J parts are in units of c/2, c the interior label.  A light
+# or heavy end carries one node of label c/2 or c on a double bond, a fork
+# two tips of label c/2 on a hub of label c, so the end's runs are:
+#   light 1: C_s (or B_s), 2s^2 roots, one c/2 node and s - 1 of label c;
+#   heavy 1: B_s (or C_s), 2s^2 roots, s nodes of label c;
+#   fork 1:  A_s, s(s + 1) roots, one tip and s - 1 nodes of label c;
+#   fork 2:  D_s, 2s(s - 1) roots, two tips and s - 2 nodes of label c;
+#   fork 2 split: A1 + A1, 4 roots, the two tips.
+_END: dict[str, Callable[[int], tuple[int, int, int, int]]] = {
+    "light 0": lambda s: (0, 0, 0, 0),
+    "light 1": lambda s: (2 * s * s, 1, s, 2 * s - 1),
+    "heavy 0": lambda s: (0, 1, 0, 0),
+    "heavy 1": lambda s: (2 * s * s, 1, s, 2 * s),
+    "fork 0": lambda s: (0, 1, 1, 0),
+    "fork 1": lambda s: (s * (s + 1), 2, s + 1, 2 * s - 1),
+    "fork 2": lambda s: (2 * s * (s - 1), 1, s, 2 * (s - 1)),
+    "fork 2 split": lambda s: (4, 1, 2, 2),
 }
 
-# A boundary run the case needs: its parameter, the tips it must hold (the
-# first one finds it) and what its node count adds to give the parameter.
-_Run = tuple[str, tuple[int, ...], int]
+# What each off-J spine node beyond an end's base gap adds, in the same units.
+_GAP = (0, 2, 1, 0)
 
-# (left end kind, how many of its nodes J holds, right end kind, the same)
-# -> the case that selects the configuration
-_PATTERNS = {
-    ("light", 0, "heavy", 1): "2A-even terminal run",
-    ("light", 0, "light", 0): "C interior runs",
-    ("heavy", 1, "heavy", 1): "2D two terminal runs",
-    ("fork", 2, "light", 0): "2A-odd fork run",
-    ("fork", 1, "light", 0): "2A-odd one-tip run",
-    ("fork", 0, "light", 0): "2A-odd interior runs",
-    ("fork", 2, "heavy", 1): "B fork and terminal runs",
-    ("fork", 1, "heavy", 0): "B one-tip and terminal runs",
-    ("fork", 1, "heavy", 1): "B one-tip and terminal runs",
-    ("fork", 0, "heavy", 1): "B terminal run",
-    ("fork", 2, "fork", 2): "D two full forks",
-    ("fork", 1, "fork", 1): "D two half forks",
-    ("fork", 2, "fork", 0): "D one full fork",
-    ("fork", 1, "fork", 0): "D one half fork",
-    ("fork", 0, "fork", 0): "D interior runs",
+# The named pairs of end states at the base gap: the name, the params it
+# reports (p from the left end's run size, r from the right's) and what is
+# added to them (a D half fork's p is one above its run size).
+_NAMES = {
+    "light 0 / heavy 1": ("2A-even terminal run", "r", 0),
+    "light 0 / light 0": ("C interior runs", "", 0),
+    "heavy 1 / heavy 1": ("2D two terminal runs", "pr", 0),
+    "fork 2 / light 0": ("2A-odd fork run", "p", 0),
+    "fork 1 / light 0": ("2A-odd one-tip run", "p", 0),
+    "fork 0 / light 0": ("2A-odd interior runs", "", 0),
+    "fork 2 / heavy 1": ("B fork and terminal runs", "pr", 0),
+    "fork 1 / heavy 0": ("B one-tip and terminal runs", "pr", 0),
+    "fork 1 / heavy 1": ("B one-tip and terminal runs", "pr", 0),
+    "fork 0 / heavy 1": ("B terminal run", "r", 0),
+    "fork 2 / fork 2": ("D two full forks", "pr", 0),
+    "fork 1 / fork 1": ("D two half forks", "pr", 1),
+    "fork 2 / fork 0": ("D one full fork", "p", 0),
+    "fork 1 / fork 0": ("D one half fork", "p", 1),
+    "fork 0 / fork 0": ("D interior runs", "", 0),
 }
-
-
-def _pattern(diagram: AffineDiagram, J: frozenset[int]) -> Optional[tuple[str, list[_Run]]]:
-    """The case that ``J`` selects at the diagram's spine ends, and the
-    boundary runs it needs: the left end's nodes in ``J`` find the run of
-    ``p``, the right end's the run of ``r``.  Of two forks the fuller one is
-    the left, and a half fork's parameter is one more than its run's node
-    count.  None for a diagram with no end record, or a pattern the case
-    analysis delegates elsewhere (by a label-comparison argument or a
-    switch)."""
-    if diagram.ends is None:
-        return None
-    held = [(end.kind, tuple(t for t in end.nodes if t in J)) for end in diagram.ends]
-    forks = held[0][0] == held[1][0] == "fork"
-    if forks:
-        held.sort(key=lambda end: -len(end[1]))
-    (left, p_tips), (right, r_tips) = held
-    name = _PATTERNS.get((left, len(p_tips), right, len(r_tips)))
-    if name is None:
-        return None
-    return name, [(param, tips, forks * (2 - len(tips)))
-                  for param, tips in (("p", p_tips), ("r", r_tips)) if tips]
-
-
-def _run_params(outer: list[frozenset[int]], wanted: list[_Run]) -> Optional[dict[str, int]]:
-    """``p`` and ``r`` from the ``wanted`` runs among the boundary runs
-    ``outer`` (0 for one not wanted); None unless each wanted run exists,
-    holds its tips and is distinct from the others, and together they are
-    all of ``outer``."""
-    found: list[frozenset[int]] = []
-    size = {"p": 0, "r": 0}
-    for param, tips, offset in wanted:
-        run = next((comp for comp in outer if tips[0] in comp), None)
-        if run is None or not run.issuperset(tips) or run in found:
-            return None
-        found.append(run)
-        size[param] = len(run) + offset
-    return size if set(found) == set(outer) else None
 
 
 def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]:
-    """Recognise a reduced configuration on a classical diagram.
+    """Recognise a member of ``Z`` on a classical diagram by its two ends.
 
-    Returns the matching closed form from ``_CASES``, or None when the tip
-    pattern is one the case analysis delegates elsewhere.  The runs the
-    case needs must each hold their tips, be distinct and make up all the
-    boundary runs of ``J``; then the case's four counting identities for
-    ``|R_J|``, ``c^J``, ``n`` and ``c_J`` are verified against
-    :func:`zero_set_data`.  A failed check means the configuration is not
-    in the case's normal form (e.g. not fully contracted) and None is
-    returned rather than a wrong closed form.  Raises ``ValueError`` when
-    ``J`` holds a node not in the diagram.
+    Each spine end gets its state (see ``_END``), the node count ``s`` of
+    its runs and its gap ``g``: the off-``J`` spine nodes from the end, past
+    its runs, to the first node of ``J``.  Of two ends of one kind the
+    fuller is the left.  Each off-``J`` spine node beyond the first of an
+    end holding nodes (beyond none of one holding none) adds ``_GAP``; with
+    no interior run the ends share one gap, counted once.  The ends' parts,
+    the gap term and the interior runs must give ``|R_J|``, ``c^J``, ``n``
+    and ``c_J`` as :func:`zero_set_data` computes them.
+
+    None when the diagram has no end record or no interior, when
+    :func:`greek_decomposition` refuses ``J``, when ``J`` is not contracted,
+    when the ends' runs are not distinct or miss a boundary run, or when an
+    identity fails.  A ``_NAMES`` pair at the base gap reports its name with
+    ``p`` and ``r``; any other pair is named by its two states and reports
+    each end's ``s`` and ``g``.  Raises ``ValueError`` when ``J`` holds a
+    node not in the diagram.
     """
     mask = diagram.mask_of(J)
-    if not diagram.interior_mask:
-        return None  # two-node diagram: no spine for the case taxonomy
+    if diagram.ends is None or not diagram.interior_mask:
+        return None  # no end record, or a two-node diagram with no spine
     try:
         g = greek_decomposition(diagram, J)
     except ValueError:
         return None  # non-constant interior label or spread-out run sizes
-    pattern = _pattern(diagram, J)
-    if pattern is None:
-        return None
-    name, wanted = pattern
+    if _first_move(diagram, mask) is not None:
+        return None  # not contracted, so not in Z
     inner, outer = _runs(diagram, mask)
-    size = _run_params([frozenset(nodes_of(run)) for run in outer], wanted)
-    if size is None:
+    spine = _spine(diagram)[1]
+    ends = []
+    for end, walk in zip(diagram.ends, (spine, spine[::-1])):
+        held = mask & sum(1 << t for t in end.nodes)
+        runs = [run for run in outer if run & held]
+        own = sum(runs)
+        steps = [u for u in walk if not own >> u & 1]
+        gap = next((t for t, u in enumerate(steps) if mask >> u & 1), len(steps))
+        state = f"{end.kind} {held.bit_count()}" + " split" * (len(runs) == 2)
+        ends.append((held.bit_count(), state, own, gap))
+    if diagram.ends[0].kind == diagram.ends[1].kind:
+        ends.sort(key=lambda end: -end[0])
+    (h_l, left, own_l, g_l), (h_r, right, own_r, g_r) = ends
+    if own_l & own_r or own_l | own_r != sum(outer):
         return None
-    q, x, y = g.q, g.x, g.y
-    n = diagram.n_e
+    s_l, s_r = own_l.bit_count(), own_r.bit_count()
+    q, x, y, c = g.q, g.x, g.y, g.c
+    extra = (g_l + g_r if x + y else g_l + 1) - (h_l > 0) - (h_r > 0)
+    r_b, up_b, n_b, c_b = (
+        a + b + extra * d for a, b, d in zip(_END[left](s_l), _END[right](s_r), _GAP))
     r_j, c_j, c_up = zero_set_data(diagram, J, diagram._factors_of(inner + outer))
-    c, names, boundary, greek = _CASES[name]
-    p, r = size["p"], size["r"]
-    r_b, c_up_b, n_b, c_b = boundary(p, r)
-    if (r_j, c_up, n, c_j) != (
+    if (r_j, 2 * c_up, diagram.n_e, 2 * c_j) != (
         r_b + q * (q - 1) * x + q * (q + 1) * y,
-        c_up_b + c * (x + y),
+        c * (up_b + 2 * (x + y)),
         n_b + q * x + (q + 1) * y,
-        c_b + c * ((q - 1) * x + q * y),
+        c * (c_b + 2 * ((q - 1) * x + q * y)),
     ):
         return None
-    alpha, gamma = greek(p, q, r)
-    params = {v: size[v] for v in names} | {"q": q, "x": x, "y": y}
-    return CaseMatch(name=name, params=params, alpha=alpha, gamma=gamma)
+    name = f"{left} / {right}"
+    if not extra and name in _NAMES:
+        name, letters, offset = _NAMES[name]
+        params = {k: s + offset for k, s in zip("pr", (s_l, s_r)) if k in letters}
+    else:
+        params = {"sL": s_l, "gL": g_l, "sR": s_r, "gR": g_r}
+    return CaseMatch(name, params | {"q": q, "x": x, "y": y}, g.alpha, g.gamma)

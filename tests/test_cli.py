@@ -147,6 +147,19 @@ def test_verify_without_diagrams_is_a_usage_error(capsys):
     assert "nothing to verify" in err
 
 
+@pytest.mark.parametrize("argv", [["ellreg", "--max-rank", "0"], ["catalog", "--max-rank", "-1"]])
+def test_an_empty_catalog_is_a_usage_error_everywhere(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"no supported diagram has rank <= {argv[-1]}; nothing to verify\n"
+
+
+def test_the_parser_is_built_once_and_dispatches_through_the_module(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "_cmd_catalog", lambda args: (0, {}, lambda: ["patched"]))
+    assert _run(capsys, "catalog") == (0, "patched\n", "")
+
+
 def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):
     # forge a failing scan: the reporting path must flag it and exit 1
     import kacscope.ellreg as ellreg_mod
@@ -593,7 +606,7 @@ def test_enumerate_guard_refuses_exactly_what_the_count_refuses(monkeypatch):
         for m in range(1, 61):
             args.spec, args.order = [d.spec], m
             try:
-                args.func(args)
+                cli._cmd_enumerate(args)
                 refused = False
             except ValueError as exc:
                 assert "raw Kac vectors" in str(exc)

@@ -809,22 +809,34 @@ def test_class_report_derives_its_properties_and_refuses_assignment():
 # closed-form cases
 
 
-CASE_NAMES = {
-    "2A-even terminal run",
-    "C interior runs",
-    "2D two terminal runs",
-    "2A-odd fork run",
-    "2A-odd one-tip run",
-    "2A-odd interior runs",
-    "B fork and terminal runs",
-    "B one-tip and terminal runs",
-    "B terminal run",
-    "D two full forks",
-    "D two half forks",
-    "D one full fork",
-    "D one half fork",
-    "D interior runs",
+# Hand-written closed forms of the fourteen case names (fifteen end-state
+# pairs): name -> (p, q, r) -> (alpha, gamma), with p and r the reported params
+# (0 when a case does not report one).  They are the oracle for the named
+# matches, which take alpha and gamma from greek_decomposition.
+CASE_FORMS = {
+    "2A-even terminal run": lambda p, q, r: ((q - 2 * r) * (q - 2 * r - 1), 0),
+    "C interior runs": lambda p, q, r: (0, 0),
+    "2D two terminal runs": lambda p, q, r: (
+        (p - r) ** 2 + (p + r - q) * (p + r - q + 1), (p - r) ** 2),
+    "2A-odd fork run": lambda p, q, r: ((2 * p - q) * (2 * p - q - 1), 0),
+    "2A-odd one-tip run": lambda p, q, r: (2 * (p - q + 1) ** 2 + q, p + 1),
+    "2A-odd interior runs": lambda p, q, r: ((q - 1) * (q - 2), 0),
+    "B fork and terminal runs": lambda p, q, r: (
+        2 * (p - r) * (p - r - 1) + 2 * (p + r - q) ** 2, 2 * (p - r) * (p - r - 1)),
+    "B one-tip and terminal runs": lambda p, q, r: (
+        2 * (p - q) * (p - q + 1) + (q - r) ** 2 + 3 * r * r + 2 * p + 2 * (1 - q) * (1 + r),
+        (2 * r - p - 1) ** 2 + 3 * r),
+    "B terminal run": lambda p, q, r: (2 * (q - r - 1) ** 2 + 2 * r * (r - 1), 2 * r * (r - 1)),
+    "D two full forks": lambda p, q, r: (
+        2 * (p - r) ** 2 + 2 * (p + r - q) * (p + r - q - 1), 2 * (p - r) ** 2),
+    "D two half forks": lambda p, q, r: (
+        2 * (p - q) ** 2 + 2 * (r - q) ** 2 + 2 * q, 2 * (p - r) ** 2 + 2 * (p + r)),
+    "D one full fork": lambda p, q, r: (
+        2 * ((p - q + 1) ** 2 + (p - 2) * (p - 1) + (q - 2)), 2 * (p - 1) ** 2),
+    "D one half fork": lambda p, q, r: (2 * (p - q) ** 2 + (q - 1) ** 2 + 1, (p - 1) ** 2 + 2),
+    "D interior runs": lambda p, q, r: (2 * (q - 1) * (q - 2), 0),
 }
+CASE_NAMES = set(CASE_FORMS)
 
 
 def _case_line(d, J, m) -> str:
@@ -858,21 +870,27 @@ def test_case_names_are_closed():
             lines += 1
             if m is not None:
                 seen.add(m.name)
-    assert seen == CASE_NAMES
+    assert seen & CASE_NAMES == CASE_NAMES
+    states = reductions._END
+    assert seen - CASE_NAMES <= {f"{a} / {b}" for a in states for b in states}
     assert lines == len(golden)
 
 
 @pytest.mark.parametrize("spec, J", [("B6", {0, 2, 3, 4, 5, 6}), ("D8", {0, 2, 3, 4, 5, 6, 7})])
-def test_cases_need_distinct_boundary_runs(spec, J):
-    """A tip pattern whose two wanted runs are one and the same run is
-    refused by the run step itself, before the counting identities (which
+def test_cases_need_distinct_boundary_runs(monkeypatch, spec, J):
+    """A member of Z whose one boundary run holds nodes of both spine ends
+    is refused by the run step itself, before the counting identities (which
     refuse it too) are read."""
     d, J = build_spec(spec), frozenset(J)
-    _name, wanted = reductions._pattern(d, J)
-    assert [param for param, _tips, _offset in wanted] == ["p", "r"]
+    assert in_Z(d, J)
     outer = runs_of(d, J)[1]
     assert outer == [J]
-    assert reductions._run_params(outer, wanted) is None
+    assert all(J & set(end.nodes) for end in d.ends)
+
+    def unread(*args):
+        raise AssertionError("the counting identities were read")
+
+    monkeypatch.setattr(reductions, "zero_set_data", unread)
     assert match_case(d, J) is None
 
 
@@ -914,6 +932,87 @@ def test_cases_agree_with_decomposition():
             assert data.f_via_form >= 0
 
 
+def _f_from_match(d, m):
+    """f from a match's params, ``_END``, ``_GAP`` and the interior label
+    alone.  A named match is at the base gap, and its name gives its pair of
+    end states (the pair whose ends hold nodes where its params are nonzero);
+    any other match is named by its pair and reports each end's s and g."""
+    p, END, GAP = m.params, reductions._END, reductions._GAP
+    named = [(pair, offset) for pair, (name, _letters, offset) in reductions._NAMES.items()
+             if name == m.name]
+    if named:
+        s = [p[k] - named[0][1] if k in p else 0 for k in "pr"]
+        (pair,) = [pair for pair, _ in named
+                   if [int(state.split()[1]) > 0 for state in pair.split(" / ")]
+                   == [size > 0 for size in s]]
+        extra = 0
+    else:
+        pair, s = m.name, [p["sL"], p["sR"]]
+        holders = sum(int(state.split()[1]) > 0 for state in pair.split(" / "))
+        # with no interior run the two ends share one gap, counted once
+        extra = (p["gL"] + p["gR"] if p["x"] + p["y"] else p["gL"] + 1) - holders
+    left, right = pair.split(" / ")
+    r_b, up_b, n_b, c_b = (a + b + extra * g for a, b, g in zip(END[left](s[0]), END[right](s[1]), GAP))
+    q, x, y, c = p["q"], p["x"], p["y"], reductions._spine(d)[0]
+    r_j = r_b + q * (q - 1) * x + q * (q + 1) * y
+    n = n_b + q * x + (q + 1) * y
+    # c^J and c_J in units of c/2
+    twice_f = c * (up_b + 2 * (x + y)) * r_j - n * c * (c_b + 2 * ((q - 1) * x + q * y))
+    assert n == d.n_e and twice_f % 2 == 0, (d.spec, m)
+    return twice_f // 2
+
+
+def check_end_table_coverage(max_rank):
+    """Every nonempty member of Z on the classical diagrams to ``max_rank`` is
+    matched, unless its diagram has two nodes or one boundary run holds
+    nodes of both spine ends; on every match f from the params and the end
+    table is ``f_value``, and a named match's alpha and gamma are its
+    ``CASE_FORMS`` closed form.  Returns how many matched members have an
+    interior run, how many do not, and how many are unmatched."""
+    counts = Counter()
+    for d in _classical(max_rank):
+        for J in _nonempty_proper(d):
+            if not in_Z(d, J):
+                continue
+            inner, outer = runs_of(d, J)
+            m = match_case(d, J)
+            if len(d.nodes) == 2 or any(all(run & set(end.nodes) for end in d.ends) for run in outer):
+                assert m is None, (d.spec, sorted(J))
+                counts["unmatched"] += 1
+                continue
+            assert m is not None, (d.spec, sorted(J))
+            assert _f_from_match(d, m) == f_value(d, J), (d.spec, sorted(J), m)
+            if m.name in CASE_FORMS:
+                p, r = m.params.get("p", 0), m.params.get("r", 0)
+                assert (m.alpha, m.gamma) == CASE_FORMS[m.name](p, m.params["q"], r), (d.spec, m)
+            counts["inner" if inner else "no inner"] += 1
+    return counts["inner"], counts["no inner"], counts["unmatched"]
+
+
+def test_end_table_covers_z_to_rank_12():
+    """Every nonempty member of Z with an interior run is matched on
+    ``_classical(12)``, and the unmatched members are exactly the two-node
+    zero sets and those with one run holding both ends."""
+    assert check_end_table_coverage(12) == (5_366, 975, 104)
+
+
+def test_every_equality_zero_set_is_matched():
+    """Every nonempty zero set with f = 0 on ``_classical(12)`` is in Z and
+    is matched, apart from the two-node base case 2A2 {1}; 14 of them are
+    split forks."""
+    found = []
+    for d in _classical(12):
+        r, c = subset_tables(d)
+        for mask, (r_j, c_j) in enumerate(zip(r, c)):
+            if mask and (d.label_sum - c_j) * r_j == d.n_e * c_j:
+                J = frozenset(nodes_of(mask))
+                assert in_Z(d, J), (d.spec, sorted(J))
+                found.append((d.spec, sorted(J), match_case(d, J)))
+    assert len(found) == 94
+    assert [(spec, J) for spec, J, m in found if m is None] == [("2A2", [1])]
+    assert sum("split" in m.name for _, _, m in found if m) == 14
+
+
 def test_2a3_and_2d3_are_one_graph():
     """2A3 is built as the 2D3 graph, so it has the same spine ends, the
     same case on every zero set and the same predicted classes."""
@@ -923,7 +1022,7 @@ def test_2a3_and_2d3_are_one_graph():
     for J in _nonempty_proper(a):
         assert match_case(a, J) == match_case(d, J), sorted(J)
         matched += match_case(a, J) is not None
-    assert matched == 1
+    assert matched == 4
     assert [(c.m, c.s) for c in expected_classes(a)] == [(c.m, c.s) for c in expected_classes(d)]
 
 
