@@ -203,22 +203,32 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
 # A12 at order 13 has 5.2 M)
 MAX_SOLUTIONS = 2_000_000
 
+# above this weight t = order / e every diagram has more than MAX_SOLUTIONS raw vectors,
+# so enumerate refuses it before factoring t (an order off the twist has none).  Node 0 has label 1 and any other node v a
+# label c <= 6, so s_0 = t - c*k, s_v = k is admissible for each k <= N = (t - 1) // 6
+# prime to t.  That partial totient counts every prime up to N but the at most log2(t)
+# dividing t: more than N / ln(N) - log2(t) (pi(x) > x / ln(x) for x >= 17, Rosser
+# 1941), which is 8.8 M at t = 10^9 and grows with t
+MAX_WEIGHT = 10**9
+
 
 def _cmd_enumerate(args: argparse.Namespace) -> Report:
     diagram, = _resolve_diagrams(args.spec)
     if args.order <= 0:
         raise ValueError(f"--order must be a positive integer, got {args.order}")
-    # the lower bound costs O(sqrt(order)); the exact count, whose cost
-    # grows with the order, runs only when the bound settles nothing
+    if args.order > diagram.e * MAX_WEIGHT and not args.order % diagram.e:
+        raise ValueError(f"{diagram.spec} has more raw Kac vectors of order {args.order} than the "
+                         f"{MAX_SOLUTIONS:,} that enumerate walks, as every diagram does above "
+                         f"order {diagram.e * MAX_WEIGHT:,}")
+    # below that, the lower bound costs O(sqrt(order)); the exact count, whose
+    # cost grows with the order, runs only when the bound settles nothing
     count, exact = kac.solution_lower_bound(diagram, args.order)
     if not exact and count <= MAX_SOLUTIONS:
         count, exact = kac.solution_count(diagram, args.order), True
     if count > MAX_SOLUTIONS:
-        raise ValueError(
-            f"{diagram.spec} has {'' if exact else 'at least '}{count:,} raw Kac "
-            f"vectors of order {args.order}, more than the {MAX_SOLUTIONS:,} "
-            f"that enumerate walks"
-        )
+        raise ValueError(f"{diagram.spec} has {'' if exact else 'at least '}{count:,} raw Kac "
+                         f"vectors of order {args.order}, more than the {MAX_SOLUTIONS:,} "
+                         "that enumerate walks")
     classes = kac.enumerate_classes(diagram, args.order)
     # every class is checked and its m compared with --order; what depends only on its
     # zero set (the verdict too, as m is fixed) is then decided and rendered once, and a

@@ -25,7 +25,7 @@ sizes.  On such configurations ``f`` is the bilinear form
 :func:`greek_decomposition`.  On the classical families :func:`match_case`
 reads that form's boundary part off the two spine ends: one table,
 ``_END``, gives what each of the eight end states adds to the four
-counting quantities, and the two parts add.
+counting quantities, the two parts add, and the pair names the match.
 
 Only acyclic diagrams are supported here; the cycle family has its own
 one-line certificate and never needs reduction.
@@ -142,11 +142,6 @@ def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
     return _in_z(graph, graph.mask_of(J))
 
 
-def _contraction_drop(c_i: int, r_j: int, c_j: int) -> int:
-    """The drop ``c_i * |R_J| - c_J`` of contracting a node of label ``c_i``."""
-    return c_i * r_j - c_j
-
-
 def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
     """Exact decrease of ``f`` when the off-``J`` node ``i`` is contracted
     away."""
@@ -154,7 +149,7 @@ def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
     if i in J:
         raise ValueError("contraction applies to off-J nodes only")
     r_j, c_j, _c_up = zero_set_data(graph, J)
-    return _contraction_drop(graph.labels[i], r_j, c_j)
+    return graph.labels[i] * r_j - c_j
 
 
 def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
@@ -337,7 +332,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
 
     while (pair := _first_move(graph, mask)) is not None:
         i, j = pair
-        predicted = _contraction_drop(graph.labels[i], r_j, c_j)
+        predicted = graph.labels[i] * r_j - c_j
         graph = contract(graph, J, i, j)
         if graph._induced_bonds(mask) != inside0:
             raise AssertionError("contraction changed the root system of J")
@@ -523,10 +518,11 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
 class CaseMatch:
     """A reduced classical configuration recognised by its two spine ends.
 
-    ``name`` names the pair of end states and ``params`` holds what, with
-    ``_END`` and the interior label, gives ``f``.  ``alpha`` and ``gamma``
-    are :func:`greek_decomposition`'s, returned once the end table's four
-    counting identities hold.
+    ``name`` is ``"<left state> / <right state>"`` and ``params`` holds
+    ``sL``, ``gL``, ``sR``, ``gR``, ``q``, ``x`` and ``y``, which with
+    ``_END``, ``_GAP`` and the interior label give ``f``.  ``alpha`` and
+    ``gamma`` are :func:`greek_decomposition`'s, returned once the end
+    table's four counting identities hold.
     """
 
     name: str
@@ -560,27 +556,6 @@ _END: dict[str, Callable[[int], tuple[int, int, int, int]]] = {
 # What each off-J spine node beyond an end's base gap adds, in the same units.
 _GAP = (0, 2, 1, 0)
 
-# The named pairs of end states at the base gap: the name, the params it
-# reports (p from the left end's run size, r from the right's) and what is
-# added to them (a D half fork's p is one above its run size).
-_NAMES = {
-    "light 0 / heavy 1": ("2A-even terminal run", "r", 0),
-    "light 0 / light 0": ("C interior runs", "", 0),
-    "heavy 1 / heavy 1": ("2D two terminal runs", "pr", 0),
-    "fork 2 / light 0": ("2A-odd fork run", "p", 0),
-    "fork 1 / light 0": ("2A-odd one-tip run", "p", 0),
-    "fork 0 / light 0": ("2A-odd interior runs", "", 0),
-    "fork 2 / heavy 1": ("B fork and terminal runs", "pr", 0),
-    "fork 1 / heavy 0": ("B one-tip and terminal runs", "pr", 0),
-    "fork 1 / heavy 1": ("B one-tip and terminal runs", "pr", 0),
-    "fork 0 / heavy 1": ("B terminal run", "r", 0),
-    "fork 2 / fork 2": ("D two full forks", "pr", 0),
-    "fork 1 / fork 1": ("D two half forks", "pr", 1),
-    "fork 2 / fork 0": ("D one full fork", "p", 0),
-    "fork 1 / fork 0": ("D one half fork", "p", 1),
-    "fork 0 / fork 0": ("D interior runs", "", 0),
-}
-
 
 def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]:
     """Recognise a member of ``Z`` on a classical diagram by its two ends.
@@ -597,10 +572,9 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
     None when the diagram has no end record or no interior, when
     :func:`greek_decomposition` refuses ``J``, when ``J`` is not contracted,
     when the ends' runs are not distinct or miss a boundary run, or when an
-    identity fails.  A ``_NAMES`` pair at the base gap reports its name with
-    ``p`` and ``r``; any other pair is named by its two states and reports
-    each end's ``s`` and ``g``.  Raises ``ValueError`` when ``J`` holds a
-    node not in the diagram.
+    identity fails.  A match is named ``"<left state> / <right state>"`` and
+    reports ``sL``, ``gL``, ``sR``, ``gR``, ``q``, ``x`` and ``y``.  Raises
+    ``ValueError`` when ``J`` holds a node not in the diagram.
     """
     mask = diagram.mask_of(J)
     if diagram.ends is None or not diagram.interior_mask:
@@ -640,10 +614,5 @@ def match_case(diagram: AffineDiagram, J: frozenset[int]) -> Optional[CaseMatch]
         c * (c_b + 2 * ((q - 1) * x + q * y)),
     ):
         return None
-    name = f"{left} / {right}"
-    if not extra and name in _NAMES:
-        name, letters, offset = _NAMES[name]
-        params = {k: s + offset for k, s in zip("pr", (s_l, s_r)) if k in letters}
-    else:
-        params = {"sL": s_l, "gL": g_l, "sR": s_r, "gR": g_r}
-    return CaseMatch(name, params | {"q": q, "x": x, "y": y}, g.alpha, g.gamma)
+    params = {"sL": s_l, "gL": g_l, "sR": s_r, "gR": g_r, "q": q, "x": x, "y": y}
+    return CaseMatch(f"{left} / {right}", params, g.alpha, g.gamma)

@@ -637,6 +637,40 @@ def test_enumerate_refusal_cost_does_not_grow_with_the_order(capsys, spec, order
     )
 
 
+def test_every_diagram_has_too_many_vectors_just_above_the_weight_cap():
+    # the comment at MAX_WEIGHT proves this for every weight above it; the
+    # lower bound shows it at the first such weight on the catalog
+    for d in catalog(12):
+        bound, _ = kac.solution_lower_bound(d, d.e * (cli.MAX_WEIGHT + 1))
+        assert bound > cli.MAX_SOLUTIONS, d.spec
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("A3", 2**61 - 1), ("G2", 2**61 - 1), ("2A2", 2 * (2**61 - 1)), ("2A2", 2**61 - 1)])
+def test_enumerate_answers_a_huge_order_before_factoring_it(spec, order):
+    # 2^61 - 1 is prime, so trial division up to its square root would run
+    # for hours; the real process must refuse it at once, or, on 2A2 (e = 2),
+    # report at once that an odd order has no class
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "kacscope.cli", "enumerate", spec, "--order", str(order)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    e = build_spec(spec).e
+    if order % e:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, f"{spec}: 0 class(es) of order {order}\n", "")
+        return
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        f"{spec} has more raw Kac vectors of order {order} than the 2,000,000 that "
+        f"enumerate walks, as every diagram does above order {e * 10**9:,}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # ellreg
 

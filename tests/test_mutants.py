@@ -7,10 +7,17 @@ fail.  Adding a mutant here records that a change it stands for is caught.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+import test_reductions
 from kacscope import reductions
-from test_reductions import check_end_table_coverage
+from test_reductions import (
+    check_case_lines,
+    check_cases_agree_with_decomposition,
+    check_end_table_coverage,
+)
 
 _PARTS = ("|R_J|", "c^J", "n", "c_J")
 
@@ -22,6 +29,11 @@ def _plus_one(values, at):
 def test_the_unchanged_program_passes_the_coverage_check():
     """So that each mutant below is killed by what it changes."""
     assert check_end_table_coverage(8) == (723, 403, 60)
+
+
+def test_the_unchanged_program_passes_the_line_and_form_checks():
+    check_case_lines(8)
+    assert check_cases_agree_with_decomposition(7) == 677
 
 
 @pytest.mark.parametrize("at", range(4), ids=_PARTS)
@@ -38,3 +50,49 @@ def test_a_changed_gap_step_fails_the_coverage_check(monkeypatch, at):
     monkeypatch.setattr(reductions, "_GAP", _plus_one(reductions._GAP, at))
     with pytest.raises(AssertionError):
         check_end_table_coverage(8)
+
+
+def _swapped(m, a, b):
+    return replace(m, params=m.params | {a: m.params[b], b: m.params[a]})
+
+
+def _shifted(m, key):
+    return replace(m, params=m.params | {key: m.params[key] + 1})
+
+
+def _mutate_matches(monkeypatch, change):
+    """Make ``match_case``, as the checks call it, return ``change(m)``."""
+    real = test_reductions.match_case
+    monkeypatch.setattr(test_reductions, "match_case", lambda d, J: (m := real(d, J)) and change(m))
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda m: _swapped(m, "sL", "sR"), id="sL-sR-swapped"),
+    pytest.param(lambda m: _shifted(m, "gL"), id="gL-plus-one"),
+    pytest.param(lambda m: _shifted(m, "gR"), id="gR-plus-one"),
+    pytest.param(lambda m: replace(m, name=" / ".join(m.name.split(" / ")[::-1])),
+                 id="states-swapped"),
+])
+def test_a_changed_match_fails_the_coverage_check(monkeypatch, change):
+    _mutate_matches(monkeypatch, change)
+    with pytest.raises(AssertionError):
+        check_end_table_coverage(8)
+
+
+def test_swapped_gaps_fail_the_golden_line_check(monkeypatch):
+    """With an interior run f sees only gL + gR, so the coverage check
+    passes this mutant; the recorded lines do not."""
+    _mutate_matches(monkeypatch, lambda m: _swapped(m, "gL", "gR"))
+    check_end_table_coverage(8)
+    with pytest.raises(AssertionError):
+        check_case_lines(8)
+
+
+def test_a_shifted_alpha_fails_the_rebuilt_form_check(monkeypatch):
+    """alpha + q - 1 in greek_decomposition reaches every match; the
+    alpha rebuilt from the params alone does not move with it."""
+    real = reductions.greek_decomposition
+    monkeypatch.setattr(reductions, "greek_decomposition",
+                        lambda graph, J: (g := real(graph, J))._replace(alpha=g.alpha + g.q - 1))
+    with pytest.raises(AssertionError):
+        check_cases_agree_with_decomposition(7)

@@ -809,34 +809,37 @@ def test_class_report_derives_its_properties_and_refuses_assignment():
 # closed-form cases
 
 
-# Hand-written closed forms of the fourteen case names (fifteen end-state
-# pairs): name -> (p, q, r) -> (alpha, gamma), with p and r the reported params
-# (0 when a case does not report one).  They are the oracle for the named
-# matches, which take alpha and gamma from greek_decomposition.
+# Hand-written closed forms of the fifteen end-state pairs at the base gap:
+# pair -> (sL, q, sR) -> (alpha, gamma), with sL and sR the node counts of
+# the two ends' runs.  They are the oracle for the base-gap matches of these
+# pairs, which take alpha and gamma from greek_decomposition.
 CASE_FORMS = {
-    "2A-even terminal run": lambda p, q, r: ((q - 2 * r) * (q - 2 * r - 1), 0),
-    "C interior runs": lambda p, q, r: (0, 0),
-    "2D two terminal runs": lambda p, q, r: (
-        (p - r) ** 2 + (p + r - q) * (p + r - q + 1), (p - r) ** 2),
-    "2A-odd fork run": lambda p, q, r: ((2 * p - q) * (2 * p - q - 1), 0),
-    "2A-odd one-tip run": lambda p, q, r: (2 * (p - q + 1) ** 2 + q, p + 1),
-    "2A-odd interior runs": lambda p, q, r: ((q - 1) * (q - 2), 0),
-    "B fork and terminal runs": lambda p, q, r: (
-        2 * (p - r) * (p - r - 1) + 2 * (p + r - q) ** 2, 2 * (p - r) * (p - r - 1)),
-    "B one-tip and terminal runs": lambda p, q, r: (
-        2 * (p - q) * (p - q + 1) + (q - r) ** 2 + 3 * r * r + 2 * p + 2 * (1 - q) * (1 + r),
-        (2 * r - p - 1) ** 2 + 3 * r),
-    "B terminal run": lambda p, q, r: (2 * (q - r - 1) ** 2 + 2 * r * (r - 1), 2 * r * (r - 1)),
-    "D two full forks": lambda p, q, r: (
-        2 * (p - r) ** 2 + 2 * (p + r - q) * (p + r - q - 1), 2 * (p - r) ** 2),
-    "D two half forks": lambda p, q, r: (
-        2 * (p - q) ** 2 + 2 * (r - q) ** 2 + 2 * q, 2 * (p - r) ** 2 + 2 * (p + r)),
-    "D one full fork": lambda p, q, r: (
-        2 * ((p - q + 1) ** 2 + (p - 2) * (p - 1) + (q - 2)), 2 * (p - 1) ** 2),
-    "D one half fork": lambda p, q, r: (2 * (p - q) ** 2 + (q - 1) ** 2 + 1, (p - 1) ** 2 + 2),
-    "D interior runs": lambda p, q, r: (2 * (q - 1) * (q - 2), 0),
+    "light 0 / heavy 1": lambda sl, q, sr: ((q - 2 * sr) * (q - 2 * sr - 1), 0),
+    "light 0 / light 0": lambda sl, q, sr: (0, 0),
+    "heavy 1 / heavy 1": lambda sl, q, sr: (
+        (sl - sr) ** 2 + (sl + sr - q) * (sl + sr - q + 1), (sl - sr) ** 2),
+    "fork 2 / light 0": lambda sl, q, sr: ((2 * sl - q) * (2 * sl - q - 1), 0),
+    "fork 1 / light 0": lambda sl, q, sr: (2 * (sl - q + 1) ** 2 + q, sl + 1),
+    "fork 0 / light 0": lambda sl, q, sr: ((q - 1) * (q - 2), 0),
+    "fork 2 / heavy 1": lambda sl, q, sr: (
+        2 * (sl - sr) * (sl - sr - 1) + 2 * (sl + sr - q) ** 2, 2 * (sl - sr) * (sl - sr - 1)),
+    "fork 0 / heavy 1": lambda sl, q, sr: (
+        2 * (q - sr - 1) ** 2 + 2 * sr * (sr - 1), 2 * sr * (sr - 1)),
+    "fork 2 / fork 2": lambda sl, q, sr: (
+        2 * (sl - sr) ** 2 + 2 * (sl + sr - q) * (sl + sr - q - 1), 2 * (sl - sr) ** 2),
+    # the two D half-fork forms read most simply in sL + 1 and sR + 1
+    "fork 1 / fork 1": lambda sl, q, sr: (
+        2 * (sl + 1 - q) ** 2 + 2 * (sr + 1 - q) ** 2 + 2 * q,
+        2 * (sl - sr) ** 2 + 2 * (sl + sr + 2)),
+    "fork 2 / fork 0": lambda sl, q, sr: (
+        2 * ((sl - q + 1) ** 2 + (sl - 2) * (sl - 1) + (q - 2)), 2 * (sl - 1) ** 2),
+    "fork 1 / fork 0": lambda sl, q, sr: (2 * (sl + 1 - q) ** 2 + (q - 1) ** 2 + 1, sl * sl + 2),
+    "fork 0 / fork 0": lambda sl, q, sr: (2 * (q - 1) * (q - 2), 0),
 }
-CASE_NAMES = set(CASE_FORMS)
+# B's one-tip end has one form whether or not J holds the heavy end's node
+CASE_FORMS["fork 1 / heavy 0"] = CASE_FORMS["fork 1 / heavy 1"] = lambda sl, q, sr: (
+    2 * (sl - q) * (sl - q + 1) + (q - sr) ** 2 + 3 * sr * sr + 2 * sl + 2 * (1 - q) * (1 + sr),
+    (2 * sr - sl - 1) ** 2 + 3 * sr)
 
 
 def _case_line(d, J, m) -> str:
@@ -856,24 +859,32 @@ def _write_golden(path, lines):
             fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
-def test_case_names_are_closed():
-    """Every case occurs on the classical diagrams to rank 10, and every
-    result equals its recorded line in ``CASE_GOLDEN``."""
+def check_case_lines(max_rank):
+    """Every ``match_case`` result on ``_classical(max_rank)`` equals its
+    recorded line in ``CASE_GOLDEN``.  Returns the names seen and the
+    recorded lines not compared."""
     with gzip.open(CASE_GOLDEN, "rt", encoding="utf-8") as fh:
-        golden = fh.read().splitlines()
+        golden = {tuple(line.split("\t")[:2]): line for line in fh.read().splitlines()}
     seen = set()
-    lines = 0
-    for d in _classical(10):
+    for d in _classical(max_rank):
         for J in _nonempty_proper(d):
             m = match_case(d, J)
-            assert _case_line(d, J, m) == golden[lines], (d.spec, sorted(J))
-            lines += 1
+            line = _case_line(d, J, m)
+            assert line == golden.pop(tuple(line.split("\t")[:2]), None), (d.spec, sorted(J))
             if m is not None:
                 seen.add(m.name)
-    assert seen & CASE_NAMES == CASE_NAMES
+    return seen, golden
+
+
+def test_case_names_are_closed():
+    """Every result on the classical diagrams to rank 10 equals its recorded
+    line and no line is left over, every name is a pair of end states, and
+    all fifteen pairs of ``CASE_FORMS`` occur."""
+    seen, unread = check_case_lines(10)
+    assert not unread
     states = reductions._END
-    assert seen - CASE_NAMES <= {f"{a} / {b}" for a in states for b in states}
-    assert lines == len(golden)
+    assert seen <= {f"{a} / {b}" for a in states for b in states}
+    assert set(CASE_FORMS) <= seen
 
 
 @pytest.mark.parametrize("spec, J", [("B6", {0, 2, 3, 4, 5, 6}), ("D8", {0, 2, 3, 4, 5, 6, 7})])
@@ -918,42 +929,23 @@ def test_match_case_checks_and_splits_j_at_most_twice(monkeypatch):
     assert worst == {"mask_of": 2, "components": 2}
 
 
-def test_cases_agree_with_decomposition():
-    for d in _classical(9):
-        g = d
-        for J in _nonempty_proper(d):
-            m = match_case(d, J)
-            if m is None:
-                continue
-            data = greek_decomposition(g, J)
-            assert m.alpha == data.alpha, (d.spec, sorted(J), m.name)
-            assert m.gamma == data.gamma, (d.spec, sorted(J), m.name)
-            # every matched instance is certified non-negative directly
-            assert data.f_via_form >= 0
+def _boundary(m):
+    """A match's gap count beyond the base gap, and the boundary part of
+    (|R_J|, c^J, n, c_J) from its name, its params, ``_END`` and ``_GAP``
+    alone, with c^J and c_J in units of c/2."""
+    p, (left, right) = m.params, m.name.split(" / ")
+    holders = sum(int(state.split()[1]) > 0 for state in (left, right))
+    # with no interior run the two ends share one gap, counted once
+    extra = (p["gL"] + p["gR"] if p["x"] + p["y"] else p["gL"] + 1) - holders
+    ends = zip(reductions._END[left](p["sL"]), reductions._END[right](p["sR"]), reductions._GAP)
+    return extra, tuple(a + b + extra * g for a, b, g in ends)
 
 
 def _f_from_match(d, m):
-    """f from a match's params, ``_END``, ``_GAP`` and the interior label
-    alone.  A named match is at the base gap, and its name gives its pair of
-    end states (the pair whose ends hold nodes where its params are nonzero);
-    any other match is named by its pair and reports each end's s and g."""
-    p, END, GAP = m.params, reductions._END, reductions._GAP
-    named = [(pair, offset) for pair, (name, _letters, offset) in reductions._NAMES.items()
-             if name == m.name]
-    if named:
-        s = [p[k] - named[0][1] if k in p else 0 for k in "pr"]
-        (pair,) = [pair for pair, _ in named
-                   if [int(state.split()[1]) > 0 for state in pair.split(" / ")]
-                   == [size > 0 for size in s]]
-        extra = 0
-    else:
-        pair, s = m.name, [p["sL"], p["sR"]]
-        holders = sum(int(state.split()[1]) > 0 for state in pair.split(" / "))
-        # with no interior run the two ends share one gap, counted once
-        extra = (p["gL"] + p["gR"] if p["x"] + p["y"] else p["gL"] + 1) - holders
-    left, right = pair.split(" / ")
-    r_b, up_b, n_b, c_b = (a + b + extra * g for a, b, g in zip(END[left](s[0]), END[right](s[1]), GAP))
-    q, x, y, c = p["q"], p["x"], p["y"], reductions._spine(d)[0]
+    """f from a match's name and params, ``_END``, ``_GAP`` and the interior
+    label alone."""
+    r_b, up_b, n_b, c_b = _boundary(m)[1]
+    q, x, y, c = m.params["q"], m.params["x"], m.params["y"], reductions._spine(d)[0]
     r_j = r_b + q * (q - 1) * x + q * (q + 1) * y
     n = n_b + q * x + (q + 1) * y
     # c^J and c_J in units of c/2
@@ -962,13 +954,45 @@ def _f_from_match(d, m):
     return twice_f // 2
 
 
+def check_cases_agree_with_decomposition(max_rank):
+    """On every match of ``_classical(max_rank)``, alpha and gamma equal
+    GreekData's formulas on the boundary part rebuilt from the params:
+    a = c*up_b/2, b = n_b, r_boundary = r_b and c_boundary = c*c_b/2; and
+    the form they give, with beta as alpha at q + 1, is >= 0.  Returns the
+    number of matches."""
+    matches = 0
+    for d in _classical(max_rank):
+        c = reductions._spine(d)[0]
+        for J in _nonempty_proper(d):
+            m = match_case(d, J)
+            if m is None:
+                continue
+            r_b, up_b, b, c_b = _boundary(m)[1]
+            assert c * up_b % 2 == c * c_b % 2 == 0, (d.spec, m)
+            a, c_boundary = c * up_b // 2, c * c_b // 2
+            q, x, y = m.params["q"], m.params["x"], m.params["y"]
+            alpha, beta = (c * r_b + a * k * (k - 1) - b * c * (k - 1) - k * c_boundary
+                           for k in (q, q + 1))
+            gamma = a * r_b - b * c_boundary
+            assert (m.alpha, m.gamma) == (alpha, gamma), (d.spec, sorted(J), m)
+            # every matched instance is certified non-negative directly
+            assert c * x * y + alpha * x + beta * y + gamma >= 0, (d.spec, sorted(J), m)
+            matches += 1
+    return matches
+
+
+def test_cases_agree_with_decomposition():
+    assert check_cases_agree_with_decomposition(9) == 1_821
+
+
 def check_end_table_coverage(max_rank):
     """Every nonempty member of Z on the classical diagrams to ``max_rank`` is
     matched, unless its diagram has two nodes or one boundary run holds
     nodes of both spine ends; on every match f from the params and the end
-    table is ``f_value``, and a named match's alpha and gamma are its
-    ``CASE_FORMS`` closed form.  Returns how many matched members have an
-    interior run, how many do not, and how many are unmatched."""
+    table is ``f_value``, and a base-gap match of a ``CASE_FORMS`` pair has
+    that pair's closed-form alpha and gamma.  Returns how many matched
+    members have an interior run, how many do not, and how many are
+    unmatched."""
     counts = Counter()
     for d in _classical(max_rank):
         for J in _nonempty_proper(d):
@@ -982,9 +1006,9 @@ def check_end_table_coverage(max_rank):
                 continue
             assert m is not None, (d.spec, sorted(J))
             assert _f_from_match(d, m) == f_value(d, J), (d.spec, sorted(J), m)
-            if m.name in CASE_FORMS:
-                p, r = m.params.get("p", 0), m.params.get("r", 0)
-                assert (m.alpha, m.gamma) == CASE_FORMS[m.name](p, m.params["q"], r), (d.spec, m)
+            if m.name in CASE_FORMS and not _boundary(m)[0]:
+                form = CASE_FORMS[m.name](m.params["sL"], m.params["q"], m.params["sR"])
+                assert (m.alpha, m.gamma) == form, (d.spec, m)
             counts["inner" if inner else "no inner"] += 1
     return counts["inner"], counts["no inner"], counts["unmatched"]
 
