@@ -37,6 +37,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from operator import mul, not_
 from typing import Callable, Optional
 
 from . import __version__
@@ -230,26 +231,29 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
                          f"vectors of order {args.order}, more than the {MAX_SOLUTIONS:,} "
                          "that enumerate walks")
     classes = kac.enumerate_classes(diagram, args.order)
-    # every class is checked and its m compared with --order; what depends only on its
-    # zero set (the verdict too, as m is fixed) is then decided and rendered once, and a
-    # class costs one string: its Kac text, digits and commas needing no quoting, in its record
-    memo: dict = {}
+    # each class is checked here (one entry per node, all >= 0, gcd 1, order --order) and
+    # its zero set read off s; the first class with a zero set goes through check_class,
+    # and what depends only on that (the verdict too, as m is fixed) is decided and rendered
+    # once.  A class then costs one string: its Kac text, digits and commas needing no quoting
+    labels, e = tuple(diagram.labels.values()), diagram.e
     shared: dict = {}
     records, line_tails = _Rendered("\n    "), []
     violated = False
     for s in classes:
-        report = thomae.check_class(diagram, s, memo)
-        if report.m != args.order:
-            raise AssertionError(f"class {_kac_text(s)} has order {report.m}, not {args.order}")
-        parts = shared.get(report.zero_set)
+        if len(s) != len(labels) or not kac.is_admissible(s):
+            raise AssertionError(f"class {_kac_text(s)} of {diagram.spec} is not admissible")
+        if (m := e * sum(map(mul, labels, s))) != args.order:
+            raise AssertionError(f"class {_kac_text(s)} has order {m}, not {args.order}")
+        parts = shared.get(key := tuple(map(not_, s)))
         if parts is None:
+            report = thomae.check_class(diagram, s)
             violated = violated or not report.holds
             record = {"kac": "", "fixed_type": report.fixed_type,
                       "fixed_dim": report.fixed_dim, "is_equality": report.is_equality}
             head, _, tail = _json(record, records.pad).partition('""')
             mark = "  *" if report.is_equality else "" if report.holds else "  VIOLATED"
             line = f"   [{report.fixed_type}, dim {report.fixed_dim}]{mark}"
-            parts = shared[report.zero_set] = head, tail, line
+            parts = shared[key] = head, tail, line
         head, tail, line = parts
         records.append(f'{head}"{_kac_text(s)}"{tail}')
         line_tails.append(line)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from operator import mul, not_
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -79,6 +80,12 @@ class ClassReport(NamedTuple):
         return self.bound.numerator == 1 and self.bound.denominator == self.m
 
 
+@lru_cache(maxsize=4096)
+def _type_and_roots(factors: tuple) -> tuple[str, int]:
+    """The type string and root count of a factor tuple (D14 has about 390)."""
+    return factors_type_string(factors), total_root_count(factors)
+
+
 def check_class(
     diagram: AffineDiagram, s: tuple[int, ...], memo: Optional[dict] = None
 ) -> ClassReport:
@@ -88,9 +95,10 @@ def check_class(
     The fields that depend only on the zero set J of ``s`` (its sorted
     tuple, the fixed type and dimension, the bound and ``f``) are taken
     from ``memo``, a dict the caller holds for one diagram and passes to
-    every class it checks; on a miss J is classified once and its fields
-    are stored there.  The order and the comparison are computed for
-    every class, after one length check."""
+    every class it checks; on a miss J is classified once, its type and
+    root count are read through :func:`_type_and_roots`, f is worked out from
+    them as in :func:`f_value`, and the fields are stored there.  The order
+    and the comparison are computed for every class, after one length check."""
     s = tuple(s)
     labels = diagram.labels
     if len(s) != len(labels) or not kac.is_admissible(s):
@@ -103,14 +111,14 @@ def check_class(
         memo = {}
     fields = memo.get(J)
     if fields is None:
-        factors = diagram.factors(J)
-        fixed_dim = diagram.n_e + total_root_count(factors)
+        fixed_type, r_j = _type_and_roots(diagram.factors(J))
+        c_j, fixed_dim = diagram.label_sum_of(J), diagram.n_e + r_j
         fields = memo[J] = (
             tuple(sorted(J)),
-            factors_type_string(factors),
+            fixed_type,
             fixed_dim,
             Fraction(fixed_dim, diagram.base_root_count),
-            f_value(diagram, J, factors),
+            (diagram.label_sum - c_j) * r_j - diagram.n_e * c_j,
         )
     return ClassReport(diagram.spec, diagram.e * sum(map(mul, labels.values(), s)), s, *fields)
 

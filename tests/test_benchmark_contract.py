@@ -52,9 +52,11 @@ assert metrics["dynkin.classify_calls"] > 0, metrics
     assert done.returncode == 0, done.stderr[-2000:]
 
 
-def test_tracer_counts_one_check_per_enumerated_class():
+def test_tracer_counts_one_check_per_enumerated_zero_set():
     """In a traced ``enumerate`` pass, ``thomae.check_calls`` is one per
-    class the CLI printed, and ``kac.enumerate`` counted those classes."""
+    distinct zero set among the classes the CLI printed, read from their
+    Kac texts (B5 at order 6: 31 zero sets among 45 classes), and
+    ``kac.enumerate`` counted every class."""
     script = f"""
 import json
 import sys
@@ -66,11 +68,12 @@ tracer = tracing.Tracer()
 tracer.install()
 state = workloads.EnumerateState([("B5", 6, 0)])
 (code, text), = workloads.enumerate_run(state)
-classes = len(json.loads(text)["classes"])
-assert code == 0 and classes > 0, (code, classes)
+kacs = [entry["kac"].split(",") for entry in json.loads(text)["classes"]]
+zero_sets = {{tuple(v == "0" for v in s) for s in kacs}}
+assert code == 0 and (len(kacs), len(zero_sets)) == (45, 31), (code, len(kacs), len(zero_sets))
 metrics = tracer.layer_metrics(diagrams=state.diagrams(), output_bytes=0)
-assert metrics["thomae.check_calls"] == classes, (metrics, classes)
-assert tracer.counts["kac.enumerate"] == classes, (tracer.counts, classes)
+assert metrics["thomae.check_calls"] == len(zero_sets), (metrics, len(zero_sets))
+assert tracer.counts["kac.enumerate"] == len(kacs), (tracer.counts, len(kacs))
 assert tracer.totals()["kac.enumerate"][0] == 1, tracer.totals()
 """
     done = _python("-c", script)

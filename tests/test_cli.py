@@ -526,10 +526,48 @@ def test_enumerate_reports_a_violated_bound_with_exit_1(capsys, monkeypatch):
 
 
 def test_enumerate_class_of_another_order_is_an_internal_error(capsys, monkeypatch):
-    _patch_class_reports(monkeypatch, m=5)
+    # G2 has labels 1, 2, 3: the admissible 0,1,1 has order 5
+    real = kac.enumerate_classes
+    monkeypatch.setattr(kac, "enumerate_classes", lambda d, m: real(d, m) + [(0, 1, 1)])
     code, out, err = _run(capsys, "enumerate", "G2", "--order", "6")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: class ") and "has order 5, not 6" in err
+
+
+# vectors of order 2 on G2 (labels 1, 2, 3) that only one per-class check refuses
+GENERATOR_FAULTS = {"gcd-2": (2, 0, 0), "wrong-length": (0, 1), "negative-entry": (-1, 0, 1)}
+
+
+def check_generator_fault(capsys, monkeypatch, s):
+    """A class ``s`` from the walk that is not admissible is an internal error."""
+    monkeypatch.setattr(kac, "enumerate_classes", lambda d, m: [s])
+    code, out, err = _run(capsys, "enumerate", "G2", "--order", "2")
+    assert (code, out) == (3, ""), (s, code, err)
+    assert err.startswith("internal error: class ") and err.endswith(" of G2 is not admissible\n")
+
+
+@pytest.mark.parametrize("s", GENERATOR_FAULTS.values(), ids=GENERATOR_FAULTS)
+def test_enumerate_inadmissible_class_is_an_internal_error(capsys, monkeypatch, s):
+    check_generator_fault(capsys, monkeypatch, s)
+
+
+def test_enumerate_checks_each_zero_set_once(monkeypatch):
+    """``enumerate`` calls ``check_class`` once per distinct zero set of the
+    classes it prints, with the first class that has it, on every diagram
+    to rank 4 at orders 1-12."""
+    calls = []
+    real = cli.thomae.check_class
+    monkeypatch.setattr(cli.thomae, "check_class", lambda d, s: calls.append(s) or real(d, s))
+    args = cli.build_parser().parse_args(["enumerate", "G2", "--order", "1"])
+    for d in catalog(4):
+        for m in range(1, 13):
+            args.spec, args.order = [d.spec], m
+            calls.clear()
+            assert cli._cmd_enumerate(args)[0] == 0
+            firsts = {}
+            for s in kac.enumerate_classes(d, m):
+                firsts.setdefault(kac.zero_set(d, s), s)
+            assert calls == list(firsts.values()), (d.spec, m)
 
 
 def _enumerate_oracle(diagram, order) -> dict:

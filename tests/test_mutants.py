@@ -12,12 +12,14 @@ from dataclasses import replace
 import pytest
 
 import test_reductions
-from kacscope import reductions
+from kacscope import kac, reductions, thomae
+from test_cli import GENERATOR_FAULTS, check_generator_fault
 from test_reductions import (
     check_case_lines,
     check_cases_agree_with_decomposition,
     check_end_table_coverage,
 )
+from test_thomae import check_class_fields_agree
 
 _PARTS = ("|R_J|", "c^J", "n", "c_J")
 
@@ -96,3 +98,25 @@ def test_a_shifted_alpha_fails_the_rebuilt_form_check(monkeypatch):
                         lambda graph, J: (g := real(graph, J))._replace(alpha=g.alpha + g.q - 1))
     with pytest.raises(AssertionError):
         check_cases_agree_with_decomposition(7)
+
+
+def test_the_unchanged_program_passes_the_class_checks(capsys, monkeypatch):
+    assert check_class_fields_agree(4) == 270
+    check_generator_fault(capsys, monkeypatch, GENERATOR_FAULTS["gcd-2"])
+
+
+def test_one_root_too_many_fails_the_class_field_check(monkeypatch):
+    """The cached type and root count of a factor tuple, one root high."""
+    real = thomae._type_and_roots
+    monkeypatch.setattr(thomae, "_type_and_roots", lambda factors: (
+        (t := real(factors))[0], t[1] + 1))
+    with pytest.raises(AssertionError):
+        check_class_fields_agree(4)
+
+
+def test_no_gcd_check_in_enumerate_fails_the_generator_fault_check(capsys, monkeypatch):
+    """The admissibility check that enumerate runs on each class, without its
+    gcd: 2,0,0 has order 2 on G2, so only the gcd makes it an internal error."""
+    monkeypatch.setattr(kac, "is_admissible", lambda s: min(s, default=0) >= 0)
+    with pytest.raises(AssertionError):
+        check_generator_fault(capsys, monkeypatch, GENERATOR_FAULTS["gcd-2"])

@@ -10,7 +10,7 @@ import pytest
 
 from kacscope import affine
 from kacscope.affine import Bond, Diagram, build_spec, catalog
-from kacscope.dynkin import connected_components, total_root_count
+from kacscope.dynkin import connected_components, factors_type_string, total_root_count
 from kacscope.kac import enumerate_classes, from_zero_set
 from kacscope.thomae import (
     check_class,
@@ -153,6 +153,31 @@ def test_fixed_dim_is_rank_plus_roots():
         r = check_class(b5, s)
         roots, _, _ = zero_set_data(b5, r.zero_set)
         assert r.fixed_dim == b5.n_e + roots
+
+
+def check_class_fields_agree(max_rank: int) -> int:
+    """On every proper J of ``catalog(max_rank)``, the memo-miss fields of
+    ``check_class`` equal those of the independent functions: f from
+    :func:`f_value`, the type string from ``factors_type_string``, the fixed
+    dimension n_e + |R_J| and the bound fixed_dim / |R|.  Returns how many
+    zero sets were checked."""
+    checked = 0
+    for d in catalog(max_rank):
+        for J in proper_subsets(d):
+            r = check_class(d, from_zero_set(d, J))
+            factors = d.factors(J)
+            fixed_dim = d.n_e + total_root_count(factors)
+            assert r.zero_set == tuple(sorted(J)), (d.spec, J)
+            assert r.f == f_value(d, J), (d.spec, J)
+            assert r.fixed_type == factors_type_string(factors), (d.spec, J)
+            assert r.fixed_dim == fixed_dim, (d.spec, J)
+            assert r.bound == Fraction(fixed_dim, d.base_root_count), (d.spec, J)
+            checked += 1
+    return checked
+
+
+def test_class_fields_agree_with_the_independent_functions():
+    assert check_class_fields_agree(8) == sum(2 ** len(d.nodes) - 1 for d in catalog(8))
 
 
 # ---------------------------------------------------------------------------
