@@ -16,18 +16,21 @@ render Kac vectors: enumerate, check, ellreg and steps.
 Each subcommand computes its records once and returns its exit code, its
 JSON document (without ``version``) and a renderer of its text lines.
 :func:`main` is the one writer: it adds ``version``, renders the format
-asked for (JSON by :func:`_json`) and writes the result to ``--out`` or stdout.
-enumerate renders what depends only on a zero set once, and hands the writer
-one pre-rendered string per class, in a :class:`_Rendered` list.
+asked for into one list of string pieces (JSON by :func:`_json_pieces`, text
+as each line and ``"\n"``) and writes that list to ``--out`` or stdout, so no
+string holds the whole document.  enumerate renders what depends only on a
+zero set once, and hands the writer three pieces per class, in a
+:class:`_Rendered` list.
 
 Every subcommand refuses a base rank or a ``--max-rank`` above
 :data:`MAX_RANK` before it builds anything.
 
 Exit status: 0 on success, 1 when a scan finds a counterexample or a
 classification mismatch, or check or enumerate finds the bound violated,
-2 on usage errors (including an ``--out`` file that cannot be written), 3
-on internal errors (a subdiagram the classifier rejects, a failed self-check
-of the class generators or the reduction moves, or any other exception).
+2 on usage errors (including an ``--out`` file or a stdout that cannot be
+written), 3 on internal errors (a subdiagram the classifier rejects, a failed
+self-check of the class generators or the reduction moves, or any other
+exception).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from operator import mul, not_
@@ -84,39 +88,53 @@ def _kac_text(s: tuple[int, ...]) -> str:
 
 
 class _Rendered(list):
-    """JSON entries already rendered at the depth ``pad``, which :func:`_json` joins as they are."""
+    """Finished JSON pieces of a list's entries at the depth ``pad``, ``"," + pad`` before
+    every entry but the first, which :func:`_json_pieces` adds as they are."""
 
     def __init__(self, pad: str):
         self.pad = pad
 
 
-def _json(value, pad: str = "\n", head: str = "") -> str:
-    """``head``, then the bytes of ``json.dumps(value)`` at a two-space indent,
-    without the stdlib's pure-Python indent encoder.  Each container is one join,
-    with ``head`` and its brackets put on its end entries; keys must be strings.
-    A :class:`_Rendered` list is joined as it stands, at its own depth only."""
+def _json_pieces(value, pad: str, out: list) -> None:
+    """Append to ``out`` the pieces of ``json.dumps(value)`` at a two-space indent, for a
+    value at the depth ``pad``, without the stdlib's pure-Python indent encoder: each
+    container appends its brackets, separators and entries; keys must be strings.
+    A :class:`_Rendered` list is added as it stands, at its own depth only."""
     if isinstance(value, str):
-        return head + _quote(value)
-    if value is None or value is True or value is False:
-        return head + _LITERALS[value]
-    if isinstance(value, int):
-        return head + int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        entries, brackets = [_json(v, inner, _quote(k) + ": ") for k, v in value.items()], "{}"
-    elif isinstance(value, _Rendered):
-        if value.pad != inner:
-            raise AssertionError(f"entries rendered for pad {value.pad!r} sit at pad {inner!r}")
-        entries, brackets = list(value), "[]"
+        out.append(_quote(value))
+    elif value is None or value is True or value is False:
+        out.append(_LITERALS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for k, v in value.items():
+            out.append(f"{sep}{inner}{_quote(k)}: ")
+            _json_pieces(v, inner, out)
+            sep = ","
+        out.append(pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
-        entries, brackets = [_json(v, inner) for v in value], "[]"
+        inner, sep = pad + "  ", "["
+        if not isinstance(value, _Rendered):
+            for v in value:
+                out.append(sep + inner)
+                _json_pieces(v, inner, out)
+                sep = ","
+        elif value.pad != inner:
+            raise AssertionError(f"entries rendered for pad {value.pad!r} sit at pad {inner!r}")
+        elif value:
+            out.append("[" + inner)
+            out.extend(value)
+        out.append(pad + "]" if value else "[]")
     else:  # floats and any other scalar
-        return head + json.dumps(value)
-    if not entries:
-        return head + brackets
-    entries[0] = head + brackets[0] + inner + entries[0]
-    entries[-1] += pad + brackets[1]
-    return ("," + inner).join(entries)
+        out.append(json.dumps(value))
+
+
+def _json(value, pad: str = "\n") -> str:
+    """The bytes of ``json.dumps(value)`` at a two-space indent: :func:`_json_pieces`, joined."""
+    out: list = []
+    _json_pieces(value, pad, out)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +252,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
     # each class is checked here (one entry per node, all >= 0, gcd 1, order --order) and
     # its zero set read off s; the first class with a zero set goes through check_class,
     # and what depends only on that (the verdict too, as m is fixed) is decided and rendered
-    # once.  A class then costs one string: its Kac text, digits and commas needing no quoting
+    # once.  A class then costs one string, its Kac text (digits and commas need no quoting),
+    # between its zero set's shared record head, separator included, and tail
     labels, e = tuple(diagram.labels.values()), diagram.e
     shared: dict = {}
     records, line_tails = _Rendered("\n    "), []
@@ -253,10 +272,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
             head, _, tail = _json(record, records.pad).partition('""')
             mark = "  *" if report.is_equality else "" if report.holds else "  VIOLATED"
             line = f"   [{report.fixed_type}, dim {report.fixed_dim}]{mark}"
-            parts = shared[key] = head, tail, line
+            parts = shared[key] = f',{records.pad}{head}"', f'"{tail}', line
         head, tail, line = parts
-        records.append(f'{head}"{_kac_text(s)}"{tail}')
+        records += head, _kac_text(s), tail
         line_tails.append(line)
+    if records:  # no separator before the first record
+        records[0] = records[0].removeprefix("," + records.pad)
     doc = {"spec": diagram.spec, "order": args.order, "classes": records}
     return (1 if violated else 0), doc, lambda: [
         f"{diagram.spec}: {len(classes)} class(es) of order {args.order}",
@@ -474,10 +495,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, doc, text = globals()[f"_cmd_{args.command}"](args)
+        pieces: list = []  # the whole output, built before any of it is written
         if args.format == "json":
-            output = _json({"version": __version__, **doc}) + "\n"
+            _json_pieces({"version": __version__, **doc}, "\n", pieces)
+            pieces.append("\n")
         else:
-            output = "\n".join(text()) + "\n"
+            for line in text():
+                pieces += line, "\n"
     except (UnsupportedSubdiagramError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
@@ -487,14 +511,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:  # any other fault is the program's; exit 1 means a counterexample
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if not args.out:
-        sys.stdout.write(output)
-        return code
     try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.writelines(pieces)
+        else:
+            chunks = pieces
+            if getattr(sys.stdout, "write_through", False):  # python -u: a system call per write
+                chunks = ("".join(pieces[i:i + 4096]) for i in range(0, len(pieces), 4096))
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"cannot write --out file: {exc}", file=sys.stderr)
+        if not args.out:  # a closed pipe: the interpreter's last flush must not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"cannot write {'--out file' if args.out else 'stdout'}: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,9 +107,13 @@ def test_json_writer_matches_the_indented_stdlib_encoder(value):
 
 @given(st.lists(JSON_VALUES, max_size=4), st.integers(min_value=0, max_value=3), st.booleans())
 def test_json_writer_joins_a_rendered_list_at_its_depth(items, depth, in_dicts):
-    # the items are rendered for the depth the list then sits at, inside lists or dicts
+    # the items are rendered as pieces for the depth the list then sits at, inside lists or
+    # dicts, with "," + pad before every item but the first
     rendered = cli._Rendered("\n" + "  " * (depth + 1))
-    rendered.extend(cli._json(item, rendered.pad) for item in items)
+    for i, item in enumerate(items):
+        if i:
+            rendered.append("," + rendered.pad)
+        cli._json_pieces(item, rendered.pad, rendered)
     doc, plain = rendered, items
     for _ in range(depth):
         doc, plain = ({"k": doc}, {"k": plain}) if in_dicts else ([doc], [plain])
@@ -125,7 +130,8 @@ def test_json_writer_refuses_a_rendered_list_at_another_depth(items, pad):
         cli._json({"classes": rendered})
 
 
-def test_enumerate_records_at_another_depth_are_an_internal_error(capsys, monkeypatch):
+def _nest_enumerate_document(monkeypatch):
+    """Make ``enumerate`` put its document one level down, so its records sit at the wrong depth."""
     real = cli._cmd_enumerate
 
     def nested(args):
@@ -133,6 +139,10 @@ def test_enumerate_records_at_another_depth_are_an_internal_error(capsys, monkey
         return code, {"result": doc}, text
 
     monkeypatch.setattr(cli, "_cmd_enumerate", nested)
+
+
+def test_enumerate_records_at_another_depth_are_an_internal_error(capsys, monkeypatch):
+    _nest_enumerate_document(monkeypatch)
     code, out, err = _run(capsys, "enumerate", "G2", "--order", "6", "--format", "json")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: entries rendered for pad ")
@@ -315,6 +325,48 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("cannot write --out file: ")
     assert str(target) in err
     assert not target.exists()
+
+
+def test_enumerate_json_to_a_file_peaks_below_three_times_its_size(tmp_path, capsys, monkeypatch):
+    # the writer holds pieces, never the whole document as one string
+    target = tmp_path / "a9.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "A9", "--order", "10", "--format", "json", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * target.stat().st_size, (peak, target.stat().st_size)
+    # an internal error while rendering leaves no --out file behind
+    failed = tmp_path / "failed.json"
+    _nest_enumerate_document(monkeypatch)
+    code, out, err = _run(capsys, "enumerate", "G2", "--order", "6", "--format", "json", "--out", str(failed))
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: entries rendered for pad ")
+    assert not failed.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_pipe_is_a_usage_error_without_a_traceback(unbuffered):
+    # the reader takes 100 bytes of a 1.1 MB document, far more than a pipe holds, and
+    # closes its end: the write fails, and the interpreter's last flush must not fail again
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "kacscope.cli", "enumerate", "A9", "--order", "10", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    ) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.startswith("cannot write stdout: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_process_exit_status_and_stderr(tmp_path):
