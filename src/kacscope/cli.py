@@ -19,8 +19,8 @@ JSON document (without ``version``) and a renderer of its text lines.
 asked for into one list of string pieces (JSON by :func:`_json_pieces`, text
 as each line and ``"\n"``) and writes that list to ``--out`` or stdout, so no
 string holds the whole document.  enumerate renders what depends only on a
-zero set once, and hands the writer three pieces per class, in a
-:class:`_Rendered` list.
+record once, and hands the writer three pieces per class: in a
+:class:`_Rendered` list for JSON, and as a text line's tuple of pieces.
 
 Every subcommand refuses a base rank or a ``--max-rank`` above
 :data:`MAX_RANK` before it builds anything.
@@ -41,8 +41,9 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain, repeat
 from operator import mul, not_
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import __version__
 from . import ellreg as ellreg_mod
@@ -50,8 +51,8 @@ from . import kac, thomae
 from .affine import AffineDiagram, build_spec, catalog, parse_spec, render_kac
 from .dynkin import UnsupportedSubdiagramError
 
-# what every subcommand returns: exit code, JSON document, text renderer
-Report = tuple[int, dict, Callable[[], list[str]]]
+# what every subcommand returns: exit code, JSON document, text renderer (lines or piece tuples)
+Report = tuple[int, dict, Callable[[], Iterable]]
 _LITERALS = {None: "null", True: "true", False: "false"}
 _DIGITS = {v: str(v) for v in range(100)}
 
@@ -249,41 +250,46 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
                          f"vectors of order {args.order}, more than the {MAX_SOLUTIONS:,} "
                          "that enumerate walks")
     classes = kac.enumerate_classes(diagram, args.order)
-    # each class is checked here (one entry per node, all >= 0, gcd 1, order --order) and
-    # its zero set read off s; the first class with a zero set goes through check_class,
-    # and what depends only on that (the verdict too, as m is fixed) is decided and rendered
-    # once.  A class then costs one string, its Kac text (digits and commas need no quoting),
-    # between its zero set's shared record head, separator included, and tail
+    # each check is one pass over the classes: one entry per node, all >= 0 with gcd 1, and
+    # order --order.  Only when a pass fails are the classes walked, to name the first bad one
     labels, e = tuple(diagram.labels.values()), diagram.e
-    shared: dict = {}
+    weights = set(map(sum, map(map, repeat(mul), repeat(labels), classes)))
+    if not (set(map(len, classes)) <= {len(labels)} and all(map(kac.is_admissible, classes))
+            and {e * w for w in weights} <= {args.order}):
+        for s in classes:
+            if len(s) != len(labels) or not kac.is_admissible(s):
+                raise AssertionError(f"class {_kac_text(s)} of {diagram.spec} is not admissible")
+            if (m := e * sum(map(mul, labels, s))) != args.order:
+                raise AssertionError(f"class {_kac_text(s)} has order {m}, not {args.order}")
+    # the zero set is read off s, and the first class with it goes through check_class; what
+    # depends only on the report (the verdict too, as m is fixed) is rendered once per distinct
+    # record.  A class then costs one string, its Kac text (digits and commas need no
+    # quoting), between its record's shared head, separator included, and tail
+    shared: dict = {}  # zero set -> (head, tail, text line tail)
+    rendered: dict = {}  # (fixed_type, fixed_dim, is_equality, holds) -> the same
     records, line_tails = _Rendered("\n    "), []
-    violated = False
-    for s in classes:
-        if len(s) != len(labels) or not kac.is_admissible(s):
-            raise AssertionError(f"class {_kac_text(s)} of {diagram.spec} is not admissible")
-        if (m := e * sum(map(mul, labels, s))) != args.order:
-            raise AssertionError(f"class {_kac_text(s)} has order {m}, not {args.order}")
-        parts = shared.get(key := tuple(map(not_, s)))
-        if parts is None:
+    zero_sets = map(tuple, map(map, repeat(not_), classes))  # each class's, read off s
+    for key, s, kac_text in zip(zero_sets, classes, map(_kac_text, classes)):
+        if (parts := shared.get(key)) is None:
             report = thomae.check_class(diagram, s)
-            violated = violated or not report.holds
-            record = {"kac": "", "fixed_type": report.fixed_type,
-                      "fixed_dim": report.fixed_dim, "is_equality": report.is_equality}
-            head, _, tail = _json(record, records.pad).partition('""')
-            mark = "  *" if report.is_equality else "" if report.holds else "  VIOLATED"
-            line = f"   [{report.fixed_type}, dim {report.fixed_dim}]{mark}"
-            parts = shared[key] = f',{records.pad}{head}"', f'"{tail}', line
-        head, tail, line = parts
-        records += head, _kac_text(s), tail
-        line_tails.append(line)
+            record = report.fixed_type, report.fixed_dim, report.is_equality, report.holds
+            if (parts := rendered.get(record)) is None:
+                fields = {"kac": "", "fixed_type": report.fixed_type,
+                          "fixed_dim": report.fixed_dim, "is_equality": report.is_equality}
+                head, _, tail = _json(fields, records.pad).partition('""')
+                mark = "  *" if report.is_equality else "" if report.holds else "  VIOLATED"
+                line = f"   [{report.fixed_type}, dim {report.fixed_dim}]{mark}"
+                parts = rendered[record] = f',{records.pad}{head}"', f'"{tail}', line
+            shared[key] = parts
+        records += parts[0], kac_text, parts[1]
+        line_tails.append(parts[2])
     if records:  # no separator before the first record
         records[0] = records[0].removeprefix("," + records.pad)
     doc = {"spec": diagram.spec, "order": args.order, "classes": records}
-    return (1 if violated else 0), doc, lambda: [
-        f"{diagram.spec}: {len(classes)} class(es) of order {args.order}",
-        *(f"  {render_kac(diagram, s, unicode=args.unicode)}{line}"
-          for s, line in zip(classes, line_tails)),
-    ]
+    return (0 if all(holds for *_, holds in rendered) else 1), doc, lambda: chain(
+        [f"{diagram.spec}: {len(classes)} class(es) of order {args.order}"],
+        zip(repeat("  "), map(render_kac, repeat(diagram), classes, repeat(args.unicode)),
+            line_tails))
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +506,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             _json_pieces({"version": __version__, **doc}, "\n", pieces)
             pieces.append("\n")
         else:
-            for line in text():
-                pieces += line, "\n"
+            for line in text():  # a string, or a tuple of the pieces it is joined from
+                pieces += (line, "\n") if isinstance(line, str) else (*line, "\n")
     except (UnsupportedSubdiagramError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -102,9 +102,11 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
     completion passes it.  The walk thus skips the subtrees of non-least
     prefixes instead of visiting each of their vectors.  Entries are >= 0
     as built and the prefix's gcd is carried down for admissibility.
-    Once the weight is spent, or at the last position, the one completion
-    (zeros, then the rest of the weight at the last node) is set at once
-    and every open p decided on it in one step.
+    Once the weight is spent, the one completion (zeros, then the rest of
+    the weight at the last node) is set at once and every open p decided on
+    it in one step.  At the last position but one each value fixes the
+    last entry, so that loop sets both, takes their gcd with the prefix's
+    and decides every open p on the whole vector, with no call for the last.
 
     Empty when m is not a positive multiple of the twist e.  The number
     of compositions still grows quickly on low-label diagrams (untwisted
@@ -155,6 +157,18 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
                     found.append(tuple(prefix))
             return
         c = labels[idx]
+        if idx == last - 1:
+            # each value here fixes the last entry: finish the vector in one step
+            c_last = labels[last]
+            for val in range(remaining // c + 1):
+                if (rest := remaining - c * val) % c_last:
+                    continue
+                prefix[idx] = val
+                prefix[last] = top = rest // c_last
+                if gcd(g, val, top) == 1 and (
+                        not open_perms or advance(open_perms, last) is not None):
+                    found.append(tuple(prefix))
+            return
         for val in range(remaining // c + 1):
             prefix[idx] = val
             carried = open_perms and advance(open_perms, idx)

@@ -603,6 +603,37 @@ def test_enumerate_inadmissible_class_is_an_internal_error(capsys, monkeypatch, 
     check_generator_fault(capsys, monkeypatch, s)
 
 
+@pytest.mark.parametrize("s", [*GENERATOR_FAULTS.values(), (0, 1, 1)],
+                         ids=[*GENERATOR_FAULTS, "order-5"])
+def test_enumerate_names_the_bad_class_after_good_ones(capsys, monkeypatch, s):
+    """A bad class after the three real classes of G2 at order 6 is the one named: the
+    generator faults as not admissible, and the admissible 0,1,1 by its order 5."""
+    real = kac.enumerate_classes
+    monkeypatch.setattr(kac, "enumerate_classes", lambda d, m: real(d, m) + [s])
+    code, out, err = _run(capsys, "enumerate", "G2", "--order", "6")
+    assert (code, out) == (3, ""), (s, code, err)
+    reason = "has order 5, not 6" if s == (0, 1, 1) else "of G2 is not admissible"
+    assert err == f"internal error: class {','.join(map(str, s))} {reason}\n"
+
+
+def test_enumerate_keeps_records_apart_that_differ_only_in_the_verdict(capsys, monkeypatch):
+    """Every zero set of G2 at order 6 gets the same type and dimension, and the first one a
+    bound below 1/m: its line alone is marked, and enumerate exits 1."""
+    real, calls = cli.thomae.check_class, []
+
+    def report(d, s, memo=None):
+        calls.append(s)
+        bound = Fraction(1, 7) if len(calls) == 1 else Fraction(1, 1)
+        return real(d, s, memo)._replace(fixed_type="A1", fixed_dim=1, bound=bound)
+
+    monkeypatch.setattr(cli.thomae, "check_class", report)
+    code, out, _ = _run(capsys, "enumerate", "G2", "--order", "6")
+    assert code == 1 and len(calls) == 3
+    assert [line.endswith("   [A1, dim 1]  VIOLATED") for line in out.splitlines()[1:]] == [
+        True, False, False]
+    assert all(line.endswith("   [A1, dim 1]") for line in out.splitlines()[2:])
+
+
 def test_enumerate_checks_each_zero_set_once(monkeypatch):
     """``enumerate`` calls ``check_class`` once per distinct zero set of the
     classes it prints, with the first class that has it, on every diagram

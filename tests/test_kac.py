@@ -205,12 +205,18 @@ def _leaf_only_classes(d, m):
     return found
 
 
+def check_walk_matches_leaf_only(max_rank, max_order):
+    """The walk gives the leaf-only walk's list, in its order, on every
+    diagram up to rank ``max_rank`` and every order up to ``max_order``."""
+    for d in catalog(max_rank):
+        for m in range(1, max_order + 1):
+            assert enumerate_classes(d, m) == _leaf_only_classes(d, m), (d.spec, m)
+
+
 def test_pruned_walk_matches_leaf_only_walk():
     """Same list, same order, as the walk that tests every completed
     vector, on every diagram up to rank 10 and every order up to 10."""
-    for d in catalog(10):
-        for m in range(1, 11):
-            assert enumerate_classes(d, m) == _leaf_only_classes(d, m), (d.spec, m)
+    check_walk_matches_leaf_only(10, 10)
 
 
 def _fixed_count(d, p, m):

@@ -14,6 +14,7 @@ import pytest
 import test_reductions
 from kacscope import kac, reductions, thomae
 from test_cli import GENERATOR_FAULTS, check_generator_fault
+from test_kac import check_walk_matches_leaf_only
 from test_reductions import (
     check_case_lines,
     check_cases_agree_with_decomposition,
@@ -103,6 +104,7 @@ def test_a_shifted_alpha_fails_the_rebuilt_form_check(monkeypatch):
 def test_the_unchanged_program_passes_the_class_checks(capsys, monkeypatch):
     assert check_class_fields_agree(4) == 270
     check_generator_fault(capsys, monkeypatch, GENERATOR_FAULTS["gcd-2"])
+    check_walk_matches_leaf_only(4, 6)
 
 
 def test_one_root_too_many_fails_the_class_field_check(monkeypatch):
@@ -120,3 +122,12 @@ def test_no_gcd_check_in_enumerate_fails_the_generator_fault_check(capsys, monke
     monkeypatch.setattr(kac, "is_admissible", lambda s: min(s, default=0) >= 0)
     with pytest.raises(AssertionError):
         check_generator_fault(capsys, monkeypatch, GENERATOR_FAULTS["gcd-2"])
+
+
+def test_a_leaf_gcd_without_its_middle_entry_fails_the_leaf_only_walk_check(monkeypatch):
+    """The walk's leaf step takes gcd(prefix's gcd, s[last - 1], s[last]); with the middle
+    entry dropped it loses each class whose prefix and last entry share a factor."""
+    real = kac.gcd
+    monkeypatch.setattr(kac, "gcd", lambda *a: real(a[0], a[2]) if len(a) == 3 else real(*a))
+    with pytest.raises(AssertionError):
+        check_walk_matches_leaf_only(4, 6)
