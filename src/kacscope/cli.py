@@ -18,9 +18,10 @@ JSON document (without ``version``) and a renderer of its text lines.
 :func:`main` is the one writer: it adds ``version``, renders the format
 asked for into one list of string pieces (JSON by :func:`_json_pieces`, text
 as each line and ``"\n"``) and writes that list to ``--out`` or stdout, so no
-string holds the whole document.  enumerate renders what depends only on a
-record once, and hands the writer three pieces per class: in a
-:class:`_Rendered` list for JSON, and as a text line's tuple of pieces.
+string holds the whole document.  enumerate keeps one index per class into its
+distinct records, and renders only the format asked for: its JSON document
+holds a callable that the writer calls at the list's depth, and its text
+lines are tuples of pieces.
 
 Every subcommand refuses a base rank or a ``--max-rank`` above
 :data:`MAX_RANK` before it builds anything.
@@ -88,19 +89,11 @@ def _kac_text(s: tuple[int, ...]) -> str:
         return ",".join(map(str, s))
 
 
-class _Rendered(list):
-    """Finished JSON pieces of a list's entries at the depth ``pad``, ``"," + pad`` before
-    every entry but the first, which :func:`_json_pieces` adds as they are."""
-
-    def __init__(self, pad: str):
-        self.pad = pad
-
-
 def _json_pieces(value, pad: str, out: list) -> None:
     """Append to ``out`` the pieces of ``json.dumps(value)`` at a two-space indent, for a
     value at the depth ``pad``, without the stdlib's pure-Python indent encoder: each
     container appends its brackets, separators and entries; keys must be strings.
-    A :class:`_Rendered` list is added as it stands, at its own depth only."""
+    A callable value renders itself: it is called as ``value(pad, out)``."""
     if isinstance(value, str):
         out.append(_quote(value))
     elif value is None or value is True or value is False:
@@ -116,17 +109,13 @@ def _json_pieces(value, pad: str, out: list) -> None:
         out.append(pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner, sep = pad + "  ", "["
-        if not isinstance(value, _Rendered):
-            for v in value:
-                out.append(sep + inner)
-                _json_pieces(v, inner, out)
-                sep = ","
-        elif value.pad != inner:
-            raise AssertionError(f"entries rendered for pad {value.pad!r} sit at pad {inner!r}")
-        elif value:
-            out.append("[" + inner)
-            out.extend(value)
+        for v in value:
+            out.append(sep + inner)
+            _json_pieces(v, inner, out)
+            sep = ","
         out.append(pad + "]" if value else "[]")
+    elif callable(value):
+        value(pad, out)
     else:  # floats and any other scalar
         out.append(json.dumps(value))
 
@@ -261,35 +250,47 @@ def _cmd_enumerate(args: argparse.Namespace) -> Report:
                 raise AssertionError(f"class {_kac_text(s)} of {diagram.spec} is not admissible")
             if (m := e * sum(map(mul, labels, s))) != args.order:
                 raise AssertionError(f"class {_kac_text(s)} has order {m}, not {args.order}")
-    # the zero set is read off s, and the first class with it goes through check_class; what
-    # depends only on the report (the verdict too, as m is fixed) is rendered once per distinct
-    # record.  A class then costs one string, its Kac text (digits and commas need no
-    # quoting), between its record's shared head, separator included, and tail
-    shared: dict = {}  # zero set -> (head, tail, text line tail)
-    rendered: dict = {}  # (fixed_type, fixed_dim, is_equality, holds) -> the same
-    records, line_tails = _Rendered("\n    "), []
+    # the zero set is read off s, and the first class with it goes through check_class.  A
+    # class keeps only the index of its record, the part of its report that it prints (the
+    # verdict too, as m is fixed); each renderer renders a record once
+    records: dict = {}  # (fixed_type, fixed_dim, is_equality, holds) -> its index
+    by_zero_set: dict = {}  # zero set -> its record's index
+    which = []  # each class's record index
     zero_sets = map(tuple, map(map, repeat(not_), classes))  # each class's, read off s
-    for key, s, kac_text in zip(zero_sets, classes, map(_kac_text, classes)):
-        if (parts := shared.get(key)) is None:
+    for key, s in zip(zero_sets, classes):
+        if (i := by_zero_set.get(key)) is None:
             report = thomae.check_class(diagram, s)
             record = report.fixed_type, report.fixed_dim, report.is_equality, report.holds
-            if (parts := rendered.get(record)) is None:
-                fields = {"kac": "", "fixed_type": report.fixed_type,
-                          "fixed_dim": report.fixed_dim, "is_equality": report.is_equality}
-                head, _, tail = _json(fields, records.pad).partition('""')
-                mark = "  *" if report.is_equality else "" if report.holds else "  VIOLATED"
-                line = f"   [{report.fixed_type}, dim {report.fixed_dim}]{mark}"
-                parts = rendered[record] = f',{records.pad}{head}"', f'"{tail}', line
-            shared[key] = parts
-        records += parts[0], kac_text, parts[1]
-        line_tails.append(parts[2])
-    if records:  # no separator before the first record
-        records[0] = records[0].removeprefix("," + records.pad)
-    doc = {"spec": diagram.spec, "order": args.order, "classes": records}
-    return (0 if all(holds for *_, holds in rendered) else 1), doc, lambda: chain(
-        [f"{diagram.spec}: {len(classes)} class(es) of order {args.order}"],
-        zip(repeat("  "), map(render_kac, repeat(diagram), classes, repeat(args.unicode)),
-            line_tails))
+            i = by_zero_set[key] = records.setdefault(record, len(records))
+        which.append(i)
+
+    def json_classes(pad: str, out: list) -> None:
+        # a class is its record's head, separator included, its Kac text (digits and commas
+        # need no quoting) and its record's tail; the list's "[" replaces the first ","
+        inner, heads, tails = pad + "  ", [], []
+        for fixed_type, fixed_dim, is_equality, _ in records:
+            fields = {"kac": "", "fixed_type": fixed_type, "fixed_dim": fixed_dim,
+                      "is_equality": is_equality}
+            head, _, tail = _json(fields, inner).partition('""')
+            heads.append(f',{inner}{head}"')
+            tails.append(f'"{tail}')
+        start = len(out)
+        out += chain.from_iterable(zip(map(heads.__getitem__, which), map(_kac_text, classes),
+                                       map(tails.__getitem__, which)))
+        if classes:
+            out[start] = "[" + out[start][1:]
+        out.append(pad + "]" if classes else "[]")
+
+    def text() -> Iterable:
+        tails = [f"   [{fixed_type}, dim {fixed_dim}]"
+                 + ("  *" if is_equality else "" if holds else "  VIOLATED")
+                 for fixed_type, fixed_dim, is_equality, holds in records]
+        kac_lines = map(render_kac, repeat(diagram), classes, repeat(args.unicode))
+        return chain([f"{diagram.spec}: {len(classes)} class(es) of order {args.order}"],
+                     zip(repeat("  "), kac_lines, map(tails.__getitem__, which)))
+
+    doc = {"spec": diagram.spec, "order": args.order, "classes": json_classes}
+    return (0 if all(holds for *_, holds in records) else 1), doc, text
 
 
 # ---------------------------------------------------------------------------

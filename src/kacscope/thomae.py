@@ -86,19 +86,13 @@ def _type_and_roots(factors: tuple) -> tuple[str, int]:
     return factors_type_string(factors), total_root_count(factors)
 
 
-def check_class(
-    diagram: AffineDiagram, s: tuple[int, ...], memo: Optional[dict] = None
-) -> ClassReport:
+def check_class(diagram: AffineDiagram, s: tuple[int, ...]) -> ClassReport:
     """Evaluate the bound for the torsion class with Kac coordinates ``s``,
     which must be admissible with one entry per node (else ``ValueError``).
 
-    The fields that depend only on the zero set J of ``s`` (its sorted
-    tuple, the fixed type and dimension, the bound and ``f``) are taken
-    from ``memo``, a dict the caller holds for one diagram and passes to
-    every class it checks; on a miss J is classified once, its type and
-    root count are read through :func:`_type_and_roots`, f is worked out from
-    them as in :func:`f_value`, and the fields are stored there.  The order
-    and the comparison are computed for every class, after one length check."""
+    The zero set J of ``s`` is classified once, its type and root count are
+    read through :func:`_type_and_roots`, and f is worked out from them as in
+    :func:`f_value`."""
     s = tuple(s)
     labels = diagram.labels
     if len(s) != len(labels) or not kac.is_admissible(s):
@@ -107,20 +101,12 @@ def check_class(
             f"{diagram.spec} ({len(labels)} non-negative entries with gcd 1)"
         )
     J = frozenset(compress(labels, map(not_, s)))
-    if memo is None:
-        memo = {}
-    fields = memo.get(J)
-    if fields is None:
-        fixed_type, r_j = _type_and_roots(diagram.factors(J))
-        c_j, fixed_dim = diagram.label_sum_of(J), diagram.n_e + r_j
-        fields = memo[J] = (
-            tuple(sorted(J)),
-            fixed_type,
-            fixed_dim,
-            Fraction(fixed_dim, diagram.base_root_count),
-            (diagram.label_sum - c_j) * r_j - diagram.n_e * c_j,
-        )
-    return ClassReport(diagram.spec, diagram.e * sum(map(mul, labels.values(), s)), s, *fields)
+    fixed_type, r_j = _type_and_roots(diagram.factors(J))
+    c_j, fixed_dim = diagram.label_sum_of(J), diagram.n_e + r_j
+    return ClassReport(diagram.spec, diagram.e * sum(map(mul, labels.values(), s)), s,
+                       tuple(sorted(J)), fixed_type, fixed_dim,
+                       Fraction(fixed_dim, diagram.base_root_count),
+                       (diagram.label_sum - c_j) * r_j - diagram.n_e * c_j)
 
 
 @dataclass(frozen=True)

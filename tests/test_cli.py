@@ -107,46 +107,37 @@ def test_json_writer_matches_the_indented_stdlib_encoder(value):
 
 @given(st.lists(JSON_VALUES, max_size=4), st.integers(min_value=0, max_value=3), st.booleans())
 def test_json_writer_joins_a_rendered_list_at_its_depth(items, depth, in_dicts):
-    # the items are rendered as pieces for the depth the list then sits at, inside lists or
-    # dicts, with "," + pad before every item but the first
-    rendered = cli._Rendered("\n" + "  " * (depth + 1))
-    for i, item in enumerate(items):
-        if i:
-            rendered.append("," + rendered.pad)
-        cli._json_pieces(item, rendered.pad, rendered)
-    doc, plain = rendered, items
+    # a callable value renders the items as a list at the depth the writer hands it, inside
+    # lists or dicts
+    doc, plain = (lambda pad, out: cli._json_pieces(items, pad, out)), items
     for _ in range(depth):
         doc, plain = ({"k": doc}, {"k": plain}) if in_dicts else ([doc], [plain])
     assert cli._json(doc) == json.dumps(plain, indent=2)
 
 
-@pytest.mark.parametrize("items", [[], ["1"]])
-@pytest.mark.parametrize("pad", ["\n  ", "\n      "])
-def test_json_writer_refuses_a_rendered_list_at_another_depth(items, pad):
-    # under a top-level key the list's items sit at "\n    "
-    rendered = cli._Rendered(pad)
-    rendered.extend(items)
-    with pytest.raises(AssertionError, match="rendered for pad"):
-        cli._json({"classes": rendered})
-
-
-def _nest_enumerate_document(monkeypatch):
-    """Make ``enumerate`` put its document one level down, so its records sit at the wrong depth."""
+def _nest_enumerate_document(monkeypatch, nest):
+    """Make ``enumerate`` put its document at ``nest(doc)``, deeper than the writer puts it."""
     real = cli._cmd_enumerate
 
     def nested(args):
         code, doc, text = real(args)
-        return code, {"result": doc}, text
+        return code, nest(doc), text
 
     monkeypatch.setattr(cli, "_cmd_enumerate", nested)
 
 
-def test_enumerate_records_at_another_depth_are_an_internal_error(capsys, monkeypatch):
-    _nest_enumerate_document(monkeypatch)
-    code, out, err = _run(capsys, "enumerate", "G2", "--order", "6", "--format", "json")
-    assert (code, out) == (3, "")
-    assert err.startswith("internal error: entries rendered for pad ")
-    assert _run(capsys, "enumerate", "G2", "--order", "6")[0] == 0  # text has no depth
+@pytest.mark.parametrize("nest", [lambda doc: {"result": doc}, lambda doc: {"result": [[doc]]}],
+                         ids=["in-a-dict", "in-two-lists"])
+def test_enumerate_document_nested_deeper_renders_its_records_there(capsys, monkeypatch, nest):
+    # the records render at the depth the writer gives them, wherever the document sits
+    argv = ("enumerate", "A5", "--order", "6", "--format", "json")
+    plain = json.loads(_run(capsys, *argv)[1])
+    del plain["version"]
+    _nest_enumerate_document(monkeypatch, nest)
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"version": __version__, **nest(plain)}, indent=2) + "\n"
+    assert _run(capsys, "enumerate", "A5", "--order", "6")[0] == 0  # text has no depth
 
 
 def test_verify_without_diagrams_is_a_usage_error(capsys):
@@ -340,11 +331,28 @@ def test_enumerate_json_to_a_file_peaks_below_three_times_its_size(tmp_path, cap
     assert peak < 3 * target.stat().st_size, (peak, target.stat().st_size)
     # an internal error while rendering leaves no --out file behind
     failed = tmp_path / "failed.json"
-    _nest_enumerate_document(monkeypatch)
+
+    def broken(s):
+        raise AssertionError(f"no Kac text for {s}")
+
+    monkeypatch.setattr(cli, "_kac_text", broken)
     code, out, err = _run(capsys, "enumerate", "G2", "--order", "6", "--format", "json", "--out", str(failed))
     assert (code, out) == (3, "")
-    assert err.startswith("internal error: entries rendered for pad ")
+    assert err.startswith("internal error: no Kac text for ")
     assert not failed.exists()
+
+
+def test_enumerate_text_to_a_file_peaks_below_six_times_its_size(tmp_path):
+    # text output renders no JSON records: one tail per record and a line's pieces per class
+    target = tmp_path / "a9.txt"
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "A9", "--order", "10", "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 6 * target.stat().st_size, (peak, target.stat().st_size)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -564,7 +572,7 @@ def _patch_class_reports(monkeypatch, **fields):
     """Make ``thomae.check_class`` report every class with ``fields`` replaced."""
     real = cli.thomae.check_class
     monkeypatch.setattr(cli.thomae, "check_class",
-                        lambda d, s, memo=None: real(d, s, memo)._replace(**fields))
+                        lambda d, s: real(d, s)._replace(**fields))
 
 
 def test_enumerate_reports_a_violated_bound_with_exit_1(capsys, monkeypatch):
@@ -621,10 +629,10 @@ def test_enumerate_keeps_records_apart_that_differ_only_in_the_verdict(capsys, m
     bound below 1/m: its line alone is marked, and enumerate exits 1."""
     real, calls = cli.thomae.check_class, []
 
-    def report(d, s, memo=None):
+    def report(d, s):
         calls.append(s)
         bound = Fraction(1, 7) if len(calls) == 1 else Fraction(1, 1)
-        return real(d, s, memo)._replace(fixed_type="A1", fixed_dim=1, bound=bound)
+        return real(d, s)._replace(fixed_type="A1", fixed_dim=1, bound=bound)
 
     monkeypatch.setattr(cli.thomae, "check_class", report)
     code, out, _ = _run(capsys, "enumerate", "G2", "--order", "6")
@@ -656,8 +664,7 @@ def test_enumerate_checks_each_zero_set_once(monkeypatch):
 def _enumerate_oracle(diagram, order) -> dict:
     """``enumerate`` output in each format, built the plain way: a dict record and a
     text line per class, from its ``check_class`` report, and ``json.dumps`` at indent 2."""
-    memo: dict = {}
-    reports = [cli.thomae.check_class(diagram, s, memo) for s in kac.enumerate_classes(diagram, order)]
+    reports = [cli.thomae.check_class(diagram, s) for s in kac.enumerate_classes(diagram, order)]
     code = 0 if all(r.holds for r in reports) else 1
     records = [{"kac": ",".join(map(str, r.s)), "fixed_type": r.fixed_type,
                 "fixed_dim": r.fixed_dim, "is_equality": r.is_equality} for r in reports]

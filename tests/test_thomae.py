@@ -74,10 +74,9 @@ def test_integer_comparisons_equal_their_fraction_forms():
     }
     classes = 0
     for d in catalog(8):
-        memo: dict = {}
         for m in range(1, 13):
             vectors = enumerate_classes(d, m)
-            outcomes.update(outcome(check_class(d, s, memo)) for s in vectors)
+            outcomes.update(outcome(check_class(d, s)) for s in vectors)
             classes += len(vectors)
     assert classes > 100_000 and len(outcomes) > 2000
     for m, a, b, tau_num, tau_den, holds, is_equality in outcomes:
@@ -86,31 +85,6 @@ def test_integer_comparisons_equal_their_fraction_forms():
         assert holds == (tau <= bound), (m, bound)
         assert is_equality == (tau == bound), (m, bound)
     assert {(holds, eq) for *_, holds, eq in outcomes} == {(True, True), (True, False), (False, False)}
-
-
-@pytest.mark.parametrize("spec,m", [("A5", 6), ("D6", 6), ("2A5", 4), ("E6", 6), ("3D4", 6)])
-def test_report_with_given_factors_matches_report_without(spec, m):
-    d = build_spec(spec)
-    memo: dict = {}
-    for s in enumerate_classes(d, m):
-        assert check_class(d, s, memo) == check_class(d, s), s
-
-
-@pytest.mark.parametrize("spec,orders", [("D6", (4, 6)), ("2A5", (4, 6)), ("E6", (3, 6))])
-def test_one_memo_serves_several_orders(spec, orders):
-    # the memo holds only what depends on the zero set: classes of two
-    # orders that share a zero set share its entry, and each still gets
-    # its own order and tau
-    d = build_spec(spec)
-    memo: dict = {}
-    zero_sets = []
-    for m in orders:
-        classes = enumerate_classes(d, m)
-        for s in classes:
-            assert check_class(d, s, memo) == check_class(d, s), (m, s)
-        zero_sets.append({frozenset(i for i, x in enumerate(s) if x == 0) for s in classes})
-    assert zero_sets[0] & zero_sets[1]
-    assert set(memo) == zero_sets[0] | zero_sets[1]
 
 
 # Order-2 and order-3 points with well-known fixed subalgebras.  In each
@@ -156,8 +130,8 @@ def test_fixed_dim_is_rank_plus_roots():
 
 
 def check_class_fields_agree(max_rank: int) -> int:
-    """On every proper J of ``catalog(max_rank)``, the memo-miss fields of
-    ``check_class`` equal those of the independent functions: f from
+    """On every proper J of ``catalog(max_rank)``, the fields of ``check_class``
+    that depend only on J equal those of the independent functions: f from
     :func:`f_value`, the type string from ``factors_type_string``, the fixed
     dimension n_e + |R_J| and the bound fixed_dim / |R|.  Returns how many
     zero sets were checked."""
