@@ -198,18 +198,19 @@ class Diagram:
         return found
 
     def factors(self, subset) -> tuple[FiniteFactor, ...]:
-        """Finite factors of the subdiagram induced on ``subset``.
+        """Finite factors of the subdiagram induced on ``subset``, sorted.
 
         Raises ``ValueError`` when ``subset`` holds a node not in the
         diagram.  Each connected component is classified once per diagram
         and kept in the diagram's memo under its mask; a component the
         classifier rejects is not stored and raises on every call.
         """
-        return self._factors_of(self.components(self.mask_of(subset)))
+        found = self._factors_of(self.components(self.mask_of(subset)))
+        return sort_factors(found) if len(found) > 1 else tuple(found)
 
-    def _factors_of(self, comps: list[int]) -> tuple[FiniteFactor, ...]:
-        """:meth:`factors` of the union of ``comps``, connected node masks
-        pairwise apart, each classified through the component memo."""
+    def _factors_of(self, comps: list[int]) -> list[FiniteFactor]:
+        """The factors of the union of ``comps``, connected node masks pairwise
+        apart, each classified through the component memo; only :meth:`factors` sorts."""
         memo = self._components
         found: list[FiniteFactor] = []
         for comp in comps:
@@ -217,7 +218,7 @@ class Diagram:
             if factors is None:
                 factors = memo[comp] = _classify_component(comp, self.neighbours, self.bonds)
             found.extend(factors)
-        return sort_factors(found) if len(found) > 1 else tuple(found)
+        return found
 
     def induced_bonds(self, subset) -> tuple[Bond, ...]:
         """The bonds with both ends in ``subset``, in stored order, which alone
@@ -226,7 +227,7 @@ class Diagram:
 
     def _induced_bonds(self, mask: int) -> tuple[Bond, ...]:
         """:meth:`induced_bonds` of the node mask ``mask``."""
-        return tuple(b for b, ends in zip(self.bonds, self.bond_masks) if ends & mask == ends)
+        return tuple([b for b, ends in zip(self.bonds, self.bond_masks) if ends & mask == ends])
 
 
 # ---------------------------------------------------------------------------

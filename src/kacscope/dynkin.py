@@ -121,7 +121,7 @@ def factors_type_string(factors: Iterable[FiniteFactor]) -> str:
 
 
 def total_root_count(factors: Iterable[FiniteFactor]) -> int:
-    return sum(f.root_count for f in factors)
+    return sum([f.root_count for f in factors])
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ Only acyclic diagrams are supported here; the cycle family has its own
 one-line certificate and never needs reduction.
 
 The moves work on ``J`` as an ``int`` node mask (see :class:`Diagram`), made
-once from the node set a public function takes and split into runs by
-:func:`_runs` alone.  Each graph memoises its move table, its interior spine
-(:func:`_spine`) and the children :func:`contract` has made on it.
+once from the node set a public function takes.  :func:`_runs` and
+:func:`_sizes` read its runs off its split into components.  Each graph
+memoises its move table, its interior spine (:func:`_spine`) and the
+children :func:`contract` has made on it.
 """
 
 from __future__ import annotations
@@ -73,9 +74,9 @@ def runs_of(
     return tuple([frozenset(nodes_of(r)) for r in runs] for runs in _runs(graph, graph.mask_of(J)))
 
 
-def _sizes(graph: Diagram, J: int) -> list[int]:
-    """Sizes of the interior runs of the node mask ``J``, descending."""
-    return sorted((run.bit_count() for run in _runs(graph, J)[0]), reverse=True)
+def _sizes(graph: Diagram, comps: list[int]) -> list[int]:
+    """Sizes of the interior runs among the components ``comps``, descending."""
+    return sorted([c.bit_count() for c in comps if not c & ~graph.interior_mask], reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +128,15 @@ def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, 
     return _first_move(graph, graph.mask_of(J))
 
 
-def _in_z(graph: Diagram, J: int) -> bool:
-    """:func:`in_Z` on the node mask ``J``."""
-    if _first_move(graph, J) is not None:
-        return False
-    sizes = _sizes(graph, J)
-    return not sizes or sizes[0] - sizes[-1] <= 1
-
-
 def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
     """Whether ``J`` is reduced: in ``Y``, with interior run sizes that
     differ by at most 1.  Raises ``ValueError`` when ``J`` holds a node
     not in the graph."""
-    return _in_z(graph, graph.mask_of(J))
+    mask = graph.mask_of(J)
+    if _first_move(graph, mask) is not None:
+        return False
+    sizes = _sizes(graph, graph.components(mask))
+    return not sizes or sizes[0] - sizes[-1] <= 1
 
 
 def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
@@ -293,9 +290,9 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     """Run contractions, then balancing, verifying every predicted drop.
 
     ``J`` must be a nonempty proper subset of the nodes.  It is made a
-    node mask and classified once, on the starting diagram, which gives
-    the ``|R_J|`` and ``c_J`` of every predicted drop ``c_i * |R_J| - c_J``
-    of a contraction.  After each contraction:
+    node mask, split and classified once, on the starting diagram, which
+    gives the ``|R_J|`` and ``c_J`` of every predicted drop
+    ``c_i * |R_J| - c_J`` of a contraction.  After each contraction:
 
     * the bonds induced on ``J`` must equal, as ``Bond`` values in stored
       order, those of the starting diagram.  The factors of ``J`` depend on
@@ -306,11 +303,13 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
       those factors, and its decrease must equal the predicted drop and be
       positive.
 
-    After each balancing step ``f`` is recomputed from scratch, and its
-    decrease must equal the predicted drop and be positive.  Any
-    disagreement raises ``AssertionError``.  The result must lie in ``Z``,
-    and its ``f`` value never exceeds the starting one.  Its ``final_graph``
-    is memoised by :func:`contract`, so other traces may share it.
+    Equal induced bonds also keep the components of ``J``, so the run sizes
+    after the contractions come from the starting split.  After each
+    balancing step ``f`` is recomputed from scratch and ``J`` split again;
+    the drop must be as predicted and positive.  Any disagreement raises
+    ``AssertionError``.  The result must lie in ``Z``, and its ``f`` never
+    exceeds the starting one.  Its ``final_graph`` is memoised by
+    :func:`contract`, so other traces may share it.
     """
     if diagram.cyclic:
         raise ValueError("cycle diagrams are not reduced; their bound is direct")
@@ -324,8 +323,8 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     graph, mask = diagram, diagram.mask_of(J)
     if not mask or mask == graph.node_mask:
         raise ValueError("J must be a nonempty proper subset of the nodes")
-    factors0 = graph._factors_of(graph.components(mask))
-    inside0 = graph._induced_bonds(mask)
+    comps0, inside0 = graph.components(mask), graph._induced_bonds(mask)
+    factors0 = graph._factors_of(comps0)
     r_j, c_j = total_root_count(factors0), graph.label_sum_of(J)
     f = f_start = graph_f(graph, J, factors0)
     steps: list[ReductionStep] = []
@@ -346,7 +345,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         steps.append(ReductionStep("contract", f"removed node {i}", predicted, new_f))
         f = new_f
 
-    sizes = _sizes(graph, mask)
+    sizes = _sizes(graph, comps0)
     while sizes and sizes[0] - sizes[-1] >= 2:
         new_J, predicted = balance_step(graph, J)
         new_f = graph_f(graph, new_J)
@@ -357,10 +356,10 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
         if predicted <= 0:
             raise AssertionError("balancing must strictly decrease f")
         J, f, mask, old = new_J, new_f, graph.mask_of(new_J), sizes
-        sizes = _sizes(graph, mask)
+        sizes = _sizes(graph, graph.components(mask))
         steps.append(ReductionStep("balance", f"runs {old} -> {sizes}", predicted, f))
 
-    if not _in_z(graph, mask):
+    if _first_move(graph, mask) is not None or (sizes and sizes[0] - sizes[-1] > 1):
         raise AssertionError("reduction terminated outside Z")
     return ReductionTrace(diagram.spec, start, f_start, tuple(steps), graph, J, f)
 
@@ -497,8 +496,8 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
     y = len(sizes) - x
 
     r_boundary = total_root_count(graph._factors_of(outer))
-    c_boundary = graph.label_sum_of(nodes_of(sum(outer)))
     c_j = graph.label_sum_of(J)
+    c_boundary = c_j - c * sum(sizes)  # every interior node has the label c
     c_up = graph.label_sum - c_j
     a = c_up - c * (x + y)
     b = graph.n_e - q * x - (q + 1) * y

@@ -18,21 +18,22 @@ def rank10_sweep():
     nonempty proper J of each acyclic classical diagram to rank 10.
 
     Returns ``(parent, key, child)`` for every child that ``contract``
-    memoised, found by walking each graph's ``_contractions``, and the
-    number of contractions the traces made."""
+    memoised, found by walking each graph's ``_contractions``, the number
+    of contractions the traces made, and each trace's final graph and J."""
     named = [build.__wrapped__(d.ident) for d in catalog(10)
              if not d.cyclic and d.ident.family in "ABCD" and d.e in (1, 2)]
-    contractions = 0
+    contractions, finals = 0, []
     for d in named:
         for size in range(1, len(d.nodes)):
             for J in map(frozenset, itertools.combinations(d.nodes, size)):
                 trace = reduce_to_z(d, J)
                 greek_decomposition(trace.final_graph, trace.final_J)
                 contractions += sum(step.kind == "contract" for step in trace.steps)
+                finals.append((trace.final_graph, trace.final_J))
     found, todo = [], list(named)
     while todo:
         parent = todo.pop()
         for key, child in parent._contractions.items():
             found.append((parent, key, child))
             todo.append(child)
-    return found, contractions
+    return found, contractions, finals

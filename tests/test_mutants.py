@@ -13,9 +13,11 @@ import pytest
 
 import test_reductions
 from kacscope import kac, reductions, thomae
+from kacscope.affine import Diagram
 from test_cli import GENERATOR_FAULTS, check_generator_fault
 from test_kac import check_walk_matches_leaf_only
 from test_reductions import (
+    check_a_changed_bond_in_J_is_caught,
     check_case_lines,
     check_cases_agree_with_decomposition,
     check_end_table_coverage,
@@ -99,6 +101,28 @@ def test_a_shifted_alpha_fails_the_rebuilt_form_check(monkeypatch):
                         lambda graph, J: (g := real(graph, J))._replace(alpha=g.alpha + g.q - 1))
     with pytest.raises(AssertionError):
         check_cases_agree_with_decomposition(7)
+
+
+def test_the_unchanged_program_passes_the_changed_bond_check(monkeypatch):
+    for change in ("drop", "multiply"):
+        check_a_changed_bond_in_J_is_caught(monkeypatch, change)
+
+
+@pytest.mark.parametrize("change", ["drop", "multiply"])
+def test_induced_bonds_that_see_no_bond_fail_the_changed_bond_check(monkeypatch, change):
+    """``_induced_bonds`` empty: the comparison after each contraction always
+    passes, so a changed bond inside J goes unseen."""
+    monkeypatch.setattr(Diagram, "_induced_bonds", lambda self, mask: ())
+    with pytest.raises(AssertionError, match="missed"):
+        check_a_changed_bond_in_J_is_caught(monkeypatch, change)
+
+
+def test_induced_bonds_that_see_every_bond_fail_the_changed_bond_check(monkeypatch):
+    """``_induced_bonds`` giving every bond: the first contraction deletes
+    one, so the untampered trace fails the comparison."""
+    monkeypatch.setattr(Diagram, "_induced_bonds", lambda self, mask: self.bonds)
+    with pytest.raises(AssertionError, match="root system of J"):
+        check_a_changed_bond_in_J_is_caught(monkeypatch, "drop")
 
 
 def test_the_unchanged_program_passes_the_class_checks(capsys, monkeypatch):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from kacscope import reductions
+from kacscope import affine, reductions
 from kacscope.affine import Bond, Diagram, build_spec, catalog
 from kacscope.dynkin import connected_components, nodes_of
 from kacscope.ellreg import expected_classes
@@ -203,7 +203,7 @@ def test_memoised_children_equal_a_fresh_build(rank10_sweep):
     included.  The added bonds each join two neighbours of ``i`` in the
     parent: one bond for a degree-two ``i``, keyed by ``i``, and one per tip
     of a fork keyed by ``(i, j)``, each ending at ``j``."""
-    found, _contractions = rank10_sweep
+    found, _contractions, _finals = rank10_sweep
     for parent, key, child in found:
         i = key if isinstance(key, int) else key[0]
         kept = tuple(b for b in parent.bonds if i not in (b.u, b.v))
@@ -235,7 +235,7 @@ def test_reduce_sweep_shares_its_contracted_graphs(rank10_sweep):
     degree-two node reached from either neighbour gives one child.  By
     value there are 1,193 distinct (parent, key): 2A3 and 2D3 are the
     same graph under two names, and each builds its one child."""
-    found, contractions = rank10_sweep
+    found, contractions, _finals = rank10_sweep
     assert contractions == 25_610
     assert len({id(child) for _parent, _key, child in found}) == len(found) == 1_194
     by_value = {(parent.e, tuple(parent.labels.items()), parent.bonds, key)
@@ -442,6 +442,33 @@ def test_reduce_to_z_evaluates_f_once_per_state(monkeypatch):
     assert traces > 3_000
 
 
+def test_reduce_to_z_splits_j_once_and_sorts_no_factors(monkeypatch):
+    """``reduce_to_z`` splits J into components once, at its start, and
+    three times per balance step: in ``balance_step``, in the f recompute
+    and for the new run sizes.  The contractions and the final Z test split
+    nothing, and a trace with no balance step sorts no factors."""
+    counts = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(Diagram, "components", counted("split", Diagram.components))
+    monkeypatch.setattr(affine, "sort_factors", counted("sort", affine.sort_factors))
+    traces = balanced = 0
+    for d in _classical(8):
+        for J in _nonempty_proper(d):
+            counts.clear()
+            trace = reduce_to_z(d, J)
+            steps = sum(step.kind == "balance" for step in trace.steps)
+            assert counts["split"] == 1 + 3 * steps, (d.spec, sorted(J))
+            assert steps or not counts["sort"], (d.spec, sorted(J))
+            traces, balanced = traces + 1, balanced + (steps > 0)
+    assert (traces, balanced) == (3_576, 95)
+
+
 def test_induced_bonds_agree_with_reclassification():
     """The induced-bond check of ``reduce_to_z`` against the
     reclassification it replaced, after every contraction over the
@@ -466,21 +493,36 @@ def test_induced_bonds_agree_with_reclassification():
     assert (steps, tampered) == (4_569, 2_794)
 
 
-@pytest.mark.parametrize("change", ["drop", "multiply"])
-def test_reduce_to_z_catches_a_changed_bond_in_J(monkeypatch, change):
+def check_a_changed_bond_in_J_is_caught(monkeypatch, change):
+    """``reduce_to_z`` on B6 with J = {1, 2, 4} makes one contraction and
+    passes; with ``contract`` tampered to ``change`` ("drop" or "multiply")
+    the one bond inside J of each child, it raises at the induced-bond
+    comparison.  The tampered bond is found from the bonds alone."""
+    d, J = build_spec("B6"), {1, 2, 4}
+    assert [step.kind for step in reduce_to_z(d, J).steps] == ["contract"]
     real = reductions.contract
 
     def tampering(graph, J, i, j):
         g = real(graph, J, i, j)
-        b = g.induced_bonds(J)[0]
+        b = next(c for c in g.bonds if c.u in J and c.v in J)
         bonds = [c for c in g.bonds if c != b]
         if change == "multiply":
             bonds.append(Bond(b.u, b.v, b.mult + 1, b.v))
         return Diagram(g.e, g.labels, bonds)
 
-    monkeypatch.setattr(reductions, "contract", tampering)
-    with pytest.raises(AssertionError, match="root system of J"):
-        reduce_to_z(build_spec("B6"), {1, 2, 4})
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "contract", tampering)
+        try:
+            reduce_to_z(d, J)
+        except AssertionError as exc:
+            assert "root system of J" in str(exc), exc
+        else:
+            raise AssertionError(f"reduce_to_z missed a bond inside J changed by {change!r}")
+
+
+@pytest.mark.parametrize("change", ["drop", "multiply"])
+def test_reduce_to_z_catches_a_changed_bond_in_J(monkeypatch, change):
+    check_a_changed_bond_in_J_is_caught(monkeypatch, change)
 
 
 def test_reduce_to_z_catches_a_changed_label_in_J(monkeypatch):
@@ -758,6 +800,21 @@ def test_greek_beta_matches_alpha_shift():
                 - (b * c * q + (q + 1) * data.c_boundary)
             )
             assert data.beta == alpha_shift
+
+
+def test_greek_boundary_label_sum_on_every_final_state(rank10_sweep):
+    """``c_boundary``, read off ``c_J`` and the interior runs, is the label
+    sum of the boundary runs on every final state of the reduce sweep, the
+    two-node diagrams (c = 0, no interior) included."""
+    finals, two_node = rank10_sweep[2], 0
+    for g, J in finals:
+        data = greek_decomposition(g, J)
+        want = sum(g.labels[u] for run in runs_of(g, J)[1] for u in run)
+        assert data.c_boundary == want, (g.bonds, sorted(J))
+        if not g.interior_mask:
+            assert (len(g.nodes), data.c) == (2, 0), (g.bonds, sorted(J))
+            two_node += 1
+    assert (len(finals), two_node) == (14_436, 48)
 
 
 def test_greek_two_node_diagrams():
