@@ -14,7 +14,7 @@ of the subdiagram induced on J.
 from __future__ import annotations
 
 from itertools import compress
-from math import comb, gcd
+from math import gcd
 from operator import mul, not_
 from typing import Iterable, Optional, Sequence
 
@@ -29,9 +29,12 @@ __all__ = [
     "orbit",
     "canonical",
     "enumerate_classes",
-    "solution_count",
-    "solution_lower_bound",
 ]
+
+# the most work one enumerate_classes walk may do.  Each value loop is charged as it
+# starts: 1, plus 1 per value, or (number of nodes + 10) per value at the last position
+# but one, where each value may list a class.  A12 at order 13 costs 17.2 M
+MAX_WORK = 20_000_000
 
 
 def order_of(diagram: AffineDiagram, s: Sequence[int]) -> int:
@@ -110,9 +113,9 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
 
     Empty when m is not a positive multiple of the twist e.  The number
     of compositions still grows quickly on low-label diagrams (untwisted
-    A above rank ~12 with m near the Coxeter number); use
-    :func:`solution_lower_bound` and :func:`solution_count` to size the
-    walk before enumerating.
+    A above rank ~12 with m near the Coxeter number), so the walk charges
+    each value loop as it starts (see :data:`MAX_WORK`) and raises
+    ``ValueError`` once the total passes the budget.
     """
     if m <= 0 or m % diagram.e:
         return []
@@ -129,6 +132,9 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
     ]
     found: list[tuple[int, ...]] = []
     prefix = [0] * len(nodes)
+    per_class = len(nodes) + 10
+    work = 0
+    over = f"{diagram.spec} at order {m} takes more than the {MAX_WORK:,} steps that enumerate walks"
 
     def advance(open_perms: list, idx: int) -> Optional[list]:
         """Decide what the prefix up to ``idx`` settles: None when some p
@@ -148,6 +154,7 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
 
     def fill(idx: int, remaining: int, g: int, open_perms: list) -> None:
         # fill positions idx..last; g is the gcd of the entries before idx
+        nonlocal work
         if not remaining or idx == last:
             # the one completion: zeros, then the rest of the weight at last
             if remaining % labels[last] == 0:
@@ -160,6 +167,9 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
         if idx == last - 1:
             # each value here fixes the last entry: finish the vector in one step
             c_last = labels[last]
+            work += (remaining // c + 1) * per_class + 1
+            if work > MAX_WORK:
+                raise ValueError(over)
             for val in range(remaining // c + 1):
                 if (rest := remaining - c * val) % c_last:
                     continue
@@ -169,81 +179,18 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
                         not open_perms or advance(open_perms, last) is not None):
                     found.append(tuple(prefix))
             return
+        work += remaining // c + 2
+        if work > MAX_WORK:
+            raise ValueError(over)
         for val in range(remaining // c + 1):
             prefix[idx] = val
             carried = open_perms and advance(open_perms, idx)
             if carried is not None:
                 fill(idx + 1, remaining - c * val, gcd(g, val), carried)
 
-    fill(0, m // diagram.e, 0, start)
+    try:
+        fill(0, m // diagram.e, 0, start)
+    finally:
+        del fill  # fill's cell holds fill itself: free the walk without waiting for the GC
     return found
 
-
-def solution_count(diagram: AffineDiagram, m: int) -> int:
-    """Number of raw admissible vectors of order m (before Omega folding).
-
-    Computed by dynamic programming over the label-weighted composition
-    count, with gcd handled by Moebius inversion over the divisors of the
-    weight target: vectors with gcd d of weight t correspond to arbitrary
-    vectors of weight t/d.  The cost grows with m, not with the count.
-    """
-    if m <= 0 or m % diagram.e:
-        return 0
-    labels = [diagram.labels[i] for i in diagram.nodes]
-
-    def raw(t: int) -> int:
-        dp = [0] * (t + 1)
-        dp[0] = 1
-        for c in labels:
-            for w in range(c, t + 1):
-                dp[w] += dp[w - c]
-        return dp[t]
-
-    return sum(mu * raw(q) for q, mu in _moebius_quotients(m // diagram.e))
-
-
-def solution_lower_bound(diagram: AffineDiagram, m: int) -> tuple[int, bool]:
-    """A lower bound on :func:`solution_count` in O(sqrt(m / e)) steps,
-    and whether it is exact.
-
-    For a label a, take the k nodes with label at most a, node 0 among
-    them (its label is 1 on every diagram built here).  The vectors of
-    weight t = m / e supported on these nodes whose entries off node 0
-    sum to at most t // a, with s_0 taking up the rest of the weight,
-    number C(t // a + k - 1, k - 1); dividing one by a common factor of
-    its entries gives such a vector of a lesser weight, so Moebius
-    inversion counts the admissible ones.  The bound is the largest such
-    count over the labels a.  It is exact when every node but node 0 has
-    the same label (untwisted A, twisted A of even rank, twisted D): the
-    vectors counted at that label are then all the vectors of weight t.
-    """
-    if m <= 0 or m % diagram.e:
-        return 0, True
-    labels = [diagram.labels[i] for i in diagram.nodes]
-    quotients = _moebius_quotients(m // diagram.e)
-    bound = 0
-    for a in set(labels):
-        k = sum(1 for c in labels if c <= a)
-        bound = max(bound, sum(mu * comb(q // a + k - 1, k - 1) for q, mu in quotients))
-    return bound, len(set(labels[1:])) <= 1
-
-
-def _moebius_quotients(t: int) -> list[tuple[int, int]]:
-    """``(t // d, mu(d))`` over the squarefree divisors d of t, the only
-    divisors with mu(d) != 0, built from the primes of t found by trial
-    division up to sqrt(t)."""
-    primes = []
-    rest = t
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    divisors = [(1, 1)]
-    for p in primes:
-        divisors += [(d * p, -mu) for d, mu in divisors]
-    return [(t // d, mu) for d, mu in divisors]

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from kacscope import kac
 from kacscope.affine import build_spec, catalog
 from kacscope.kac import (
     canonical,
@@ -15,8 +18,6 @@ from kacscope.kac import (
     is_admissible,
     orbit,
     order_of,
-    solution_count,
-    solution_lower_bound,
     zero_set,
 )
 
@@ -122,14 +123,7 @@ def test_class_count_against_direct_solution_count():
         for m in range(1, 9):
             classes = enumerate_classes(d, m)
             total = sum(len(orbit(d, s)) for s in classes)
-            assert total == solution_count(d, m), (d.spec, m)
-
-
-def test_solution_count_large_order_guard():
-    # the count grows like m**n; keep one larger spot check
-    a6 = build_spec("A6")
-    classes = enumerate_classes(a6, 7)
-    assert sum(len(orbit(a6, s)) for s in classes) == solution_count(a6, 7)
+            assert total == _fixed_count(d, d.nodes, m), (d.spec, m)
 
 
 def test_principal_class_is_all_ones():
@@ -210,7 +204,7 @@ def check_walk_matches_leaf_only(max_rank, max_order):
     diagram up to rank ``max_rank`` and every order up to ``max_order``."""
     for d in catalog(max_rank):
         for m in range(1, max_order + 1):
-            assert enumerate_classes(d, m) == _leaf_only_classes(d, m), (d.spec, m)
+            assert kac.enumerate_classes(d, m) == _leaf_only_classes(d, m), (d.spec, m)
 
 
 def test_pruned_walk_matches_leaf_only_walk():
@@ -222,7 +216,10 @@ def test_pruned_walk_matches_leaf_only_walk():
 def _fixed_count(d, p, m):
     """Admissible vectors of order m constant on the cycles of p: vectors
     over the cycles, each weighted by its label sum, with the gcd handled
-    by Moebius inversion as in :func:`solution_count`."""
+    by Moebius inversion over the divisors of m / e (none when e does not
+    divide m)."""
+    if m % d.e:
+        return 0
     weights, seen = [], set()
     for start in d.nodes:
         if start not in seen:
@@ -268,21 +265,116 @@ def test_class_count_matches_burnside():
     assert pairs == 460
 
 
-def test_lower_bound_never_exceeds_the_count():
-    """On every diagram up to rank 12 and every order up to 60 the bound
-    is at most the count, and equal to it where it says it is exact."""
-    for d in catalog(12):
-        for m in range(1, 61):
-            bound, exact = solution_lower_bound(d, m)
-            count = solution_count(d, m)
-            assert bound <= count, (d.spec, m)
-            if exact:
-                assert bound == count, (d.spec, m)
+# diagrams whose Omega is the identity alone, so the walk prunes nothing, at orders whose
+# walks take a few milliseconds
+TRIVIAL_OMEGA = [("G2", 60), ("F4", 24), ("E8", 24), ("2A2", 200)]
 
 
-def test_lower_bound_is_the_count_on_unit_labels():
-    a16 = build_spec("A16")
-    assert solution_lower_bound(a16, 17) == (1_166_803_093, True)
-    assert solution_lower_bound(build_spec("A1"), 10_000_000) == (4_000_000, True)
-    bound, exact = solution_lower_bound(build_spec("E8"), 60)
-    assert not exact and 0 < bound < solution_count(build_spec("E8"), 60)
+def _loops(d, m):
+    """The value loops of the walk on a diagram with trivial Omega, in walk order, by
+    plain recursion over the compositions of m / e: (length, charge) per loop.  A loop
+    costs 1, plus 1 per value, or (number of nodes + 10) per value at the last position
+    but one, where each value may list a class."""
+    assert tuple(d.omega) == (d.nodes,), d.spec
+    labels = [d.labels[i] for i in d.nodes]
+    last = len(labels) - 1
+    loops = []
+
+    def walk(idx, remaining):
+        if remaining and idx < last:
+            n = remaining // labels[idx] + 1
+            loops.append((n, 1 + n * (len(labels) + 10 if idx == last - 1 else 1)))
+            if idx < last - 1:
+                for val in range(n):
+                    walk(idx + 1, remaining - labels[idx] * val)
+
+    walk(0, m // d.e)
+    return loops
+
+
+def _refusal(d, m):
+    return f"^{re.escape(d.spec)} at order {m} takes more than the {kac.MAX_WORK:,} steps"
+
+
+def check_walk_is_admitted_at_exactly_its_charge(monkeypatch, spec, m):
+    """The walk lists its classes with a budget of exactly its charge, and is refused
+    with one step less."""
+    d = build_spec(spec)
+    charge = sum(c for _, c in _loops(d, m))
+    classes = kac.enumerate_classes(d, m)
+    monkeypatch.setattr(kac, "MAX_WORK", charge)
+    assert kac.enumerate_classes(d, m) == classes
+    monkeypatch.setattr(kac, "MAX_WORK", charge - 1)
+    with pytest.raises(ValueError, match=_refusal(d, m)):
+        kac.enumerate_classes(d, m)
+
+
+@pytest.mark.parametrize("spec, m", TRIVIAL_OMEGA)
+def test_walk_is_admitted_at_exactly_its_charge(monkeypatch, spec, m):
+    check_walk_is_admitted_at_exactly_its_charge(monkeypatch, spec, m)
+
+
+def check_refused_walk_stops_at_the_first_loop_past_the_budget(monkeypatch, spec, m):
+    """At each of several budgets the walk starts the loops whose running charge fits,
+    in walk order, and is refused at the next: it has charged at most the budget plus
+    one loop."""
+    d = build_spec(spec)
+    loops = _loops(d, m)
+    started = []
+    monkeypatch.setattr(kac, "range", lambda n: started.append(n) or range(n), raising=False)
+    total = sum(c for _, c in loops)
+    for budget in (0, total // 7, total // 2, total - 1):
+        monkeypatch.setattr(kac, "MAX_WORK", budget)
+        started.clear()
+        with pytest.raises(ValueError, match=_refusal(d, m)):
+            kac.enumerate_classes(d, m)
+        k = len(started)
+        assert started == [n for n, _ in loops[:k]], (spec, m, budget)
+        spent = sum(c for _, c in loops[:k])
+        assert spent <= budget < spent + loops[k][1], (spec, m, budget)
+
+
+@pytest.mark.parametrize("spec, m", TRIVIAL_OMEGA)
+def test_refused_walk_stops_at_the_first_loop_past_the_budget(monkeypatch, spec, m):
+    check_refused_walk_stops_at_the_first_loop_past_the_budget(monkeypatch, spec, m)
+
+
+@pytest.mark.parametrize("spec, m, charge", [("A9", 10, 366_991), ("D14", 12, 1_504_131)])
+def test_walk_charge_is_pinned(monkeypatch, spec, m, charge):
+    d = build_spec(spec)
+    monkeypatch.setattr(kac, "MAX_WORK", charge)
+    assert kac.enumerate_classes(d, m)
+    monkeypatch.setattr(kac, "MAX_WORK", charge - 1)
+    with pytest.raises(ValueError, match=_refusal(d, m)):
+        kac.enumerate_classes(d, m)
+
+
+def test_an_order_whose_first_loop_passes_the_budget_is_refused_before_walking(monkeypatch):
+    started = []
+    monkeypatch.setattr(kac, "range", lambda n: started.append(n) or range(n), raising=False)
+    for spec, m in (("A1", 10**7), ("E8", 2**61 - 1), ("2A2", 16_646_256)):
+        with pytest.raises(ValueError, match=_refusal(build_spec(spec), m)):
+            kac.enumerate_classes(build_spec(spec), m)
+    assert started == []
+
+
+def test_a_walk_frees_its_lists_without_the_garbage_collector(monkeypatch):
+    """The walk's recursive helper refers to itself; neither a returned class list
+    nor a refused walk's may be kept alive by that cycle until a collection."""
+    e8 = build_spec("E8")
+    gc.collect()
+    gc.disable()
+    try:
+        classes = kac.enumerate_classes(e8, 24)
+        assert sys.getrefcount(classes) == 2  # the name and the argument
+        del classes
+        monkeypatch.setattr(kac, "MAX_WORK", 10_000)
+        try:
+            kac.enumerate_classes(e8, 24)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("E8 at order 24 was not refused")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -7,15 +7,20 @@ fail.  Adding a mutant here records that a change it stands for is caught.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import pytest
 
 import test_reductions
-from kacscope import kac, reductions, thomae
+from kacscope import cli, kac, reductions, thomae
 from kacscope.affine import Diagram
-from test_cli import GENERATOR_FAULTS, check_generator_fault
-from test_kac import check_walk_matches_leaf_only
+from test_cli import GENERATOR_FAULTS, check_generator_fault, check_violated_bound_is_reported
+from test_kac import (
+    check_refused_walk_stops_at_the_first_loop_past_the_budget,
+    check_walk_is_admitted_at_exactly_its_charge,
+    check_walk_matches_leaf_only,
+)
 from test_reductions import (
     check_a_changed_bond_in_J_is_caught,
     check_case_lines,
@@ -25,6 +30,16 @@ from test_reductions import (
 from test_thomae import check_class_fields_agree
 
 _PARTS = ("|R_J|", "c^J", "n", "c_J")
+
+
+def _rebuilt(monkeypatch, module, name, old, new):
+    """Make ``module.name`` the function rebuilt from its source with the one
+    occurrence of ``old`` replaced by ``new``, in the module's own namespace."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    built = {}
+    exec(compile(source.replace(old, new), module.__file__, "exec"), vars(module), built)
+    monkeypatch.setattr(module, name, built[name])
 
 
 def _plus_one(values, at):
@@ -127,8 +142,17 @@ def test_induced_bonds_that_see_every_bond_fail_the_changed_bond_check(monkeypat
 
 def test_the_unchanged_program_passes_the_class_checks(capsys, monkeypatch):
     assert check_class_fields_agree(4) == 270
-    check_generator_fault(capsys, monkeypatch, GENERATOR_FAULTS["gcd-2"])
     check_walk_matches_leaf_only(4, 6)
+    check_generator_fault(capsys, monkeypatch, GENERATOR_FAULTS["gcd-2"])
+
+
+def test_the_unchanged_program_passes_the_violated_bound_check(capsys, monkeypatch):
+    check_violated_bound_is_reported(capsys, monkeypatch)
+
+
+def test_the_unchanged_program_passes_the_budget_checks(monkeypatch):
+    check_walk_is_admitted_at_exactly_its_charge(monkeypatch, "G2", 12)
+    check_refused_walk_stops_at_the_first_loop_past_the_budget(monkeypatch, "G2", 12)
 
 
 def test_one_root_too_many_fails_the_class_field_check(monkeypatch):
@@ -155,3 +179,30 @@ def test_a_leaf_gcd_without_its_middle_entry_fails_the_leaf_only_walk_check(monk
     monkeypatch.setattr(kac, "gcd", lambda *a: real(a[0], a[2]) if len(a) == 3 else real(*a))
     with pytest.raises(AssertionError):
         check_walk_matches_leaf_only(4, 6)
+
+
+def test_a_gcd_not_carried_down_the_walk_fails_the_leaf_only_walk_check(monkeypatch):
+    """The walk passes the prefix's gcd on unchanged, so each leaf sees only its last
+    entries: it keeps vectors with a common factor and drops some with none."""
+    _rebuilt(monkeypatch, kac, "enumerate_classes", "gcd(g, val), carried)", "g, carried)")
+    with pytest.raises(AssertionError):
+        check_walk_matches_leaf_only(2, 1)
+
+
+@pytest.mark.parametrize("check", [check_walk_is_admitted_at_exactly_its_charge,
+                                   check_refused_walk_stops_at_the_first_loop_past_the_budget])
+def test_an_uncharged_last_but_one_loop_fails_the_budget_checks(monkeypatch, check):
+    """The loop that lists the classes costs nothing, so the walk runs past its budget."""
+    _rebuilt(monkeypatch, kac, "enumerate_classes",
+             "work += (remaining // c + 1) * per_class + 1", "pass")
+    with pytest.raises((AssertionError, pytest.fail.Exception)):  # or: "DID NOT RAISE"
+        check(monkeypatch, "G2", 12)
+
+
+def test_a_verdict_never_set_fails_the_violated_bound_check(capsys, monkeypatch):
+    """Every record holds whatever its report says, so a violated bound is neither
+    marked nor exits 1."""
+    _rebuilt(monkeypatch, cli, "_cmd_enumerate", "report.is_equality, report.holds",
+             "report.is_equality, True")
+    with pytest.raises(AssertionError):
+        check_violated_bound_is_reported(capsys, monkeypatch)
