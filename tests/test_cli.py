@@ -728,14 +728,22 @@ def test_enumerate_refuses_too_many_vectors_quickly(capsys, monkeypatch):
         assert err == f"{spec} at order {order} takes more than the 100,000 steps that enumerate walks\n"
 
 
-@pytest.mark.parametrize("spec, order", [("A1", "10000000"), ("E8", "10000000")])
-def test_enumerate_refusal_cost_does_not_grow_with_the_order(capsys, spec, order):
+@pytest.mark.parametrize("spec, order, budget", [
     # A1's first loop alone passes the budget; E8's first four loops do
+    pytest.param("A1", "10000000", 20_000_000, id="A1-10000000"),
+    pytest.param("E8", "10000000", 20_000_000, id="E8-10000000"),
+    # 2,637,655 raw vectors: the walk lists classes until the budget runs out, which
+    # at the real budget takes most of the time limit, so a small budget bounds it
+    pytest.param("G2", "5623", 100_000, id="G2-5623-2,637,655"),
+])
+def test_enumerate_refusal_cost_does_not_grow_with_the_order(capsys, monkeypatch, spec, order, budget):
+    assert budget <= kac.MAX_WORK
+    monkeypatch.setattr(kac, "MAX_WORK", budget)
     start = time.perf_counter()
     code, out, err = _run(capsys, "enumerate", spec, "--order", order)
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
-    assert err == f"{spec} at order {order} takes more than the 20,000,000 steps that enumerate walks\n"
+    assert err == f"{spec} at order {order} takes more than the {budget:,} steps that enumerate walks\n"
 
 
 @pytest.mark.parametrize("spec, order", [

@@ -126,6 +126,13 @@ def test_class_count_against_direct_solution_count():
             assert total == _fixed_count(d, d.nodes, m), (d.spec, m)
 
 
+def test_solution_count_large_order_guard():
+    # the count grows like m**n; keep one larger spot check
+    a6 = build_spec("A6")
+    classes = enumerate_classes(a6, 7)
+    assert sum(len(orbit(a6, s)) for s in classes) == _fixed_count(a6, a6.nodes, 7)
+
+
 def test_principal_class_is_all_ones():
     for d in catalog(8):
         h = d.coxeter
