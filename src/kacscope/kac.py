@@ -105,11 +105,11 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
     completion passes it.  The walk thus skips the subtrees of non-least
     prefixes instead of visiting each of their vectors.  Entries are >= 0
     as built and the prefix's gcd is carried down for admissibility.
-    Once the weight is spent, the one completion (zeros, then the rest of
-    the weight at the last node) is set at once and every open p decided on
-    it in one step.  At the last position but one each value fixes the
-    last entry, so that loop sets both, takes their gcd with the prefix's
-    and decides every open p on the whole vector, with no call for the last.
+    Once the weight is spent, the one completion (all zeros) is set at
+    once and every open p decided on it in one step.  At the last position
+    but one each value fixes the last entry, so that loop sets both, takes
+    their gcd with the prefix's and decides every open p on the whole
+    vector, with no call for the last.
 
     Empty when m is not a positive multiple of the twist e.  The number
     of compositions still grows quickly on low-label diagrams (untwisted
@@ -155,13 +155,11 @@ def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:
     def fill(idx: int, remaining: int, g: int, open_perms: list) -> None:
         # fill positions idx..last; g is the gcd of the entries before idx
         nonlocal work
-        if not remaining or idx == last:
-            # the one completion: zeros, then the rest of the weight at last
-            if remaining % labels[last] == 0:
-                prefix[idx:last] = [0] * (last - idx)
-                prefix[last] = top = remaining // labels[last]
-                if gcd(g, top) == 1 and (not open_perms or advance(open_perms, last) is not None):
-                    found.append(tuple(prefix))
+        if not remaining:
+            # the weight is spent: the one completion is zeros
+            prefix[idx:] = [0] * (last + 1 - idx)
+            if g == 1 and (not open_perms or advance(open_perms, last) is not None):
+                found.append(tuple(prefix))
             return
         c = labels[idx]
         if idx == last - 1:

@@ -305,8 +305,9 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
 
     Equal induced bonds also keep the components of ``J``, so the run sizes
     after the contractions come from the starting split.  After each
-    balancing step ``f`` is recomputed from scratch and ``J`` split again;
-    the drop must be as predicted and positive.  Any disagreement raises
+    balancing step the new ``J`` is split once, and that split gives both
+    the factors for recomputing ``f`` and the new run sizes; the drop must
+    be as predicted and positive.  Any disagreement raises
     ``AssertionError``.  The result must lie in ``Z``, and its ``f`` never
     exceeds the starting one.  Its ``final_graph`` is memoised by
     :func:`contract`, so other traces may share it.
@@ -348,15 +349,16 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     sizes = _sizes(graph, comps0)
     while sizes and sizes[0] - sizes[-1] >= 2:
         new_J, predicted = balance_step(graph, J)
-        new_f = graph_f(graph, new_J)
+        mask = graph.mask_of(new_J)
+        comps = graph.components(mask)
+        new_f = graph_f(graph, new_J, graph._factors_of(comps))
         if f - new_f != predicted:
             raise AssertionError(
                 f"balance step: predicted drop {predicted}, got {f - new_f}"
             )
         if predicted <= 0:
             raise AssertionError("balancing must strictly decrease f")
-        J, f, mask, old = new_J, new_f, graph.mask_of(new_J), sizes
-        sizes = _sizes(graph, graph.components(mask))
+        J, f, old, sizes = new_J, new_f, sizes, _sizes(graph, comps)
         steps.append(ReductionStep("balance", f"runs {old} -> {sizes}", predicted, f))
 
     if _first_move(graph, mask) is not None or (sizes and sizes[0] - sizes[-1] > 1):

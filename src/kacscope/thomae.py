@@ -39,13 +39,11 @@ def zero_set_data(diagram: Diagram, J: frozenset[int], factors=None) -> tuple[in
     classifying it a second time.
     """
     J = frozenset(J)
-    if not diagram.labels.keys() >= J:
-        diagram.mask_of(J)  # raises, naming every non-node
+    c_j = diagram.label_sum_of(J)  # raises, naming every non-node
     if len(J) == len(diagram.labels):
         raise ValueError("zero set must be a proper subset of the nodes")
     if factors is None:
         factors = diagram.factors(J)
-    c_j = diagram.label_sum_of(J)
     return total_root_count(factors), c_j, diagram.label_sum - c_j
 
 

@@ -23,7 +23,10 @@ from test_kac import (
 )
 from test_reductions import (
     check_a_changed_bond_in_J_is_caught,
+    check_a_changed_label_in_J_is_caught,
+    check_a_misreported_balance_drop_is_caught,
     check_case_lines,
+    check_children_work_out_their_own_spine,
     check_cases_agree_with_decomposition,
     check_end_table_coverage,
 )
@@ -138,6 +141,35 @@ def test_induced_bonds_that_see_every_bond_fail_the_changed_bond_check(monkeypat
     monkeypatch.setattr(Diagram, "_induced_bonds", lambda self, mask: self.bonds)
     with pytest.raises(AssertionError, match="root system of J"):
         check_a_changed_bond_in_J_is_caught(monkeypatch, "drop")
+
+
+def test_the_unchanged_program_passes_the_drop_and_spine_checks(monkeypatch):
+    check_a_changed_label_in_J_is_caught(monkeypatch)
+    check_a_misreported_balance_drop_is_caught(monkeypatch)
+    assert check_children_work_out_their_own_spine(3) == 10
+
+
+@pytest.mark.parametrize("kind, check", [
+    ("contraction", check_a_changed_label_in_J_is_caught),
+    ("balance step", check_a_misreported_balance_drop_is_caught),
+])
+def test_reduce_to_z_without_a_drop_equality_fails_its_drop_check(monkeypatch, kind, check):
+    """The recomputed f is no longer compared with the predicted drop, so a
+    wrong label or a wrong reported drop goes unseen."""
+    raising = f'\n            raise AssertionError(\n                f"{kind}'
+    _rebuilt(monkeypatch, reductions, "reduce_to_z", "f - new_f != predicted:" + raising,
+             "False:" + raising)
+    with pytest.raises(AssertionError, match="missed"):
+        check(monkeypatch)
+
+
+def test_a_child_inheriting_its_parents_spine_fails_the_spine_check(monkeypatch):
+    """``contract`` hands each child its parent's memoised spine, so a child
+    whose interior the contraction changed keeps the parent's."""
+    _rebuilt(monkeypatch, reductions, "contract", "graph._contractions[key] = child",
+             "graph._contractions[key] = child; child._spine = graph._spine")
+    with pytest.raises(AssertionError):
+        check_children_work_out_their_own_spine(3)
 
 
 def test_the_unchanged_program_passes_the_class_checks(capsys, monkeypatch):

@@ -406,6 +406,27 @@ def test_spine_and_bond_masks_match_oracles(rank10_sweep):
     assert len(graphs) == 70 + 1_194
 
 
+def check_children_work_out_their_own_spine(max_rank):
+    """Every child that one contraction makes of a fresh build of each
+    classical diagram to ``max_rank``, its parent's spine worked out first,
+    against the oracle; returns the number of children.  The cheap form, for
+    ``tests/test_mutants.py``, of the fresh-parent part of
+    :func:`test_spine_and_bond_masks_match_oracles`."""
+    children = 0
+    for d in _classical(max_rank):
+        parent = affine.build.__wrapped__(d.ident)
+        reductions._spine(parent)
+        for i in parent.nodes:
+            for j in nodes_of(parent.neighbours[i]):
+                try:
+                    child = reductions.contract(parent, frozenset(), i, j)
+                except ValueError:  # not a move at i toward j
+                    continue
+                assert reductions._spine(child) == _spine_oracle(child), (d.spec, i, j)
+                children += 1
+    return children
+
+
 @pytest.mark.parametrize("spec", ["E6", "F4"])
 def test_nonconstant_interior_label_raises_before_and_after_the_memo(spec):
     """Every call raises, the ones after the spine memo is filled included."""
@@ -444,9 +465,10 @@ def test_reduce_to_z_evaluates_f_once_per_state(monkeypatch):
 
 def test_reduce_to_z_splits_j_once_and_sorts_no_factors(monkeypatch):
     """``reduce_to_z`` splits J into components once, at its start, and
-    three times per balance step: in ``balance_step``, in the f recompute
-    and for the new run sizes.  The contractions and the final Z test split
-    nothing, and a trace with no balance step sorts no factors."""
+    twice per balance step: in ``balance_step``, and once for the new J,
+    whose split gives both the f recompute and the new run sizes.  The
+    contractions and the final Z test split nothing, and no trace sorts
+    factors."""
     counts = Counter()
 
     def counted(name, real):
@@ -463,8 +485,8 @@ def test_reduce_to_z_splits_j_once_and_sorts_no_factors(monkeypatch):
             counts.clear()
             trace = reduce_to_z(d, J)
             steps = sum(step.kind == "balance" for step in trace.steps)
-            assert counts["split"] == 1 + 3 * steps, (d.spec, sorted(J))
-            assert steps or not counts["sort"], (d.spec, sorted(J))
+            assert counts["split"] == 1 + 2 * steps, (d.spec, sorted(J))
+            assert not counts["sort"], (d.spec, sorted(J))
             traces, balanced = traces + 1, balanced + (steps > 0)
     assert (traces, balanced) == (3_576, 95)
 
@@ -525,9 +547,11 @@ def test_reduce_to_z_catches_a_changed_bond_in_J(monkeypatch, change):
     check_a_changed_bond_in_J_is_caught(monkeypatch, change)
 
 
-def test_reduce_to_z_catches_a_changed_label_in_J(monkeypatch):
+def check_a_changed_label_in_J_is_caught(monkeypatch):
     """A label inside ``J`` is invisible to the induced bonds but not to
-    the recomputed ``f``: the predicted drop no longer matches."""
+    the recomputed ``f``: on B6 with J = {1, 2, 4}, whose one contraction
+    relabels a node of J, the contraction's predicted drop no longer
+    matches."""
     real = reductions.contract
 
     def relabelling(graph, J, i, j):
@@ -536,9 +560,44 @@ def test_reduce_to_z_catches_a_changed_label_in_J(monkeypatch):
         labels[min(J)] += 1
         return Diagram(g.e, labels, g.bonds)
 
-    monkeypatch.setattr(reductions, "contract", relabelling)
-    with pytest.raises(AssertionError, match="predicted drop"):
-        reduce_to_z(build_spec("B6"), {1, 2, 4})
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "contract", relabelling)
+        try:
+            reductions.reduce_to_z(build_spec("B6"), {1, 2, 4})
+        except AssertionError as exc:
+            assert "contraction of node 5: predicted drop 11," in str(exc), exc
+        else:
+            raise AssertionError("reduce_to_z missed a label inside J changed by a contraction")
+
+
+def test_reduce_to_z_catches_a_changed_label_in_J(monkeypatch):
+    check_a_changed_label_in_J_is_caught(monkeypatch)
+
+
+def check_a_misreported_balance_drop_is_caught(monkeypatch):
+    """On B7 with J = {2, 3, 4, 6} the trace is one balance step, of drop
+    12, and no contraction; with ``balance_step`` reporting that drop one
+    too high, the recomputed ``f`` no longer matches it."""
+    d, J = build_spec("B7"), {2, 3, 4, 6}
+    assert [(step.kind, step.drop) for step in reduce_to_z(d, J).steps] == [("balance", 12)]
+    real = reductions.balance_step
+
+    def misreporting(graph, J):
+        new_J, drop = real(graph, J)
+        return new_J, drop + 1
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reductions, "balance_step", misreporting)
+        try:
+            reductions.reduce_to_z(d, J)
+        except AssertionError as exc:
+            assert "balance step: predicted drop 13, got 12" in str(exc), exc
+        else:
+            raise AssertionError("reduce_to_z missed a balance drop reported one too high")
+
+
+def test_reduce_to_z_catches_a_misreported_balance_drop(monkeypatch):
+    check_a_misreported_balance_drop_is_caught(monkeypatch)
 
 
 def test_contraction_preserves_zero_set_factors():
