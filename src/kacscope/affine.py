@@ -104,24 +104,26 @@ class Diagram:
     (``1 << u | 1 << v`` per bond, aligned with ``bonds``) are node masks,
     which hold one bond per pair: a bond that is a loop, repeats a pair or
     has an end that is not a node raises ``ValueError``.
-    ``labels`` is stored in node order.  ``__init__`` is the only way a
-    diagram is made, and it is not changed after construction: a
-    contraction builds its child afresh.  Each instance memoises the
-    factors of every component ``_factors_of`` has classified on it, by
-    component mask; :mod:`kacscope.reductions` keeps its move table in
-    ``_moves``, the interior's label, node order and path verdict in
-    ``_spine`` and the children ``contract`` made in ``_contractions``.
-    All memos start empty and live as long as the diagram, which for one
-    that :func:`build` caches is the whole process.
+    ``labels`` is stored in node order, and ``label_sum`` and ``n_e`` are
+    set once with it.  ``__init__`` is the only way a diagram is made, and
+    it is not changed after construction: a contraction builds its child
+    afresh.  Each instance memoises the factors of every component
+    ``_factors_of`` has classified on it, by component mask;
+    :mod:`kacscope.reductions` keeps its move table in ``_moves``, the
+    interior's label, node order and path verdict in ``_spine`` and the
+    children ``contract`` made in ``_contractions``.  All memos start empty
+    and live as long as the diagram, which for one that :func:`build` caches
+    is the whole process.
     """
 
-    __slots__ = ("e", "labels", "label_sum", "bonds", "bond_masks", "node_mask", "neighbours",
-                 "interior_mask", "_components", "_moves", "_spine", "_contractions")
+    __slots__ = ("e", "labels", "label_sum", "n_e", "bonds", "bond_masks", "node_mask",
+                 "neighbours", "interior_mask", "_components", "_moves", "_spine", "_contractions")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
         self.labels = dict(sorted(labels.items()))
         self.label_sum = sum(self.labels.values())
+        self.n_e = len(self.labels) - 1
         self.bonds = tuple(bonds)
         self.node_mask = node_mask = sum(1 << u for u in self.labels)
         self.neighbours = neighbours = [0] * (max(self.labels, default=-1) + 1)
@@ -141,10 +143,6 @@ class Diagram:
     @property
     def nodes(self) -> tuple[int, ...]:
         return tuple(self.labels)
-
-    @property
-    def n_e(self) -> int:
-        return len(self.labels) - 1
 
     @property
     def coxeter(self) -> int:

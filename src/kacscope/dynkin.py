@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import groupby
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -46,6 +48,11 @@ class FiniteFactor:
     @cached_property
     def root_count(self) -> int:
         return _ROOT_COUNTS[self.family](self.rank)
+
+    @cached_property
+    def display_key(self) -> tuple[int, str, int]:
+        """The :func:`sort_factors` key, cached like ``root_count``."""
+        return (-self.root_count, self.family, -self.rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -98,30 +105,23 @@ def canonical_factors(family: str, rank: int) -> tuple[FiniteFactor, ...]:
     raise ValueError(f"no finite type {family}{rank}")
 
 
+_display_key, _root_count = attrgetter("display_key"), attrgetter("root_count")
+
+
 def sort_factors(factors: Iterable[FiniteFactor]) -> tuple[FiniteFactor, ...]:
-    """Canonical display order: biggest root count first."""
-    return tuple(sorted(factors, key=lambda f: (-f.root_count, f.family, -f.rank)))
+    """Canonical display order: biggest root count first, then family, then
+    rank descending, read from each factor's cached ``display_key``."""
+    return tuple(sorted(factors, key=_display_key))
 
 
 def factors_type_string(factors: Iterable[FiniteFactor]) -> str:
     """Multiplicity-grouped name, e.g. ``2A2+A1``; ``0`` for the empty product."""
-    ordered = sort_factors(factors)
-    if not ordered:
-        return "0"
-    parts: list[str] = []
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j] == ordered[i]:
-            j += 1
-        mult = j - i
-        parts.append(f"{mult}{ordered[i]}" if mult > 1 else str(ordered[i]))
-        i = j
-    return "+".join(parts)
+    groups = [(len(list(same)), f) for f, same in groupby(sort_factors(factors))]
+    return "+".join([f"{mult}{f}" if mult > 1 else str(f) for mult, f in groups]) or "0"
 
 
 def total_root_count(factors: Iterable[FiniteFactor]) -> int:
-    return sum([f.root_count for f in factors])
+    return sum(map(_root_count, factors))
 
 
 # ---------------------------------------------------------------------------

@@ -59,10 +59,12 @@ graph_f = f_value
 
 
 def _runs(graph: Diagram, J: int) -> tuple[list[int], list[int]]:
-    """The components of the node mask ``J``, as masks by least node,
-    split into interior runs (all nodes of degree >= 2) and boundary runs."""
-    comps, interior = graph.components(J), graph.interior_mask
-    return [c for c in comps if not c & ~interior], [c for c in comps if c & ~interior]
+    """The components of the node mask ``J`` by least node, put in one pass
+    into interior runs (all nodes of degree >= 2) or boundary runs."""
+    inner, outer, exterior = [], [], ~graph.interior_mask
+    for c in graph.components(J):
+        (outer if c & exterior else inner).append(c)
+    return inner, outer
 
 
 def runs_of(

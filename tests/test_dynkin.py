@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from kacscope.affine import Bond, catalog
@@ -70,10 +72,25 @@ def test_type_string_formatting():
     assert factors_type_string(mixed) == "D5+A3"
 
 
+def check_display_order() -> int:
+    """Every distinct factor tuple that ``Diagram.factors`` returns over the
+    proper subsets of ``catalog(12)`` is in the display order, and
+    ``sort_factors`` puts it back in that order from reversed; returns how
+    many tuples there are."""
+    seen = {d.factors(J) for d in catalog(12)
+            for size in range(1, len(d.labels)) for J in combinations(d.labels, size)}
+    for factors in seen:
+        want = tuple(sorted(factors, key=lambda f: (-f.root_count, f.family, -f.rank)))
+        assert factors == want, factors
+        assert sort_factors(factors[::-1]) == want, factors
+    return len(seen)
+
+
 def test_sort_factors_orders_by_size():
     factors = [FiniteFactor("A", 1), FiniteFactor("D", 5), FiniteFactor("A", 3)]
     ordered = sort_factors(factors)
     assert [str(f) for f in ordered] == ["D5", "A3", "A1"]
+    assert check_display_order() == 644
 
 
 def _chain_bonds(mults):
@@ -205,13 +222,17 @@ def _standard_shapes():
     yield "G", 2, 2, [Bond(0, 1, 3, 1)]
 
 
-def test_root_system_oracle_on_every_finite_type():
+def check_root_system_oracle_on_every_finite_type():
     """``_ROOT_COUNTS`` through ``canonical_factors``, and the classifier on
     the same shape, agree with the reflection closure."""
     for family, rank, size, bonds in _standard_shapes():
         want = _root_count(range(size), bonds)
         assert total_root_count(canonical_factors(family, rank)) == want, (family, rank)
         assert total_root_count(classify_nodes(range(size), bonds)) == want, (family, rank)
+
+
+def test_root_system_oracle_on_every_finite_type():
+    check_root_system_oracle_on_every_finite_type()
 
 
 def _check_component(closure, graph, nodes, factors):

@@ -13,9 +13,10 @@ from dataclasses import replace
 import pytest
 
 import test_reductions
-from kacscope import cli, kac, reductions, thomae
+from kacscope import cli, dynkin, kac, reductions, thomae
 from kacscope.affine import Diagram
 from test_cli import GENERATOR_FAULTS, check_generator_fault, check_violated_bound_is_reported
+from test_dynkin import check_display_order, check_root_system_oracle_on_every_finite_type
 from test_kac import (
     check_refused_walk_stops_at_the_first_loop_past_the_budget,
     check_walk_is_admitted_at_exactly_its_charge,
@@ -238,3 +239,29 @@ def test_a_verdict_never_set_fails_the_violated_bound_check(capsys, monkeypatch)
              "report.is_equality, True")
     with pytest.raises(AssertionError):
         check_violated_bound_is_reported(capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("family", list(dynkin._ROOT_COUNTS))
+def test_a_root_count_off_by_two_fails_the_finite_type_oracle(monkeypatch, family):
+    """One family's ``_ROOT_COUNTS`` entry two high.  Each factor that
+    ``canonical_factors`` caches keeps the root count it first read, so the
+    cache is cleared before the patch (else the mutant changes nothing) and
+    after the restore (else later tests read the mutant's counts)."""
+    real = dynkin._ROOT_COUNTS[family]
+    dynkin.canonical_factors.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setitem(dynkin._ROOT_COUNTS, family, lambda r: real(r) + 2)
+            with pytest.raises(AssertionError):
+                check_root_system_oracle_on_every_finite_type()
+    finally:
+        dynkin.canonical_factors.cache_clear()
+
+
+def test_a_display_key_with_the_root_count_sign_flipped_fails_the_order_check(monkeypatch):
+    """The smallest root count first: a property outranks the key each
+    factor has cached, so every sort reads the flipped key."""
+    monkeypatch.setattr(dynkin.FiniteFactor, "display_key",
+                        property(lambda f: (f.root_count, f.family, -f.rank)))
+    with pytest.raises(AssertionError):
+        check_display_order()

@@ -220,6 +220,7 @@ def test_memoised_children_equal_a_fresh_build(rank10_sweep):
         fresh = Diagram(parent.e, labels, kept + added)
         assert list(child.labels.items()) == list(fresh.labels.items())
         assert child.label_sum == fresh.label_sum
+        assert all(g.n_e == len(g.labels) - 1 for g in (parent, child, fresh))
         masks = [child.neighbours[u] for u in child.nodes]
         assert masks == [fresh.neighbours[u] for u in fresh.nodes]
         assert masks == [sum(1 << (b.v if b.u == u else b.u)
