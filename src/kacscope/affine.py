@@ -54,7 +54,6 @@ Rendered strings parenthesise off-chain nodes, so the B4 vector
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -74,8 +73,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     """An edge of the diagram.
 
     ``mult`` is the bond multiplicity (1..4).  For ``mult >= 2``, ``tip``
@@ -103,7 +101,9 @@ class Diagram:
     ``interior_mask`` (degree >= 2), ``neighbours[u]`` and ``bond_masks``
     (``1 << u | 1 << v`` per bond, aligned with ``bonds``) are node masks,
     which hold one bond per pair: a bond that is a loop, repeats a pair or
-    has an end that is not a node raises ``ValueError``.
+    has an end that is not a node raises ``ValueError``.  ``multiple_bonds``
+    holds the bonds of multiplicity >= 2 in stored order, the only bonds the
+    classifier reads.
     ``labels`` is stored in node order, and ``label_sum`` and ``n_e`` are
     set once with it.  ``__init__`` is the only way a diagram is made, and
     it is not changed after construction: a contraction builds its child
@@ -116,8 +116,9 @@ class Diagram:
     is the whole process.
     """
 
-    __slots__ = ("e", "labels", "label_sum", "n_e", "bonds", "bond_masks", "node_mask",
-                 "neighbours", "interior_mask", "_components", "_moves", "_spine", "_contractions")
+    __slots__ = ("e", "labels", "label_sum", "n_e", "bonds", "bond_masks", "multiple_bonds",
+                 "node_mask", "neighbours", "interior_mask",
+                 "_components", "_moves", "_spine", "_contractions")
 
     def __init__(self, e: int, labels: dict[int, int], bonds: Sequence[Bond]):
         self.e = e
@@ -127,14 +128,15 @@ class Diagram:
         self.bonds = tuple(bonds)
         self.node_mask = node_mask = sum(1 << u for u in self.labels)
         self.neighbours = neighbours = [0] * (max(self.labels, default=-1) + 1)
-        for b in self.bonds:
-            if not node_mask >> b.u & node_mask >> b.v & 1:
-                raise ValueError(f"bond ({b.u}, {b.v}) has an end that is not a node")
-            if b.u == b.v or neighbours[b.u] >> b.v & 1:
-                raise ValueError(f"bond ({b.u}, {b.v}) is a loop or repeats a pair")
-            neighbours[b.u] |= 1 << b.v
-            neighbours[b.v] |= 1 << b.u
+        for u, v, _mult, _tip in self.bonds:
+            if not node_mask >> u & node_mask >> v & 1:
+                raise ValueError(f"bond ({u}, {v}) has an end that is not a node")
+            if u == v or neighbours[u] >> v & 1:
+                raise ValueError(f"bond ({u}, {v}) is a loop or repeats a pair")
+            neighbours[u] |= 1 << v
+            neighbours[v] |= 1 << u
         self.bond_masks = tuple(1 << b.u | 1 << b.v for b in self.bonds)
+        self.multiple_bonds = tuple([b for b in self.bonds if b.mult >= 2])
         self.interior_mask = sum(1 << u for u in self.labels if neighbours[u].bit_count() >= 2)
         self._components, self._moves, self._spine, self._contractions = {}, None, None, {}
 
@@ -214,7 +216,8 @@ class Diagram:
         for comp in comps:
             factors = memo.get(comp)
             if factors is None:
-                factors = memo[comp] = _classify_component(comp, self.neighbours, self.bonds)
+                factors = memo[comp] = _classify_component(comp, self.neighbours,
+                                                           self.multiple_bonds)
             found.extend(factors)
         return found
 
@@ -245,8 +248,7 @@ _BASE_DIM = {
 _SPEC_RE = re.compile(r"^([123]?)([A-Ga-g])(\d+)$")
 
 
-@dataclass(frozen=True, order=True)
-class DiagramId:
+class DiagramId(NamedTuple):
     """Identifier of a supported diagram: twist order, family, base rank."""
 
     e: int

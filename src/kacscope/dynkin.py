@@ -160,9 +160,9 @@ def connected_components(nodes: Sequence[int], bonds: Sequence[Bond]) -> list[li
 def _classify_component(comp: int, neighbours: Sequence[int],
                         bonds: Sequence[Bond]) -> tuple[FiniteFactor, ...]:
     """The factors of the connected node mask ``comp`` (node u is bit
-    ``1 << u``) in the graph of ``bonds``, whose node u has the neighbour
-    mask ``neighbours[u]``.  Degrees and arms come from the masks; only the
-    bonds of multiplicity >= 2 are read."""
+    ``1 << u``) in the graph whose node u has the neighbour mask
+    ``neighbours[u]``.  Degrees and arms come from the masks; of ``bonds``,
+    only those of multiplicity >= 2 are read, so they alone may be given."""
     size, degree_sum, branch_nodes, rest = comp.bit_count(), 0, [], comp
     while rest:
         bit = rest & -rest

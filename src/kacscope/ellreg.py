@@ -42,7 +42,7 @@ Where two rules give one vector, the first keeps it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .affine import AffineDiagram
 from .dynkin import factors_type_string
@@ -50,8 +50,7 @@ from . import kac
 from .thomae import DiagramScan, f_value
 
 
-@dataclass(frozen=True)
-class ClassRow:
+class ClassRow(NamedTuple):
     """A validated predicted class with the type of its zero set: the one
     record that the TSV, JSON and text classification outputs render."""
 
@@ -238,8 +237,7 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
     return out
 
 
-@dataclass(frozen=True)
-class Crosscheck:
+class Crosscheck(NamedTuple):
     """Agreement record between the predicted and the scanned equality."""
 
     spec: str

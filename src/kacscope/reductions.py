@@ -373,8 +373,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SwitchResult:
+class SwitchResult(NamedTuple):
     new_J: frozenset[int]
     q: int
     s: int
@@ -517,8 +516,7 @@ def greek_decomposition(graph: Diagram, J: frozenset[int]) -> GreekData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseMatch:
+class CaseMatch(NamedTuple):
     """A reduced classical configuration recognised by its two spine ends.
 
     ``name`` is ``"<left state> / <right state>"`` and ``params`` holds

@@ -20,7 +20,6 @@ Everything here is exact integer / rational arithmetic; no floats.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -107,8 +106,7 @@ def check_class(diagram: AffineDiagram, s: tuple[int, ...]) -> ClassReport:
                        (diagram.label_sum - c_j) * r_j - diagram.n_e * c_j)
 
 
-@dataclass(frozen=True)
-class EqualityClass:
+class EqualityClass(NamedTuple):
     """A torsion class attaining ``1/m = dim g^theta / dim(g/t)`` exactly."""
 
     m: int
@@ -117,8 +115,7 @@ class EqualityClass:
     fixed_dim: int
 
 
-@dataclass(frozen=True)
-class DiagramScan:
+class DiagramScan(NamedTuple):
     """Result of exhaustively certifying one diagram.
 
     ``min_f`` is taken over nonempty proper zero sets (the empty zero set
@@ -265,8 +262,7 @@ def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
 # Extremal tables for the simply-laced exceptional diagrams.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepRow:
+class StepRow(NamedTuple):
     """One row of an extremal table.
 
     For a first-kind row, ``key`` is a complement label sum ``m`` and

@@ -8,7 +8,6 @@ fail.  Adding a mutant here records that a change it stands for is caught.
 from __future__ import annotations
 
 import inspect
-from dataclasses import replace
 
 import pytest
 
@@ -77,11 +76,11 @@ def test_a_changed_gap_step_fails_the_coverage_check(monkeypatch, at):
 
 
 def _swapped(m, a, b):
-    return replace(m, params=m.params | {a: m.params[b], b: m.params[a]})
+    return m._replace(params=m.params | {a: m.params[b], b: m.params[a]})
 
 
 def _shifted(m, key):
-    return replace(m, params=m.params | {key: m.params[key] + 1})
+    return m._replace(params=m.params | {key: m.params[key] + 1})
 
 
 def _mutate_matches(monkeypatch, change):
@@ -94,7 +93,7 @@ def _mutate_matches(monkeypatch, change):
     pytest.param(lambda m: _swapped(m, "sL", "sR"), id="sL-sR-swapped"),
     pytest.param(lambda m: _shifted(m, "gL"), id="gL-plus-one"),
     pytest.param(lambda m: _shifted(m, "gR"), id="gR-plus-one"),
-    pytest.param(lambda m: replace(m, name=" / ".join(m.name.split(" / ")[::-1])),
+    pytest.param(lambda m: m._replace(name=" / ".join(m.name.split(" / ")[::-1])),
                  id="states-swapped"),
 ])
 def test_a_changed_match_fails_the_coverage_check(monkeypatch, change):
@@ -265,3 +264,30 @@ def test_a_display_key_with_the_root_count_sign_flipped_fails_the_order_check(mo
                         property(lambda f: (f.root_count, f.family, -f.rank)))
     with pytest.raises(AssertionError):
         check_display_order()
+
+
+# The return of each classifier arm, in source order; a swap exchanges two of them.
+_ARMS = {
+    "B": 'canonical_factors("B", size)',
+    "F4": 'canonical_factors("F", 4)',
+    "D": 'canonical_factors("D", arms[2] + 3)',
+    "E6": 'canonical_factors("E", 6)',
+    "E7": 'canonical_factors("E", 7)',
+    "E8": 'canonical_factors("E", 8)',
+}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("B", "F4"), ("D", "E6"), ("D", "E7"), ("D", "E8"), ("E6", "E7"), ("E6", "E8"), ("E7", "E8"),
+])
+def test_two_swapped_classifier_arms_fail_the_finite_type_oracle(monkeypatch, first, second):
+    """``_classify_component`` returning each arm's factors for the other's
+    shape.  The check classifies through ``classify_nodes``, which keeps no
+    memo, and ``canonical_factors`` caches by (family, rank), which the swap
+    does not change, so no cache needs clearing."""
+    source = inspect.getsource(dynkin._classify_component)
+    a, b = _ARMS[first], _ARMS[second]
+    span = source[source.index(a):source.index(b) + len(b)]
+    _rebuilt(monkeypatch, dynkin, "_classify_component", span, b + span[len(a):-len(b)] + a)
+    with pytest.raises(AssertionError):
+        check_root_system_oracle_on_every_finite_type()

@@ -1074,9 +1074,9 @@ def _f_from_match(d, m):
 def check_cases_agree_with_decomposition(max_rank):
     """On every match of ``_classical(max_rank)``, alpha and gamma equal
     GreekData's formulas on the boundary part rebuilt from the params:
-    a = c*up_b/2, b = n_b, r_boundary = r_b and c_boundary = c*c_b/2; and
-    the form they give, with beta as alpha at q + 1, is >= 0.  Returns the
-    number of matches."""
+    a = c*up_b/2, b = n_b, r_boundary = r_b and c_boundary = c*c_b/2; alpha,
+    beta (alpha at q + 1) and gamma are each >= 0, and so is the form they
+    give.  Returns the number of matches."""
     matches = 0
     for d in _classical(max_rank):
         c = reductions._spine(d)[0]
@@ -1092,6 +1092,7 @@ def check_cases_agree_with_decomposition(max_rank):
                            for k in (q, q + 1))
             gamma = a * r_b - b * c_boundary
             assert (m.alpha, m.gamma) == (alpha, gamma), (d.spec, sorted(J), m)
+            assert alpha >= 0 and beta >= 0 and gamma >= 0, (d.spec, sorted(J), m, beta)
             # every matched instance is certified non-negative directly
             assert c * x * y + alpha * x + beta * y + gamma >= 0, (d.spec, sorted(J), m)
             matches += 1
