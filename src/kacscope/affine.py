@@ -51,8 +51,6 @@ Rendered strings parenthesise off-chain nodes, so the B4 vector
 (1, 1, 0, 1, 0) prints as ``1 (1) 0 1=>0``.
 """
 
-from __future__ import annotations
-
 import re
 from functools import lru_cache
 from typing import NamedTuple, Sequence

@@ -315,15 +315,11 @@ def _cmd_ellreg(args: argparse.Namespace) -> Report:
         (diagram, ellreg_mod.expected_classes(diagram))
         for diagram in _resolve_diagrams(args.spec, args.max_rank)
     ]
+    # the keys of each JSON record, which are also the TSV columns
+    keys = ("diagram", "m", "kac", "J_type", "provenance")
     doc = {
         "classes": [
-            {
-                "diagram": row.diagram,
-                "m": row.m,
-                "kac": _kac_text(row.s),
-                "J_type": row.J_type,
-                "provenance": row.provenance,
-            }
+            dict(zip(keys, (row.diagram, row.m, _kac_text(row.s), row.J_type, row.provenance)))
             for _, rows in tables
             for row in rows
         ]
@@ -331,7 +327,8 @@ def _cmd_ellreg(args: argparse.Namespace) -> Report:
 
     def text() -> list[str]:
         if args.format == "tsv":
-            return [ellreg_mod.TSV_HEADER] + [row.tsv() for _, rows in tables for row in rows]
+            return ["\t".join(keys)] + ["\t".join(map(str, record.values()))
+                                        for record in doc["classes"]]
         lines = []
         for diagram, rows in tables:
             lines.append(f"{diagram.spec}: {len(rows)} equality class(es)")

@@ -40,8 +40,6 @@ and orders depend on the two end kinds (``n + 1`` is the node count):
 Where two rules give one vector, the first keeps it.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 from .affine import AffineDiagram
@@ -52,17 +50,13 @@ from .thomae import DiagramScan, f_value
 
 class ClassRow(NamedTuple):
     """A validated predicted class with the type of its zero set: the one
-    record that the TSV, JSON and text classification outputs render."""
+    record that ``kacscope ellreg`` renders as text, JSON and TSV."""
 
     diagram: str
     m: int
     s: tuple[int, ...]
     J_type: str
     provenance: str
-
-    def tsv(self) -> str:
-        kac_text = ",".join(str(v) for v in self.s)
-        return f"{self.diagram}\t{self.m}\t{kac_text}\t{self.J_type}\t{self.provenance}"
 
 
 def _divisors(n: int) -> list[int]:
@@ -269,6 +263,3 @@ def crosscheck(diagram: AffineDiagram, scan: DiagramScan) -> Crosscheck:
         expected=predicted,
         scanned=scanned,
     )
-
-
-TSV_HEADER = "diagram\tm\tkac\tJ_type\tprovenance"

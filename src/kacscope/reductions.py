@@ -37,8 +37,6 @@ memoises its move table, its interior spine (:func:`_spine`) and the
 children :func:`contract` has made on it.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Iterable, NamedTuple, Optional

@@ -17,8 +17,6 @@ where ``c_J`` / ``c^J`` are the label sums over ``J`` and its complement.
 Everything here is exact integer / rational arithmetic; no floats.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -148,36 +146,37 @@ def proper_subsets(diagram: AffineDiagram) -> Iterator[frozenset[int]]:
 
 
 def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
-    """Root counts and label sums of every proper node subset, by bitmask.
+    """Root counts and label sums of every proper node subset, by node mask.
 
-    Node ``diagram.nodes[i]`` is bit ``i`` of a mask.  Returns ``(r, c)``
-    with ``r[J] = |R_J|`` and ``c[J] = c_J`` for every mask
-    ``0 <= J < 2^N - 1``.  Each entry is written once, from the connected
-    component C of J holding its lowest node i and the rest ``sub = J - C``:
-    ``r[J] = |R_C| + r[sub]`` and ``c[J] = c_C + c[sub]``.  The nodes i
-    are taken in decreasing order, so ``sub``, whose lowest node is above
-    i, is filled before it is read.  For each i the connected sets C with
-    lowest node i are grown from ``{i}`` one neighbour above i at a time,
-    and each is classified once, from its node mask ``node_C`` through the
-    component memo of :meth:`Diagram.factors`, so an unsupported shape
-    still raises; ``sub`` then runs over the submasks of the nodes above
-    i that are neither in C nor next to it (``sub = (sub - 1) & allowed``).
-    A component of a disconnected diagram reaches the full mask, which is
-    skipped.  The tables live only as long as the caller holds them.
+    The diagram must be connected on the nodes ``0..N-1`` (else
+    ``ValueError``), so that ``full = diagram.node_mask`` is ``2^N - 1``.
+    Returns ``(r, c)`` with ``r[J] = |R_J|`` and ``c[J] = c_J`` for every
+    node mask ``0 <= J < full``.  Each entry is written once, from the
+    connected component C of J holding its lowest node i and the rest
+    ``sub = J - C``: ``r[J] = |R_C| + r[sub]`` and ``c[J] = c_C + c[sub]``.
+    The nodes i are taken in decreasing order, so ``sub``, whose lowest node
+    is above i, is filled before it is read.  For each i the connected sets
+    C with lowest node i are grown from ``{i}`` one neighbour above i at a
+    time, and each is classified once, through the component memo of
+    :meth:`Diagram.factors`, so an unsupported shape still raises; ``sub``
+    then runs over the submasks of the nodes above i that are neither in C
+    nor next to it (``sub = (sub - 1) & allowed``).  The tables live only
+    as long as the caller holds them.
     """
-    nodes = diagram.nodes
-    index = {u: i for i, u in enumerate(nodes)}
-    neighbours = [sum(1 << index[v] for v in nodes_of(diagram.neighbours[u])) for u in nodes]
-    labels = [diagram.labels[u] for u in nodes]
-    full = (1 << len(nodes)) - 1
+    full = diagram.node_mask
+    parts = len(diagram.components(full))
+    if full & (full + 1) or parts != 1:
+        raise ValueError(f"subset tables need a diagram connected on the nodes 0..N-1, "
+                         f"not one on the nodes {list(diagram.nodes)} in {parts} component(s)")
+    neighbours, labels = diagram.neighbours, diagram.labels
     r = [0] * full
     c = [0] * full
-    for i in reversed(range(len(nodes))):
+    for i in reversed(range(full.bit_length())):
         above = full & -(2 << i)
-        stack = [(1 << i, neighbours[i], labels[i], 1 << nodes[i])]
+        stack = [(1 << i, neighbours[i], labels[i])]
         seen = {1 << i}
         while stack:
-            C, near, c_C, node_C = stack.pop()
+            C, near, c_C = stack.pop()
             frontier = near & above & ~C
             while frontier:
                 bit = frontier & -frontier
@@ -185,26 +184,20 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
                 if C | bit not in seen:
                     seen.add(C | bit)
                     b = bit.bit_length() - 1
-                    stack.append((C | bit, near | neighbours[b], c_C + labels[b],
-                                  node_C | 1 << nodes[b]))
+                    stack.append((C | bit, near | neighbours[b], c_C + labels[b]))
             if C == full:
                 continue
-            roots = total_root_count(diagram._factors_of([node_C]))
+            roots = total_root_count(diagram._factors_of([C]))
             allowed = above & ~C & ~near
             r[C] = roots
             c[C] = c_C
-            # only a component C of a disconnected diagram has C | allowed = full, not proper
-            sub = allowed if C | allowed != full else (allowed - 1) & allowed
+            sub = allowed
             while sub:
                 J = C | sub
                 r[J] = roots + r[sub]
                 c[J] = c_C + c[sub]
                 sub = (sub - 1) & allowed
     return r, c
-
-
-def _members(nodes: tuple[int, ...], mask: int) -> frozenset[int]:
-    return frozenset(u for i, u in enumerate(nodes) if mask >> i & 1)
 
 
 def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
@@ -215,7 +208,6 @@ def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
     """
     n = diagram.n_e
     label_sum = diagram.label_sum
-    nodes = diagram.nodes
     r, c = subset_tables(diagram)
     min_f: Optional[int] = None
     minimisers: list[int] = []
@@ -229,7 +221,7 @@ def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
                 minimisers = []
             minimisers.append(J)
         if f == 0:
-            members = _members(nodes, J)
+            members = nodes_of(J)
             s = kac.canonical(diagram, kac.from_zero_set(diagram, members))
             if s not in equality:
                 equality[s] = EqualityClass(
@@ -243,7 +235,7 @@ def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
     )
     assert min_f is not None
     min_J = min(
-        (tuple(sorted(_members(nodes, J))) for J in minimisers),
+        (tuple(nodes_of(J)) for J in minimisers),
         key=lambda J: (len(J), J),
     )
     return DiagramScan(
@@ -320,7 +312,6 @@ def _extremal_table(
     """
     n = diagram.n_e
     total = diagram.base_root_count
-    nodes = diagram.nodes
     r, c = subset_tables(diagram)
     groups: dict[int, list[tuple[int, bool, int]]] = {}
     for J in range(1, len(r)):
@@ -333,12 +324,12 @@ def _extremal_table(
     for key, entries in sorted(groups.items()):
         least = min(value for value, _, _ in entries)
         achievers = frozenset(
-            factors_type_string(diagram.factors(_members(nodes, J)))
+            factors_type_string(diagram.factors(nodes_of(J)))
             for value, _, J in entries
             if value == least
         )
         witnesses = {
-            kac.canonical(diagram, kac.from_zero_set(diagram, _members(nodes, J)))
+            kac.canonical(diagram, kac.from_zero_set(diagram, nodes_of(J)))
             for _, extremal, J in entries
             if extremal
         }

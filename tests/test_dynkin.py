@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from kacscope.affine import Bond, catalog
+from kacscope.affine import Bond, build, catalog
 from kacscope.dynkin import (
     FiniteFactor,
     UnsupportedSubdiagramError,
@@ -13,6 +13,7 @@ from kacscope.dynkin import (
     sort_factors,
     total_root_count,
 )
+from kacscope.thomae import subset_tables
 
 
 @pytest.mark.parametrize(
@@ -174,17 +175,20 @@ def _root_count(nodes, bonds):
     Cartan matrix is read from the bonds by :func:`_cartan` and the simple
     roots are closed under the simple reflections, as integer vectors in
     the basis of simple roots (Kac, *Infinite-Dimensional Lie Algebras*,
-    ch. 1 and 4).  The count does not depend on which end of a multiple
-    bond without a tip is taken as short."""
+    ch. 1 and 4).  Each pairing reads only the nonzero entries of its row.
+    The count does not depend on which end of a multiple bond without a
+    tip is taken as short."""
     assert all(b.mult <= 3 for b in bonds), "a quadruple bond is not finite type"
     rank = len(nodes)
-    cartan = _cartan(nodes, bonds)
+    rows = [[(m, a) for m, a in enumerate(row) if a] for row in _cartan(nodes, bonds)]
     todo = [tuple(int(k == m) for m in range(rank)) for k in range(rank)]
     roots = set(todo)
     while todo:
         beta = todo.pop()
-        for k, row in enumerate(cartan):
-            pairing = sum(a * c for a, c in zip(row, beta))
+        for k, row in enumerate(rows):
+            pairing = 0
+            for m, a in row:
+                pairing += a * beta[m]
             if pairing:
                 image = beta[:k] + (beta[k] - pairing,) + beta[k + 1:]
                 if image not in roots:
@@ -237,9 +241,9 @@ def test_root_system_oracle_on_every_finite_type():
 
 def _check_component(closure, graph, nodes, factors):
     """Assert that ``factors`` of the component ``nodes`` of ``graph`` count
-    the roots of its reflection closure.  The closure runs once per shape,
-    kept in ``closure`` under the component's bonds with nodes renumbered
-    in order."""
+    the roots of its reflection closure, and return the component's shape.
+    The closure runs once per shape, kept in ``closure`` under the
+    component's bonds with nodes renumbered in order."""
     index = {u: k for k, u in enumerate(nodes)}
     bonds = tuple(
         Bond(index[b.u], index[b.v], b.mult, None if b.tip is None else index[b.tip])
@@ -249,24 +253,29 @@ def _check_component(closure, graph, nodes, factors):
     if key not in closure:
         closure[key] = _root_count(range(len(nodes)), bonds)
     assert total_root_count(factors) == closure[key], (graph.bonds, nodes)
+    return key
 
 
-def test_root_system_oracle_on_every_component_to_rank_12():
-    """Every distinct connected component of every proper subset of every
-    diagram in ``catalog(12)``: the classifier's |R| equals the reflection
-    closure's."""
+def test_root_system_oracle_on_every_component_to_rank_16():
+    """Every component that ``subset_tables`` classified on fresh builds of
+    ``catalog(16)``, which are the proper connected node sets (see
+    ``test_subset_tables_classify_each_connected_set_once``): the
+    classifier's |R| equals the reflection closure's.  Those of rank <= 12
+    are the 2,884 distinct components of the proper subsets of
+    ``catalog(12)``."""
     closure: dict[tuple, int] = {}
-    components = 0
-    for d in catalog(12):
-        full = d.node_mask
-        seen = set()
-        for J in range(1, full):
-            seen.update(d.components(J))
-        for comp in seen:
-            nodes = nodes_of(comp)
-            _check_component(closure, d, nodes, d.factors(nodes))
-        components += len(seen)
-    assert (components, len(closure)) == (2_884, 156)
+    found = []  # (base rank, shape) of each component
+    for named in catalog(16):
+        d = build.__wrapped__(named.ident)
+        subset_tables(d)
+        found.extend((named.ident.base_rank, _check_component(closure, d, nodes_of(comp), factors))
+                     for comp, factors in d._components.items())
+
+    def tally(max_rank):
+        shapes = [key for rank, key in found if rank <= max_rank]
+        return len(shapes), len(set(shapes))
+
+    assert (tally(12), tally(16)) == ((2_884, 156), (6_089, 238))
 
 
 def test_root_system_oracle_on_the_contracted_graphs(rank10_sweep):

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from kacscope.affine import build_spec, catalog
-from kacscope.ellreg import TSV_HEADER, crosscheck, expected_classes
+from kacscope import cli
+from kacscope.ellreg import crosscheck, expected_classes
 from kacscope.kac import order_of, zero_set
 from kacscope.thomae import f_value, scan_diagram
 
@@ -108,23 +109,27 @@ def test_crosscheck_rejects_a_scan_of_another_diagram():
 # frozen exports
 
 
-def test_tsv_header():
-    assert TSV_HEADER == "diagram\tm\tkac\tJ_type\tprovenance"
+def _tsv(capsys, *argv):
+    """The lines ``kacscope ellreg ARGV --format tsv`` writes."""
+    assert cli.main(["ellreg", *argv, "--format", "tsv"]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_tsv_header(capsys):
+    assert _tsv(capsys, "G2")[0] == "diagram\tm\tkac\tJ_type\tprovenance"
 
 
 @pytest.mark.parametrize("spec", sorted(p.stem for p in GOLDEN.glob("*.tsv")))
-def test_tsv_rows_match_golden(spec):
+def test_tsv_rows_match_golden(capsys, spec):
     want = (GOLDEN / f"{spec}.tsv").read_text(encoding="utf-8").splitlines()
-    assert want[0] == TSV_HEADER
-    # the library rows, without the CLI that writes them
-    assert [row.tsv() for row in expected_classes(build_spec(spec))] == want[1:]
+    assert _tsv(capsys, spec) == want
 
 
-def test_catalog40_rows_match_golden():
+def test_catalog40_rows_match_golden(capsys):
     # every predicted row of every diagram to rank 40, provenance and order included
     with gzip.open(CATALOG_GOLDEN, "rt", encoding="utf-8") as fh:
         want = fh.read().splitlines()
-    got = [TSV_HEADER] + [row.tsv() for d in catalog(40) for row in expected_classes(d)]
+    got = _tsv(capsys, "--max-rank", "40")
     assert len(got) == len(want) == 799
     for line, expected in zip(got, want):
         assert line == expected

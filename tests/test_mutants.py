@@ -30,7 +30,7 @@ from test_reductions import (
     check_cases_agree_with_decomposition,
     check_end_table_coverage,
 )
-from test_thomae import check_class_fields_agree
+from test_thomae import check_class_fields_agree, check_subset_tables_match_the_component_walk
 
 _PARTS = ("|R_J|", "c^J", "n", "c_J")
 
@@ -194,6 +194,23 @@ def test_one_root_too_many_fails_the_class_field_check(monkeypatch):
         (t := real(factors))[0], t[1] + 1))
     with pytest.raises(AssertionError):
         check_class_fields_agree(4)
+
+
+def test_the_unchanged_program_passes_the_subset_table_check():
+    assert check_subset_tables_match_the_component_walk(2) == (5, 27)
+
+
+@pytest.mark.parametrize("old, new, error", [
+    # the rest may hold a neighbour of C, so on every diagram some J = C | sub
+    # is the full mask, one past the end of the tables
+    pytest.param("above & ~C & ~near", "above & ~C", IndexError, id="rest-next-to-C"),
+    pytest.param("r[J] = roots + r[sub]", "r[J] = r[sub]", AssertionError,
+                 id="roots-of-C-dropped"),
+])
+def test_a_changed_subset_kernel_fails_the_component_walk_check(monkeypatch, old, new, error):
+    _rebuilt(monkeypatch, thomae, "subset_tables", old, new)
+    with pytest.raises(error):
+        check_subset_tables_match_the_component_walk(2)
 
 
 def test_no_gcd_check_in_enumerate_fails_the_generator_fault_check(capsys, monkeypatch):

@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from kacscope import affine
+from kacscope import affine, thomae
 from kacscope.affine import Bond, Diagram, build_spec, catalog
-from kacscope.dynkin import connected_components, factors_type_string, total_root_count
+from kacscope.dynkin import connected_components, factors_type_string, nodes_of, total_root_count
 from kacscope.kac import enumerate_classes, from_zero_set
 from kacscope.thomae import (
     check_class,
@@ -241,10 +241,9 @@ def test_subset_tables_match_the_oracle_everywhere():
     for d in catalog(12):
         r, c = subset_tables(d)
         assert len(r) == len(c) == 2 ** len(d.nodes) - 1
-        bit = {u: 1 << i for i, u in enumerate(d.nodes)}
         min_f, min_J = None, None
         for J in proper_subsets(d):
-            mask = sum(bit[u] for u in J)
+            mask = d.mask_of(J)
             r_j, c_j, _c_up = zero_set_data(d, J)
             assert (r[mask], c[mask]) == (r_j, c_j), (d.spec, sorted(J))
             f = f_value(d, J)
@@ -260,25 +259,23 @@ def test_subset_tables_match_the_oracle_everywhere():
 def _component_walk_tables(d):
     """The per-subset recurrence, as an oracle for :func:`subset_tables`.
 
+    Node u is bit u of a mask, on a diagram whose nodes are 0..N-1.
     Masks are filled in increasing order: ``c[J]`` adds the label of J's
     lowest node to ``c`` of J without it, and ``r[J]`` adds the root
     count of the component C of J holding that node, found by a
     breadth-first walk, to ``r[J - C]``."""
-    nodes = d.nodes
-    index = {u: i for i, u in enumerate(nodes)}
-    neighbours = [0] * len(nodes)
+    neighbours = [0] * len(d.labels)
     for b in d.bonds:
-        neighbours[index[b.u]] |= 1 << index[b.v]
-        neighbours[index[b.v]] |= 1 << index[b.u]
-    labels = [d.labels[u] for u in nodes]
-    full = (1 << len(nodes)) - 1
+        neighbours[b.u] |= 1 << b.v
+        neighbours[b.v] |= 1 << b.u
+    full = (1 << len(d.labels)) - 1
     r = [0] * full
     c = [0] * full
     component_roots: dict[int, int] = {}
     for J in range(1, full):
         low = J & -J
         i = low.bit_length() - 1
-        c[J] = c[J ^ low] + labels[i]
+        c[J] = c[J ^ low] + d.labels[i]
         component = low
         frontier = neighbours[i] & J & ~low
         while frontier:
@@ -291,23 +288,28 @@ def _component_walk_tables(d):
             frontier = reach & J & ~component
         roots = component_roots.get(component)
         if roots is None:
-            members = [u for k, u in enumerate(nodes) if component >> k & 1]
-            roots = component_roots[component] = total_root_count(d.factors(members))
+            roots = component_roots[component] = total_root_count(d.factors(nodes_of(component)))
         r[J] = roots + r[J ^ component]
     return r, c
 
 
-def test_subset_tables_match_the_component_walk_to_rank_16():
-    """The submask kernel against the per-subset component walk on all
-    1,182,498 proper subsets of the 94 diagrams of rank <= 16."""
-    diagrams = catalog(16)
-    assert len(diagrams) == 94
+def check_subset_tables_match_the_component_walk(max_rank):
+    """The submask kernel against the per-subset component walk on every
+    proper subset of every diagram of rank <= ``max_rank``; returns the
+    numbers of diagrams and of subsets.  The kernel is read through its
+    module, so that a mutant patched there is the one checked."""
+    diagrams = catalog(max_rank)
     subsets = 0
     for d in diagrams:
-        tables = subset_tables(d)
+        tables = thomae.subset_tables(d)
         assert tables == _component_walk_tables(d), d.spec
         subsets += len(tables[0])
-    assert subsets == 1_182_498
+    return len(diagrams), subsets
+
+
+def test_subset_tables_match_the_component_walk_to_rank_16():
+    """All 1,182,498 proper subsets of the 94 diagrams of rank <= 16."""
+    assert check_subset_tables_match_the_component_walk(16) == (94, 1_182_498)
 
 
 @pytest.mark.parametrize("labels, bonds", [
@@ -316,17 +318,23 @@ def test_subset_tables_match_the_component_walk_to_rank_16():
     ({1: 1, 2: 2, 3: 1, 4: 3}, [Bond(1, 2), Bond(2, 3)]),  # an isolated node
     ({1: 2, 2: 1, 3: 1, 4: 1}, [Bond(2, 3), Bond(3, 4, 2, 4)]),
     ({1: 1, 2: 1, 3: 1, 4: 1}, []),
+    ({0: 1, 1: 1, 2: 1}, [Bond(0, 1)]),                # on the nodes 0..2, a bond left out
+    ({1: 1, 2: 1, 3: 1}, [Bond(1, 2), Bond(2, 3)]),    # connected, but not on 0..2
 ])
-def test_subset_tables_of_a_disconnected_diagram(labels, bonds):
-    """The full mask, which a component of a disconnected diagram reaches
-    with the rest of the nodes, is left out; every proper subset is kept."""
-    d = Diagram(1, labels, bonds)
-    r, c = subset_tables(d)
-    assert len(r) == len(c) == 2 ** len(d.nodes) - 1
-    for J in proper_subsets(d):
-        mask = sum(1 << d.nodes.index(u) for u in J)
-        r_j, c_j, _c_up = zero_set_data(d, J)
-        assert (r[mask], c[mask]) == (r_j, c_j), sorted(J)
+def test_subset_tables_refuse_a_diagram_not_connected_on_0_to_n(labels, bonds):
+    """The tables are indexed by node mask, and hold exactly the proper
+    subsets only on a diagram connected on the nodes 0..N-1: any other is
+    refused up front."""
+    with pytest.raises(ValueError, match="connected on the nodes 0..N-1"):
+        subset_tables(Diagram(1, labels, bonds))
+
+
+def test_every_built_diagram_is_connected_on_0_to_n():
+    """So every diagram the commands build meets the kernel's precondition;
+    connectivity is read from the bonds by the test oracle."""
+    for d in catalog(40):
+        assert d.node_mask == (1 << len(d.nodes)) - 1, d.spec
+        assert len(connected_components(d.nodes, d.bonds)) == 1, d.spec
 
 
 def test_subset_tables_classify_each_connected_set_once(monkeypatch):
