@@ -270,7 +270,7 @@ def balance_step(graph: Diagram, J: frozenset[int]) -> tuple[frozenset[int], int
 
 class ReductionStep(NamedTuple):
     kind: str                 # "contract" or "balance"
-    detail: str
+    move: int | tuple[int, ...]  # the node contracted away, or the new J ascending
     drop: int
     f_after: int
 
@@ -343,7 +343,7 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
             )
         if predicted <= 0:
             raise AssertionError("contraction must strictly decrease f")
-        steps.append(ReductionStep("contract", f"removed node {i}", predicted, new_f))
+        steps.append(ReductionStep("contract", i, predicted, new_f))
         f = new_f
 
     sizes = _sizes(graph, comps0)
@@ -358,8 +358,8 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
             )
         if predicted <= 0:
             raise AssertionError("balancing must strictly decrease f")
-        J, f, old, sizes = new_J, new_f, sizes, _sizes(graph, comps)
-        steps.append(ReductionStep("balance", f"runs {old} -> {sizes}", predicted, f))
+        steps.append(ReductionStep("balance", tuple(nodes_of(mask)), predicted, new_f))
+        J, f, sizes = new_J, new_f, _sizes(graph, comps)
 
     if _first_move(graph, mask) is not None or (sizes and sizes[0] - sizes[-1] > 1):
         raise AssertionError("reduction terminated outside Z")

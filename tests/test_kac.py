@@ -261,15 +261,17 @@ def _fixed_count(d, p, m):
 
 def test_class_count_matches_burnside():
     """|classes| = (1/|Omega|) * sum over p of |Fix(p)|, counted on the
-    cycle structure of each p without enumerating a vector."""
-    pairs = 0
-    for d in catalog(8):
-        for m in range(d.e, 13, d.e):
-            burnside = Fraction(sum(_fixed_count(d, p, m) for p in d.omega), len(d.omega))
-            assert burnside.denominator == 1, (d.spec, m)
-            assert len(enumerate_classes(d, m)) == burnside, (d.spec, m)
-            pairs += 1
-    assert pairs == 460
+    cycle structure of each p without enumerating a vector; on every
+    diagram to rank 8 up to order 12, and at the benchmark's two orders."""
+    pairs = [(d, m) for d in catalog(8) for m in range(d.e, 13, d.e)]
+    pairs += [(build_spec("A9"), 10), (build_spec("D14"), 12)]
+    counts = []
+    for d, m in pairs:
+        burnside = Fraction(sum(_fixed_count(d, p, m) for p in d.omega), len(d.omega))
+        assert burnside.denominator == 1, (d.spec, m)
+        assert len(enumerate_classes(d, m)) == burnside, (d.spec, m)
+        counts.append(burnside)
+    assert len(pairs) == 462 and counts[-2:] == [9_046, 32_101]
 
 
 # diagrams whose Omega is the identity alone, so the walk prunes nothing, at orders whose

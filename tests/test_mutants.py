@@ -29,6 +29,7 @@ from test_reductions import (
     check_children_work_out_their_own_spine,
     check_cases_agree_with_decomposition,
     check_end_table_coverage,
+    check_traces_replay,
 )
 from test_thomae import check_class_fields_agree, check_subset_tables_match_the_component_walk
 
@@ -170,6 +171,26 @@ def test_a_child_inheriting_its_parents_spine_fails_the_spine_check(monkeypatch)
              "graph._contractions[key] = child; child._spine = graph._spine")
     with pytest.raises(AssertionError):
         check_children_work_out_their_own_spine(3)
+
+
+def test_the_unchanged_program_passes_the_replay():
+    assert len(check_traces_replay(6)) == 844
+
+
+@pytest.mark.parametrize("old, new, max_rank", [
+    # C2 with J = {0} contracts its middle node 1 toward the tip 2, and a tip is no move
+    pytest.param('ReductionStep("contract", i,', 'ReductionStep("contract", j,', 2,
+                 id="contraction-records-j"),
+    # the first balance step, by rank, is C6's from J = {1, 2, 3, 5}
+    pytest.param("tuple(nodes_of(mask))", "tuple(sorted(J))", 6,
+                 id="balance-records-the-J-it-started-from"),
+])
+def test_a_misrecorded_move_fails_the_replay(monkeypatch, old, new, max_rank):
+    """``reduce_to_z`` records a move other than the one it made, so the
+    graph or the J rebuilt from it gives another f or another end."""
+    _rebuilt(monkeypatch, reductions, "reduce_to_z", old, new)
+    with pytest.raises(AssertionError):
+        check_traces_replay(max_rank)
 
 
 def test_the_unchanged_program_passes_the_class_checks(capsys, monkeypatch):

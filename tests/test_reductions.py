@@ -730,14 +730,25 @@ def test_reduce_to_z_trace_shape():
 
 def _trace_line(tr) -> str:
     """One trace as a tab-separated line: spec, start, f_start, the steps
-    (kind|detail|drop|f_after, joined by ';'), final J, f_final, the final
-    labels and the final bonds as u-v*mult.  Arrow tips are left out."""
-    g = tr.final_graph
+    (kind|text|drop|f_after, joined by ';'), final J, f_final, the final
+    labels and the final bonds as u-v*mult.  Arrow tips are left out.  A
+    contraction's text is ``removed node i``, and a balance step's is
+    ``runs [..] -> [..]``, the interior run sizes, descending, of the J
+    before it and of its new J.  Every balance step runs on the final
+    graph, so both come from ``_sizes`` there."""
+    g, J, steps = tr.final_graph, tr.start, []
+    for s in tr.steps:
+        if s.kind == "contract":
+            text = f"removed node {s.move}"
+        else:
+            old, new = (reductions._sizes(g, g.components(g.mask_of(K))) for K in (J, s.move))
+            text, J = f"runs {old} -> {new}", s.move
+        steps.append(f"{s.kind}|{text}|{s.drop}|{s.f_after}")
     return "\t".join([
         tr.spec,
         ",".join(map(str, tr.start)),
         str(tr.f_start),
-        ";".join(f"{s.kind}|{s.detail}|{s.drop}|{s.f_after}" for s in tr.steps),
+        ";".join(steps),
         ",".join(map(str, sorted(tr.final_J))),
         str(tr.f_final),
         ",".join(f"{u}:{g.labels[u]}" for u in sorted(g.labels)),
@@ -745,28 +756,84 @@ def _trace_line(tr) -> str:
     ])
 
 
+def _replayed_child(g, i):
+    """``g`` with the node ``i`` contracted away, rebuilt from ``i`` alone and
+    not by ``contract``: a degree-two ``i`` becomes one bond between its two
+    neighbours, of the higher multiplicity, or 4 when both are multiple; a
+    fork hands its plain pendant tips, in stored order, to its one neighbour
+    of degree >= 2.  The bonds not at ``i`` keep their stored order, and the
+    added ones follow."""
+    ends = [(b.v if b.u == i else b.u, b.mult) for b in g.bonds if i in (b.u, b.v)]
+    assert len(ends) in (2, 3), (i, ends)
+    if len(ends) == 2:
+        (j, mj), (k, mk) = ends
+        added = [Bond(min(j, k), max(j, k), 4 if min(mj, mk) > 1 else max(mj, mk))]
+    else:
+        hubs = [v for v, _ in ends if g.degree(v) >= 2]
+        assert len(hubs) == 1, (i, ends)
+        tips = [(t, m) for t, m in ends if t != hubs[0]]
+        assert all(g.degree(t) == 1 and m == 1 for t, m in tips), (i, ends)
+        added = [Bond(min(t, hubs[0]), max(t, hubs[0])) for t, _ in tips]
+    kept = [b for b in g.bonds if i not in (b.u, b.v)]
+    return Diagram(g.e, {u: c for u, c in g.labels.items() if u != i}, kept + added)
+
+
+def _replay(d, J, tr):
+    """Check the trace ``tr`` of ``(d, J)`` from its moves alone, with
+    ``Diagram``, ``Bond`` and ``f_value``: each contraction is rebuilt by
+    ``_replayed_child`` from an off-J node, each balance step takes its new
+    J, f is recomputed after every step and must fall by the recorded drop,
+    which is positive, to the recorded ``f_after``; the end must be the
+    recorded final J, labels, bonds in stored order and f."""
+    g, f = d, f_value(d, J)
+    assert (tr.spec, tr.start, tr.f_start) == (d.spec, tuple(sorted(J)), f)
+    for step in tr.steps:
+        if step.kind == "contract":
+            assert type(step.move) is int and step.move not in J, step
+            g = _replayed_child(g, step.move)
+        else:
+            assert step.kind == "balance" and step.move == tuple(sorted(set(step.move))), step
+            J = frozenset(step.move)
+        new_f = f_value(g, J)
+        assert (step.drop, step.f_after) == (f - new_f, new_f) and step.drop > 0, (d.spec, step)
+        f = new_f
+    assert (tr.final_J, tr.f_final) == (J, f), d.spec
+    assert list(tr.final_graph.labels.items()) == list(g.labels.items()), d.spec
+    assert tr.final_graph.bonds == g.bonds, d.spec
+
+
+def check_traces_replay(max_rank):
+    """Every trace ``reductions.reduce_to_z`` makes on ``_classical(max_rank)``
+    passes ``_replay``.  Returns the traces, in order."""
+    traces = []
+    for d in _classical(max_rank):
+        for J in _nonempty_proper(d):
+            tr = reductions.reduce_to_z(d, J)
+            _replay(d, J, tr)
+            traces.append(tr)
+    return traces
+
+
 def test_reduce_to_z_everywhere_monotone():
     """Every starting zero set reduces to the terminal class with
     non-increasing f along the way, so positivity transfers backwards;
-    and every trace equals its recorded line in ``TRACE_GOLDEN``."""
+    every trace replays from its moves alone; and every trace equals its
+    recorded line in ``TRACE_GOLDEN``."""
     with gzip.open(TRACE_GOLDEN, "rt", encoding="utf-8") as fh:
         golden = fh.read().splitlines()
-    traces = 0
-    for d in _classical(9):
-        for J in _nonempty_proper(d):
-            tr = reduce_to_z(d, J)
-            assert _trace_line(tr) == golden[traces], (d.spec, sorted(J))
-            traces += 1
-            assert in_Z(tr.final_graph, tr.final_J), (d.spec, sorted(J))
-            f = tr.f_start
-            for step in tr.steps:
-                assert step.drop >= 0, (d.spec, sorted(J), step)
-                f -= step.drop
-                assert f == step.f_after
-            assert f == tr.f_final
-            assert tr.f_final >= 0
-            assert tr.f_start >= tr.f_final
-    assert traces == len(golden) == 7_214
+    traces = check_traces_replay(9)
+    assert len(traces) == len(golden) == 7_214
+    for tr, line in zip(traces, golden):
+        assert _trace_line(tr) == line, (tr.spec, tr.start)
+        assert in_Z(tr.final_graph, tr.final_J), (tr.spec, tr.start)
+        f = tr.f_start
+        for step in tr.steps:
+            assert step.drop >= 0, (tr.spec, tr.start, step)
+            f -= step.drop
+            assert f == step.f_after
+        assert f == tr.f_final
+        assert tr.f_final >= 0
+        assert tr.f_start >= tr.f_final
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +957,7 @@ def test_greek_two_node_diagrams():
 @pytest.mark.parametrize("record, fields", [
     (GreekData, ("c", "q", "x", "y", "a", "b", "r_boundary", "c_boundary",
                  "alpha", "beta", "gamma")),
-    (ReductionStep, ("kind", "detail", "drop", "f_after")),
+    (ReductionStep, ("kind", "move", "drop", "f_after")),
     (ClassReport, ("spec", "m", "s", "zero_set", "fixed_type", "fixed_dim", "bound", "f")),
     (ReductionTrace, ("spec", "start", "f_start", "steps", "final_graph", "final_J", "f_final")),
 ])
