@@ -57,19 +57,6 @@ from typing import NamedTuple, Sequence
 
 from .dynkin import FiniteFactor, _classify_component, nodes_of, sort_factors
 
-__all__ = [
-    "DiagramId",
-    "Bond",
-    "Diagram",
-    "AffineDiagram",
-    "End",
-    "parse_spec",
-    "build",
-    "build_spec",
-    "catalog",
-    "render_kac",
-]
-
 
 class Bond(NamedTuple):
     """An edge of the diagram.

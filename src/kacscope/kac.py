@@ -20,17 +20,6 @@ from typing import Iterable, Optional, Sequence
 
 from .affine import AffineDiagram
 
-__all__ = [
-    "order_of",
-    "zero_set",
-    "from_zero_set",
-    "is_admissible",
-    "apply_perm",
-    "orbit",
-    "canonical",
-    "enumerate_classes",
-]
-
 # the most work one enumerate_classes walk may do.  Each value loop is charged as it
 # starts: 1, plus 1 per value, or (number of nodes + 10) per value at the last position
 # but one, where each value may list a class.  A12 at order 13 costs 17.2 M

@@ -262,8 +262,9 @@ def _fixed_count(d, p, m):
 def test_class_count_matches_burnside():
     """|classes| = (1/|Omega|) * sum over p of |Fix(p)|, counted on the
     cycle structure of each p without enumerating a vector; on every
-    diagram to rank 8 up to order 12, and at the benchmark's two orders."""
-    pairs = [(d, m) for d in catalog(8) for m in range(d.e, 13, d.e)]
+    diagram to rank 8 up to order max(12, h + 1), with h the twisted
+    Coxeter number, and at the benchmark's two orders."""
+    pairs = [(d, m) for d in catalog(8) for m in range(d.e, max(12, d.coxeter + 1) + 1, d.e)]
     pairs += [(build_spec("A9"), 10), (build_spec("D14"), 12)]
     counts = []
     for d, m in pairs:
@@ -271,7 +272,7 @@ def test_class_count_matches_burnside():
         assert burnside.denominator == 1, (d.spec, m)
         assert len(enumerate_classes(d, m)) == burnside, (d.spec, m)
         counts.append(burnside)
-    assert len(pairs) == 462 and counts[-2:] == [9_046, 32_101]
+    assert len(pairs) == 523 and counts[-2:] == [9_046, 32_101]
 
 
 # diagrams whose Omega is the identity alone, so the walk prunes nothing, at orders whose

@@ -817,8 +817,8 @@ def check_traces_replay(max_rank):
 def test_reduce_to_z_everywhere_monotone():
     """Every starting zero set reduces to the terminal class with
     non-increasing f along the way, so positivity transfers backwards;
-    every trace replays from its moves alone; and every trace equals its
-    recorded line in ``TRACE_GOLDEN``."""
+    every trace replays from its moves alone, which checks each drop and
+    f value; and every trace equals its recorded line in ``TRACE_GOLDEN``."""
     with gzip.open(TRACE_GOLDEN, "rt", encoding="utf-8") as fh:
         golden = fh.read().splitlines()
     traces = check_traces_replay(9)
@@ -826,14 +826,7 @@ def test_reduce_to_z_everywhere_monotone():
     for tr, line in zip(traces, golden):
         assert _trace_line(tr) == line, (tr.spec, tr.start)
         assert in_Z(tr.final_graph, tr.final_J), (tr.spec, tr.start)
-        f = tr.f_start
-        for step in tr.steps:
-            assert step.drop >= 0, (tr.spec, tr.start, step)
-            f -= step.drop
-            assert f == step.f_after
-        assert f == tr.f_final
         assert tr.f_final >= 0
-        assert tr.f_start >= tr.f_final
 
 
 # ---------------------------------------------------------------------------
