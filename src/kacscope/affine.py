@@ -92,7 +92,7 @@ class Diagram:
     ``labels`` is stored in node order, and ``label_sum`` and ``n_e`` are
     set once with it.  ``__init__`` is the only way a diagram is made, and
     it is not changed after construction: a contraction builds its child
-    afresh.  Each instance memoises the factors of every component
+    afresh.  Each instance memoises the factor of every component
     ``_factors_of`` has classified on it, by component mask;
     :mod:`kacscope.reductions` keeps its move table in ``_moves``, the
     interior's label, node order and path verdict in ``_spine`` and the
@@ -186,24 +186,26 @@ class Diagram:
         """Finite factors of the subdiagram induced on ``subset``, sorted.
 
         Raises ``ValueError`` when ``subset`` holds a node not in the
-        diagram.  Each connected component is classified once per diagram
-        and kept in the diagram's memo under its mask; a component the
-        classifier rejects is not stored and raises on every call.
+        diagram.  Each connected component is one factor, classified once
+        per diagram and kept in the diagram's memo under its mask; a
+        component the classifier rejects is not stored and raises on every
+        call.
         """
         found = self._factors_of(self.components(self.mask_of(subset)))
         return sort_factors(found) if len(found) > 1 else tuple(found)
 
     def _factors_of(self, comps: list[int]) -> list[FiniteFactor]:
         """The factors of the union of ``comps``, connected node masks pairwise
-        apart, each classified through the component memo; only :meth:`factors` sorts."""
+        apart, one per mask, each classified through the component memo, which
+        maps a mask to its factor; only :meth:`factors` sorts."""
         memo = self._components
         found: list[FiniteFactor] = []
         for comp in comps:
-            factors = memo.get(comp)
-            if factors is None:
-                factors = memo[comp] = _classify_component(comp, self.neighbours,
-                                                           self.multiple_bonds)
-            found.extend(factors)
+            factor = memo.get(comp)
+            if factor is None:
+                factor = memo[comp] = _classify_component(comp, self.neighbours,
+                                                          self.multiple_bonds)
+            found.append(factor)
         return found
 
     def induced_bonds(self, subset) -> tuple[Bond, ...]:

@@ -3,23 +3,24 @@
 A subdiagram of one of the affine diagrams built in :mod:`kacscope.affine`
 decomposes into connected components, each of which must carry a finite
 Dynkin shape.  This module recognises those shapes from node
-masks and the bonds of multiplicity >= 2, and turns them into
-:class:`FiniteFactor` values with exact root counts.
+masks and the bonds of multiplicity >= 2, and names each connected
+component by one :class:`FiniteFactor`, its one simple factor, with its
+exact root count.
 
 Only the root count of a factor ever enters the arithmetic downstream, so
-count-equivalent types are folded together: a double bond at the end of a
-path is reported as ``B_k`` whether its arrow points in or out (``B_k`` and
-``C_k`` both have ``2k^2`` roots), and the low-rank coincidences
-``B1 = A1``, ``C2 = B2``, ``D2 = A1+A1``, ``D3 = A3`` are normalised away.
+each shape is named once: a double bond at the end of a path is reported as
+``B_k`` whether its arrow points in or out (``B_k`` stands for ``C_k``, both
+with ``2k^2`` roots), and no shape the classifier recognises is named
+``B1``, ``D2`` or ``D3``: one node is ``A1`` and the fork with three
+one-node arms is ``D4``, the smallest ``D``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .affine import Bond
@@ -38,21 +39,16 @@ class UnsupportedSubdiagramError(ValueError):
         super().__init__(f"component {list(self.nodes)}: {reason}")
 
 
-@dataclass(frozen=True, order=True)
-class FiniteFactor:
-    """One irreducible finite factor, e.g. ``A5`` or ``D8``."""
+class FiniteFactor(NamedTuple):
+    """One irreducible finite factor, e.g. ``A5`` or ``D8``, made by
+    :func:`finite_factor`.  ``root_count`` and ``display_key`` (the
+    :func:`sort_factors` key) follow from ``family`` and ``rank``, so
+    equality, hashing and order follow (family, rank)."""
 
     family: str
     rank: int
-
-    @cached_property
-    def root_count(self) -> int:
-        return _ROOT_COUNTS[self.family](self.rank)
-
-    @cached_property
-    def display_key(self) -> tuple[int, str, int]:
-        """The :func:`sort_factors` key, cached like ``root_count``."""
-        return (-self.root_count, self.family, -self.rank)
+    root_count: int
+    display_key: tuple[int, str, int]
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -69,40 +65,10 @@ _ROOT_COUNTS = {
 
 
 @lru_cache(maxsize=None)
-def canonical_factors(family: str, rank: int) -> tuple[FiniteFactor, ...]:
-    """Normalise a (family, rank) pair to canonical factors.
-
-    Returns a tuple because ``D2`` splits into two ``A1`` factors.  The
-    result is cached: factors are frozen, so every caller can share them.
-
-    >>> canonical_factors("D", 3)
-    (FiniteFactor(family='A', rank=3),)
-    >>> [str(f) for f in canonical_factors("D", 2)]
-    ['A1', 'A1']
-    """
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {family}{rank}")
-    if family == "A":
-        return (FiniteFactor("A", rank),)
-    if family in ("B", "C"):
-        if rank == 1:
-            return (FiniteFactor("A", 1),)
-        return (FiniteFactor("B", rank),)
-    if family == "D":
-        if rank == 1:
-            raise ValueError("D1 has no roots and is not a factor")
-        if rank == 2:
-            return (FiniteFactor("A", 1), FiniteFactor("A", 1))
-        if rank == 3:
-            return (FiniteFactor("A", 3),)
-        return (FiniteFactor("D", rank),)
-    if family == "E" and rank in (6, 7, 8):
-        return (FiniteFactor("E", rank),)
-    if family == "F" and rank == 4:
-        return (FiniteFactor("F", 4),)
-    if family == "G" and rank == 2:
-        return (FiniteFactor("G", 2),)
-    raise ValueError(f"no finite type {family}{rank}")
+def finite_factor(family: str, rank: int) -> FiniteFactor:
+    """The factor ``family`` of rank ``rank``, one instance per shape."""
+    root_count = _ROOT_COUNTS[family](rank)
+    return FiniteFactor(family, rank, root_count, (-root_count, family, -rank))
 
 
 _display_key, _root_count = attrgetter("display_key"), attrgetter("root_count")
@@ -110,7 +76,7 @@ _display_key, _root_count = attrgetter("display_key"), attrgetter("root_count")
 
 def sort_factors(factors: Iterable[FiniteFactor]) -> tuple[FiniteFactor, ...]:
     """Canonical display order: biggest root count first, then family, then
-    rank descending, read from each factor's cached ``display_key``."""
+    rank descending, read from each factor's ``display_key``."""
     return tuple(sorted(factors, key=_display_key))
 
 
@@ -158,8 +124,8 @@ def connected_components(nodes: Sequence[int], bonds: Sequence[Bond]) -> list[li
 
 
 def _classify_component(comp: int, neighbours: Sequence[int],
-                        bonds: Sequence[Bond]) -> tuple[FiniteFactor, ...]:
-    """The factors of the connected node mask ``comp`` (node u is bit
+                        bonds: Sequence[Bond]) -> FiniteFactor:
+    """The factor of the connected node mask ``comp`` (node u is bit
     ``1 << u``) in the graph whose node u has the neighbour mask
     ``neighbours[u]``.  Degrees and arms come from the masks; of ``bonds``,
     only those of multiplicity >= 2 are read, so they alone may be given."""
@@ -181,7 +147,7 @@ def _classify_component(comp: int, neighbours: Sequence[int],
         raise UnsupportedSubdiagramError(nodes_of(comp), "quadruple bond is not finite type")
     if any(b.mult == 3 for b in inside):
         if size == 2 and len(inside) == 1:
-            return canonical_factors("G", 2)
+            return finite_factor("G", 2)
         raise UnsupportedSubdiagramError(
             nodes_of(comp), "triple bond in a component larger than G2")
     if len(inside) > 1:
@@ -193,14 +159,14 @@ def _classify_component(comp: int, neighbours: Sequence[int],
         # A path: the double bond is at an end of it or, in F4, in the middle.
         (b,) = inside
         if (neighbours[b.u] & comp).bit_count() == 1 or (neighbours[b.v] & comp).bit_count() == 1:
-            return canonical_factors("B", size)
+            return finite_factor("B", size)
         if size == 4:
-            return canonical_factors("F", 4)
+            return finite_factor("F", 4)
         raise UnsupportedSubdiagramError(nodes_of(comp), "interior double bond outside F4 shape")
 
     # Simply laced.
     if not branch_nodes:
-        return canonical_factors("A", size)
+        return finite_factor("A", size)
     if len(branch_nodes) > 1:
         raise UnsupportedSubdiagramError(nodes_of(comp), "two branch nodes")
     hub = branch_nodes[0]
@@ -218,13 +184,13 @@ def _classify_component(comp: int, neighbours: Sequence[int],
         arms.append(arm.bit_count() - 1)
     arms.sort()
     if arms[0] == 1 and arms[1] == 1:
-        return canonical_factors("D", arms[2] + 3)
+        return finite_factor("D", arms[2] + 3)
     if arms == [1, 2, 2]:
-        return canonical_factors("E", 6)
+        return finite_factor("E", 6)
     if arms == [1, 2, 3]:
-        return canonical_factors("E", 7)
+        return finite_factor("E", 7)
     if arms == [1, 2, 4]:
-        return canonical_factors("E", 8)
+        return finite_factor("E", 8)
     raise UnsupportedSubdiagramError(nodes_of(comp), f"star with arm lengths {arms}")
 
 
@@ -237,7 +203,5 @@ def classify_nodes(nodes: Sequence[int], bonds: Sequence[Bond]) -> tuple[FiniteF
     """
     neighbours = [sum(1 << (b.v if b.u == u else b.u) for b in bonds if u in (b.u, b.v))
                   for u in range(max(nodes, default=-1) + 1)]
-    factors: list[FiniteFactor] = []
-    for comp in connected_components(nodes, bonds):
-        factors.extend(_classify_component(sum(1 << u for u in comp), neighbours, bonds))
-    return sort_factors(factors)
+    return sort_factors([_classify_component(sum(1 << u for u in comp), neighbours, bonds)
+                         for comp in connected_components(nodes, bonds)])

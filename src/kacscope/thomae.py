@@ -132,10 +132,6 @@ class DiagramScan(NamedTuple):
     min_f_zero_set: tuple[int, ...]
     equality_classes: tuple[EqualityClass, ...]
 
-    @property
-    def all_nonnegative(self) -> bool:
-        return self.min_f >= 0
-
 
 def proper_subsets(diagram: AffineDiagram) -> Iterator[frozenset[int]]:
     """All proper subsets of the node set, the empty set first."""
@@ -187,7 +183,7 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
                     stack.append((C | bit, near | neighbours[b], c_C + labels[b]))
             if C == full:
                 continue
-            roots = total_root_count(diagram._factors_of([C]))
+            roots = diagram._factors_of([C])[0].root_count
             allowed = above & ~C & ~near
             r[C] = roots
             c[C] = c_C

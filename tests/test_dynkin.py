@@ -4,11 +4,10 @@ import pytest
 
 from kacscope.affine import Bond, build, catalog
 from kacscope.dynkin import (
-    FiniteFactor,
     UnsupportedSubdiagramError,
-    canonical_factors,
     classify_nodes,
     factors_type_string,
+    finite_factor,
     nodes_of,
     sort_factors,
     total_root_count,
@@ -33,7 +32,7 @@ from kacscope.thomae import subset_tables
     ],
 )
 def test_root_counts(family, rank, count):
-    assert FiniteFactor(family, rank).root_count == count
+    assert finite_factor(family, rank).root_count == count
 
 
 @pytest.mark.parametrize(
@@ -51,25 +50,20 @@ def test_root_counts(family, rank, count):
     ],
 )
 def test_canonical_factors(family, rank, expected):
-    got = canonical_factors(family, rank)
+    """The classifier names each shape once: ``C_k`` as ``B_k``, and no
+    shape as ``B1``, ``D2`` or ``D3``."""
+    [(size, bonds)] = [(n, b) for f, r, n, b in _standard_shapes() if (f, r) == (family, rank)]
+    got = classify_nodes(range(size), bonds)
     assert tuple((f.family, f.rank) for f in got) == expected
-
-
-def test_canonicalisation_preserves_root_counts():
-    # B_n and C_n diagrams carry the same number of roots, and the
-    # D_2 / D_3 splits are root-count preserving as well.
-    assert total_root_count(canonical_factors("C", 4)) == 2 * 4 * 4
-    assert total_root_count(canonical_factors("D", 2)) == 4
-    assert total_root_count(canonical_factors("D", 3)) == 12
 
 
 def test_type_string_formatting():
     assert factors_type_string(()) == "0"
-    a2 = FiniteFactor("A", 2)
-    a1 = FiniteFactor("A", 1)
+    a2 = finite_factor("A", 2)
+    a1 = finite_factor("A", 1)
     assert factors_type_string((a2, a1, a2)) == "2A2+A1"
     assert factors_type_string((a1, a1, a1)) == "3A1"
-    mixed = (FiniteFactor("D", 5), FiniteFactor("A", 3))
+    mixed = (finite_factor("D", 5), finite_factor("A", 3))
     assert factors_type_string(mixed) == "D5+A3"
 
 
@@ -88,7 +82,7 @@ def check_display_order() -> int:
 
 
 def test_sort_factors_orders_by_size():
-    factors = [FiniteFactor("A", 1), FiniteFactor("D", 5), FiniteFactor("A", 3)]
+    factors = [finite_factor("A", 1), finite_factor("D", 5), finite_factor("A", 3)]
     ordered = sort_factors(factors)
     assert [str(f) for f in ordered] == ["D5", "A3", "A1"]
     assert check_display_order() == 644
@@ -105,31 +99,31 @@ def _bonds(adj):
 
 
 def test_classify_chains():
-    assert classify_nodes((0,), []) == (FiniteFactor("A", 1),)
+    assert classify_nodes((0,), []) == (finite_factor("A", 1),)
     assert classify_nodes((0, 1, 2), _chain_bonds([1, 1])) == (
-        FiniteFactor("A", 3),
+        finite_factor("A", 3),
     )
     # a double bond at the end of a chain is a B diagram either way round
     assert classify_nodes((0, 1, 2), _chain_bonds([1, 2])) == (
-        FiniteFactor("B", 3),
+        finite_factor("B", 3),
     )
     assert classify_nodes((0, 1, 2), _chain_bonds([2, 1])) == (
-        FiniteFactor("B", 3),
+        finite_factor("B", 3),
     )
-    assert classify_nodes((0, 1), _chain_bonds([3])) == (FiniteFactor("G", 2),)
+    assert classify_nodes((0, 1), _chain_bonds([3])) == (finite_factor("G", 2),)
     # F4: double bond in the middle of a 4-chain
     assert classify_nodes((0, 1, 2, 3), _chain_bonds([1, 2, 1])) == (
-        FiniteFactor("F", 4),
+        finite_factor("F", 4),
     )
 
 
 def test_classify_forked_shapes():
     # D5: chain of three with two tips on one end
     bonds = [Bond(0, 2), Bond(1, 2), Bond(2, 3), Bond(3, 4)]
-    assert classify_nodes((0, 1, 2, 3, 4), bonds) == (FiniteFactor("D", 5),)
+    assert classify_nodes((0, 1, 2, 3, 4), bonds) == (finite_factor("D", 5),)
     # E6: fork two steps from each chain end
     bonds6 = _chain_bonds([1, 1, 1, 1]) + [Bond(2, 5)]
-    assert classify_nodes((0, 1, 2, 3, 4, 5), bonds6) == (FiniteFactor("E", 6),)
+    assert classify_nodes((0, 1, 2, 3, 4, 5), bonds6) == (finite_factor("E", 6),)
 
 
 def test_classify_disconnected_components():
@@ -227,23 +221,26 @@ def _standard_shapes():
 
 
 def check_root_system_oracle_on_every_finite_type():
-    """``_ROOT_COUNTS`` through ``canonical_factors``, and the classifier on
-    the same shape, agree with the reflection closure."""
+    """The classifier on each shape, and ``_ROOT_COUNTS`` through
+    ``finite_factor`` for each name the classifier gives (not ``C_k``, which
+    it names ``B_k``, nor ``B1``, ``D2`` or ``D3``), agree with the
+    reflection closure."""
     for family, rank, size, bonds in _standard_shapes():
         want = _root_count(range(size), bonds)
-        assert total_root_count(canonical_factors(family, rank)) == want, (family, rank)
         assert total_root_count(classify_nodes(range(size), bonds)) == want, (family, rank)
+        if family != "C" and rank >= {"B": 2, "D": 4}.get(family, 1):
+            assert finite_factor(family, rank).root_count == want, (family, rank)
 
 
 def test_root_system_oracle_on_every_finite_type():
     check_root_system_oracle_on_every_finite_type()
 
 
-def _check_component(closure, graph, nodes, factors):
-    """Assert that ``factors`` of the component ``nodes`` of ``graph`` count
-    the roots of its reflection closure, and return the component's shape.
-    The closure runs once per shape, kept in ``closure`` under the
-    component's bonds with nodes renumbered in order."""
+def _check_component(closure, graph, nodes, factor):
+    """Assert that ``factor``, the one factor of the component ``nodes`` of
+    ``graph``, counts the roots of its reflection closure, and return the
+    component's shape.  The closure runs once per shape, kept in ``closure``
+    under the component's bonds with nodes renumbered in order."""
     index = {u: k for k, u in enumerate(nodes)}
     bonds = tuple(
         Bond(index[b.u], index[b.v], b.mult, None if b.tip is None else index[b.tip])
@@ -252,7 +249,7 @@ def _check_component(closure, graph, nodes, factors):
     key = (len(nodes), bonds)
     if key not in closure:
         closure[key] = _root_count(range(len(nodes)), bonds)
-    assert total_root_count(factors) == closure[key], (graph.bonds, nodes)
+    assert factor.root_count == closure[key], (graph.bonds, nodes)
     return key
 
 
@@ -268,8 +265,8 @@ def test_root_system_oracle_on_every_component_to_rank_16():
     for named in catalog(16):
         d = build.__wrapped__(named.ident)
         subset_tables(d)
-        found.extend((named.ident.base_rank, _check_component(closure, d, nodes_of(comp), factors))
-                     for comp, factors in d._components.items())
+        found.extend((named.ident.base_rank, _check_component(closure, d, nodes_of(comp), factor))
+                     for comp, factor in d._components.items())
 
     def tally(max_rank):
         shapes = [key for rank, key in found if rank <= max_rank]
@@ -286,8 +283,8 @@ def test_root_system_oracle_on_the_contracted_graphs(rank10_sweep):
     closure: dict[tuple, int] = {}
     components = 0
     for _parent, _key, child in rank10_sweep[0]:
-        for comp, factors in child._components.items():
-            _check_component(closure, child, nodes_of(comp), factors)
+        for comp, factor in child._components.items():
+            _check_component(closure, child, nodes_of(comp), factor)
         components += len(child._components)
     assert (components, len(closure)) == (4_787, 52)
 

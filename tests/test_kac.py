@@ -259,20 +259,26 @@ def _fixed_count(d, p, m):
     return sum(moebius(k) * raw(t // k) for k in range(1, t + 1) if t % k == 0)
 
 
-def test_class_count_matches_burnside():
+def check_class_count_matches_burnside(max_rank, extra=()):
     """|classes| = (1/|Omega|) * sum over p of |Fix(p)|, counted on the
     cycle structure of each p without enumerating a vector; on every
-    diagram to rank 8 up to order max(12, h + 1), with h the twisted
-    Coxeter number, and at the benchmark's two orders."""
-    pairs = [(d, m) for d in catalog(8) for m in range(d.e, max(12, d.coxeter + 1) + 1, d.e)]
-    pairs += [(build_spec("A9"), 10), (build_spec("D14"), 12)]
+    diagram to rank ``max_rank`` up to order max(12, h + 1), with h the
+    twisted Coxeter number, then at the (diagram, order) pairs ``extra``.
+    Returns the counts, pair by pair."""
+    pairs = [(d, m) for d in catalog(max_rank) for m in range(d.e, max(12, d.coxeter + 1) + 1, d.e)]
     counts = []
-    for d, m in pairs:
+    for d, m in [*pairs, *extra]:
         burnside = Fraction(sum(_fixed_count(d, p, m) for p in d.omega), len(d.omega))
         assert burnside.denominator == 1, (d.spec, m)
-        assert len(enumerate_classes(d, m)) == burnside, (d.spec, m)
+        assert len(kac.enumerate_classes(d, m)) == burnside, (d.spec, m)
         counts.append(burnside)
-    assert len(pairs) == 523 and counts[-2:] == [9_046, 32_101]
+    return counts
+
+
+def test_class_count_matches_burnside():
+    """To rank 8, and at the benchmark's two orders."""
+    counts = check_class_count_matches_burnside(8, [(build_spec("A9"), 10), (build_spec("D14"), 12)])
+    assert len(counts) == 523 and counts[-2:] == [9_046, 32_101]
 
 
 # diagrams whose Omega is the identity alone, so the walk prunes nothing, at orders whose

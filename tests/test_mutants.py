@@ -17,6 +17,7 @@ from kacscope.affine import Diagram
 from test_cli import GENERATOR_FAULTS, check_generator_fault, check_violated_bound_is_reported
 from test_dynkin import check_display_order, check_root_system_oracle_on_every_finite_type
 from test_kac import (
+    check_class_count_matches_burnside,
     check_refused_walk_stops_at_the_first_loop_past_the_budget,
     check_walk_is_admitted_at_exactly_its_charge,
     check_walk_matches_leaf_only,
@@ -242,21 +243,42 @@ def test_no_gcd_check_in_enumerate_fails_the_generator_fault_check(capsys, monke
         check_generator_fault(capsys, monkeypatch, GENERATOR_FAULTS["gcd-2"])
 
 
-def test_a_leaf_gcd_without_its_middle_entry_fails_the_leaf_only_walk_check(monkeypatch):
+def _leaf_gcd_without_its_middle_entry(monkeypatch):
     """The walk's leaf step takes gcd(prefix's gcd, s[last - 1], s[last]); with the middle
     entry dropped it loses each class whose prefix and last entry share a factor."""
     real = kac.gcd
     monkeypatch.setattr(kac, "gcd", lambda *a: real(a[0], a[2]) if len(a) == 3 else real(*a))
+
+
+def _gcd_not_carried_down_the_walk(monkeypatch):
+    """The walk passes the prefix's gcd on unchanged, so each leaf sees only its last
+    entries: it keeps vectors with a common factor and drops some with none."""
+    _rebuilt(monkeypatch, kac, "enumerate_classes", "gcd(g, val), carried)", "g, carried)")
+
+
+def test_a_leaf_gcd_without_its_middle_entry_fails_the_leaf_only_walk_check(monkeypatch):
+    _leaf_gcd_without_its_middle_entry(monkeypatch)
     with pytest.raises(AssertionError):
         check_walk_matches_leaf_only(4, 6)
 
 
 def test_a_gcd_not_carried_down_the_walk_fails_the_leaf_only_walk_check(monkeypatch):
-    """The walk passes the prefix's gcd on unchanged, so each leaf sees only its last
-    entries: it keeps vectors with a common factor and drops some with none."""
-    _rebuilt(monkeypatch, kac, "enumerate_classes", "gcd(g, val), carried)", "g, carried)")
+    _gcd_not_carried_down_the_walk(monkeypatch)
     with pytest.raises(AssertionError):
         check_walk_matches_leaf_only(2, 1)
+
+
+@pytest.mark.parametrize("mutate, max_rank", [
+    pytest.param(_leaf_gcd_without_its_middle_entry, 1, id="leaf-gcd-without-middle"),
+    pytest.param(_gcd_not_carried_down_the_walk, 2, id="gcd-not-carried"),
+])
+def test_a_gcd_mutant_fails_the_burnside_count(monkeypatch, mutate, max_rank):
+    """Each walk mutant that changes a class count, at the smallest catalog
+    where the count oracle sees it: A1 at order 3 and A2 at order 5.  The
+    leaf-only walk kills each as early, so it stays their first check."""
+    mutate(monkeypatch)
+    with pytest.raises(AssertionError):
+        check_class_count_matches_burnside(max_rank)
 
 
 @pytest.mark.parametrize("check", [check_walk_is_admitted_at_exactly_its_charge,
@@ -281,23 +303,23 @@ def test_a_verdict_never_set_fails_the_violated_bound_check(capsys, monkeypatch)
 @pytest.mark.parametrize("family", list(dynkin._ROOT_COUNTS))
 def test_a_root_count_off_by_two_fails_the_finite_type_oracle(monkeypatch, family):
     """One family's ``_ROOT_COUNTS`` entry two high.  Each factor that
-    ``canonical_factors`` caches keeps the root count it first read, so the
+    ``finite_factor`` caches keeps the root count it was made with, so the
     cache is cleared before the patch (else the mutant changes nothing) and
     after the restore (else later tests read the mutant's counts)."""
     real = dynkin._ROOT_COUNTS[family]
-    dynkin.canonical_factors.cache_clear()
+    dynkin.finite_factor.cache_clear()
     try:
         with monkeypatch.context() as patched:
             patched.setitem(dynkin._ROOT_COUNTS, family, lambda r: real(r) + 2)
             with pytest.raises(AssertionError):
                 check_root_system_oracle_on_every_finite_type()
     finally:
-        dynkin.canonical_factors.cache_clear()
+        dynkin.finite_factor.cache_clear()
 
 
 def test_a_display_key_with_the_root_count_sign_flipped_fails_the_order_check(monkeypatch):
-    """The smallest root count first: a property outranks the key each
-    factor has cached, so every sort reads the flipped key."""
+    """The smallest root count first: a property in place of the field's
+    getter, so every sort reads the flipped key, not the stored one."""
     monkeypatch.setattr(dynkin.FiniteFactor, "display_key",
                         property(lambda f: (f.root_count, f.family, -f.rank)))
     with pytest.raises(AssertionError):
@@ -306,12 +328,12 @@ def test_a_display_key_with_the_root_count_sign_flipped_fails_the_order_check(mo
 
 # The return of each classifier arm, in source order; a swap exchanges two of them.
 _ARMS = {
-    "B": 'canonical_factors("B", size)',
-    "F4": 'canonical_factors("F", 4)',
-    "D": 'canonical_factors("D", arms[2] + 3)',
-    "E6": 'canonical_factors("E", 6)',
-    "E7": 'canonical_factors("E", 7)',
-    "E8": 'canonical_factors("E", 8)',
+    "B": 'finite_factor("B", size)',
+    "F4": 'finite_factor("F", 4)',
+    "D": 'finite_factor("D", arms[2] + 3)',
+    "E6": 'finite_factor("E", 6)',
+    "E7": 'finite_factor("E", 7)',
+    "E8": 'finite_factor("E", 8)',
 }
 
 
@@ -319,9 +341,9 @@ _ARMS = {
     ("B", "F4"), ("D", "E6"), ("D", "E7"), ("D", "E8"), ("E6", "E7"), ("E6", "E8"), ("E7", "E8"),
 ])
 def test_two_swapped_classifier_arms_fail_the_finite_type_oracle(monkeypatch, first, second):
-    """``_classify_component`` returning each arm's factors for the other's
+    """``_classify_component`` returning each arm's factor for the other's
     shape.  The check classifies through ``classify_nodes``, which keeps no
-    memo, and ``canonical_factors`` caches by (family, rank), which the swap
+    memo, and ``finite_factor`` caches by (family, rank), which the swap
     does not change, so no cache needs clearing."""
     source = inspect.getsource(dynkin._classify_component)
     a, b = _ARMS[first], _ARMS[second]
