@@ -349,12 +349,11 @@ def _cmd_ellreg(args: argparse.Namespace) -> Report:
 
 def _cmd_steps(args: argparse.Namespace) -> Report:
     diagram, = _resolve_diagrams(args.spec)
+    step1, step2 = thomae.extremal_tables(diagram)
     # JSON key, table, title, key and value names, and their column widths
     tables = (
-        ("step1", thomae.step1_table(diagram),
-         "minimal root counts r(m) for label sums m", "m", "r(m)", 2, 4),
-        ("step2", thomae.step2_table(diagram),
-         "minimal label sums m(r) for root counts r", "r", "m(r)", 3, 3),
+        ("step1", step1, "minimal root counts r(m) for label sums m", "m", "r(m)", 2, 4),
+        ("step2", step2, "minimal label sums m(r) for root counts r", "r", "m(r)", 3, 3),
     )
     doc: dict = {"spec": diagram.spec}
     for name, table, *_ in tables:

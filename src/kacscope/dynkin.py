@@ -64,9 +64,19 @@ _ROOT_COUNTS = {
 }
 
 
+# The least and the greatest rank of each family, None when it has no greatest.
+_RANKS = {"A": (1, None), "B": (2, None), "D": (4, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
+
 @lru_cache(maxsize=None)
 def finite_factor(family: str, rank: int) -> FiniteFactor:
-    """The factor ``family`` of rank ``rank``, one instance per shape."""
+    """The factor ``family`` of rank ``rank``, one instance per shape.  Raises
+    ``ValueError`` unless it is a finite Dynkin type as the classifier names
+    them: ``A`` from rank 1, ``B`` from 2, ``D`` from 4, ``E6`` to ``E8``,
+    ``F4`` and ``G2``."""
+    least, greatest = _RANKS.get(family, (1, 0))
+    if not least <= rank <= (rank if greatest is None else greatest):
+        raise ValueError(f"no finite Dynkin type {family}{rank}")
     root_count = _ROOT_COUNTS[family](rank)
     return FiniteFactor(family, rank, root_count, (-root_count, family, -rank))
 

@@ -98,9 +98,10 @@ def _spine(graph: Diagram) -> tuple[Optional[int], tuple[int, ...], bool]:
     return graph._spine
 
 
-def _first_move(graph: Diagram, J: int) -> Optional[tuple[int, int]]:
-    """:func:`contractible_pair` on the mask ``J``: the first bond off ``J`` in
-    the graph's table of bonds where a move may apply, by ``(min, max)``."""
+def _first_move(graph: Diagram, J: int) -> Optional[int]:
+    """:func:`contractible_node` on the mask ``J``: the node to delete at the
+    first bond off ``J`` in the graph's table of bonds where a move may
+    apply, by ``(min, max)``."""
     if (moves := graph._moves) is None:
         inner = graph.interior_mask
         moves = graph._moves = tuple(
@@ -112,18 +113,19 @@ def _first_move(graph: Diagram, J: int) -> Optional[tuple[int, int]]:
         if not bond & J:
             u, v = (bond & -bond).bit_length() - 1, bond.bit_length() - 1
             nbrs = graph.neighbours
-            return (v, u) if nbrs[u].bit_count() != 2 and nbrs[v].bit_count() == 2 else (u, v)
+            return v if nbrs[u].bit_count() != 2 and nbrs[v].bit_count() == 2 else u
     return None
 
 
-def contractible_pair(graph: Diagram, J: frozenset[int]) -> Optional[tuple[int, int]]:
-    """A pair ``(i, j)`` of adjacent off-``J`` nodes where ``i`` may be deleted.
+def contractible_node(graph: Diagram, J: frozenset[int]) -> Optional[int]:
+    """An off-``J`` node ``i`` that :func:`contract` may delete, next to an
+    off-``J`` partner.
 
     ``i`` must either have degree two, or be a degree-three fork whose
-    neighbour ``j`` is interior.  Of the bonds where a move applies, the
-    one least by ``(min, max)`` of its ends gives the pair.  Returns None
-    when no move applies; that is the terminal set ``Y``.  Raises
-    ``ValueError`` when ``J`` holds a node not in the graph.
+    neighbour of degree >= 2 is its partner.  Of the bonds where a move
+    applies, the one least by ``(min, max)`` of its ends gives the node.
+    Returns None when no move applies; that is the terminal set ``Y``.
+    Raises ``ValueError`` when ``J`` holds a node not in the graph.
     """
     return _first_move(graph, graph.mask_of(J))
 
@@ -149,52 +151,49 @@ def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
     return graph.labels[i] * r_j - c_j
 
 
-def contract(graph: Diagram, J: frozenset[int], i: int, j: int) -> Diagram:
+def contract(graph: Diagram, J: frozenset[int], i: int) -> Diagram:
     """Delete the off-``J`` node ``i``, keeping the diagram connected.
 
-    A degree-two ``i`` is replaced by a single bond joining its two
-    neighbours; the surviving bond keeps the higher multiplicity.  When the
-    two dying bonds are both multiple the replacement is the symmetric
-    quadruple bond.  A degree-three ``i`` hands its pendant tips to ``j``.
-    ``J`` itself, and hence the root system it spans, is untouched.
+    The graph fixes the partners of ``i``.  A degree-two ``i`` is replaced
+    by a single bond joining its two neighbours, its partners; the surviving
+    bond keeps the higher multiplicity, or is the symmetric quadruple bond
+    when the two dying bonds are both multiple.  A degree-three ``i`` must be
+    a plain fork, two pendant tips on single bonds and one partner of degree
+    >= 2, to which it hands the tips.  The least or the greatest partner (for
+    a move, some partner) must be off ``J``.  ``J`` itself, and hence the
+    root system it spans, is untouched.
 
     The child is ``Diagram(e, labels, kept + added)``, with ``kept`` the
-    bonds not at ``i`` in stored order.  It is memoised on ``graph`` under
-    what decides it: ``i`` alone for a degree-two node, whose two partners
-    add the same bond, and ``(i, j)`` for a fork.  The nodes, ``J`` and
-    the bond ``(i, j)`` are checked on every call; the checks on the shape
-    around ``i`` depend on the key alone, which is stored once they pass.
+    bonds not at ``i`` in stored order, memoised on ``graph`` under ``i``.
+    The nodes and ``J`` are checked on every call; the checks on the shape
+    around ``i`` run once, before its child is stored.
     """
     labels = graph.labels
-    if not (i in labels and j in labels and labels.keys() >= J):
-        graph.mask_of((i, j, *J))  # raises, naming every non-node
-    if i in J or j in J:
-        raise ValueError("contraction applies to off-J nodes only")
+    if not (i in labels and labels.keys() >= J):
+        graph.mask_of((i, *J))  # raises, naming every non-node
     nbrs = graph.neighbours[i]
-    if not nbrs >> j & 1:
-        raise ValueError(f"nodes {i} and {j} are not adjacent")
-    key = i if nbrs.bit_count() == 2 else (i, j)
-    if (child := graph._contractions.get(key)) is not None:
+    partners = nbrs if nbrs.bit_count() == 2 else nbrs & graph.interior_mask
+    if i in J or (partners & -partners).bit_length() - 1 in J and partners.bit_length() - 1 in J:
+        raise ValueError("contraction applies to off-J nodes only")
+    if (child := graph._contractions.get(i)) is not None:
         return child
     mult_to = {b.v if b.u == i else b.u: b.mult for b in graph.bonds if i in (b.u, b.v)}
     deg = len(mult_to)
     added: list[Bond] = []
     if deg == 2:
-        (k,) = [v for v in mult_to if v != j]
-        mults = (mult_to[j], mult_to[k])
-        added.append(Bond(min(j, k), max(j, k), 4 if min(mults) > 1 else max(mults)))
+        (j, mj), (k, mk) = mult_to.items()
+        added.append(Bond(min(j, k), max(j, k), 4 if min(mj, mk) > 1 else max(mj, mk)))
     elif deg == 3:
-        if graph.degree(j) < 2:
-            raise ValueError("a fork may only be contracted toward the interior")
+        j = partners.bit_length() - 1
         for t in (v for v in mult_to if v != j):
-            if graph.degree(t) != 1 or mult_to[t] != 1:
+            if partners.bit_count() != 1 or graph.degree(t) != 1 or mult_to[t] != 1:
                 raise ValueError(f"node {i} is not a plain fork")
             added.append(Bond(min(t, j), max(t, j)))
     else:
         raise ValueError(f"node {i} has degree {deg}; contraction needs 2 or 3")
     kept = [b for b in graph.bonds if i != b.u and i != b.v]
     child = Diagram(graph.e, {u: c for u, c in labels.items() if u != i}, kept + added)
-    graph._contractions[key] = child
+    graph._contractions[i] = child
     return child
 
 
@@ -330,10 +329,9 @@ def reduce_to_z(diagram: AffineDiagram, J: Iterable[int]) -> ReductionTrace:
     f = f_start = graph_f(graph, J, factors0)
     steps: list[ReductionStep] = []
 
-    while (pair := _first_move(graph, mask)) is not None:
-        i, j = pair
+    while (i := _first_move(graph, mask)) is not None:
         predicted = graph.labels[i] * r_j - c_j
-        graph = contract(graph, J, i, j)
+        graph = contract(graph, J, i)
         if graph._induced_bonds(mask) != inside0:
             raise AssertionError("contraction changed the root system of J")
         new_f = graph_f(graph, J, factors0)

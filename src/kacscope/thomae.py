@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from operator import mul, not_
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .affine import AffineDiagram, Diagram
 from .dynkin import factors_type_string, nodes_of, total_root_count
@@ -268,75 +268,60 @@ class StepRow(NamedTuple):
     witness: Optional[tuple[int, ...]]
 
 
-def _exceptional_inner(diagram: AffineDiagram) -> None:
+def extremal_tables(diagram: AffineDiagram) -> tuple[dict[int, StepRow], dict[int, StepRow]]:
+    """Both extremal tables of an inner exceptional diagram, from one pass
+    over its subset tables.
+
+    The first holds the minimal fixed root counts ``r(m)`` for
+    ``1 < m < n_e``; the bound proved row by row is ``r(m) >= |R|/m - n``.
+    The second holds the minimal complement sums ``m(r)`` for even
+    ``10 <= r <= h - n``.  Each row holds the least value over the nonempty
+    proper zero sets with its key, the type strings of the zero sets
+    attaining it, and the class of the unique zero set with
+    ``c^J * (|R_J| + n) = |R|``, if there is one.
+    """
     if diagram.e != 1 or diagram.ident.family != "E":
         raise ValueError(
             f"extremal tables are defined for E6, E7, E8 only, not {diagram.spec}"
         )
-
-
-def step1_table(diagram: AffineDiagram) -> dict[int, StepRow]:
-    """Minimal fixed root counts ``r(m)`` for ``1 < m < n_e``.
-
-    The bound proved row by row is ``r(m) >= |R|/m - n``; the witness
-    column is the unique zero set achieving it with equality, when the
-    right-hand side is attained.
-    """
-    _exceptional_inner(diagram)
-    n = diagram.n_e
-    return _extremal_table(diagram, "m", lambda m, r: (m, r) if 1 < m < n else None)
-
-
-def step2_table(diagram: AffineDiagram) -> dict[int, StepRow]:
-    """Minimal complement sums ``m(r)`` for even ``10 <= r <= h - n``."""
-    _exceptional_inner(diagram)
-    wanted = range(10, diagram.coxeter - diagram.n_e + 1, 2)
-    return _extremal_table(diagram, "r", lambda m, r: (r, m) if r in wanted else None)
-
-
-def _extremal_table(
-    diagram: AffineDiagram,
-    key_name: str,
-    row_of: Callable[[int, int], Optional[tuple[int, int]]],
-) -> dict[int, StepRow]:
-    """Rows keyed and valued by ``row_of(c^J, |R_J|) = (key, value)``.
-
-    Each row holds the least value over the nonempty proper zero sets
-    with that key (``row_of`` returns None to skip a zero set), the type
-    strings of the zero sets attaining it, and the class of the unique
-    zero set with ``c^J * (|R_J| + n) = |R|``, if there is one.
-    """
     n = diagram.n_e
     total = diagram.base_root_count
+    wanted = range(10, diagram.coxeter - n + 1, 2)
     r, c = subset_tables(diagram)
-    groups: dict[int, list[tuple[int, bool, int]]] = {}
+    by_m: dict[int, list[tuple[int, bool, int]]] = {}
+    by_r: dict[int, list[tuple[int, bool, int]]] = {}
     for J in range(1, len(r)):
         m = diagram.label_sum - c[J]
-        row = row_of(m, r[J])
-        if row is not None:
-            key, value = row
-            groups.setdefault(key, []).append((value, m * (r[J] + n) == total, J))
-    table: dict[int, StepRow] = {}
-    for key, entries in sorted(groups.items()):
-        least = min(value for value, _, _ in entries)
-        achievers = frozenset(
-            factors_type_string(diagram.factors(nodes_of(J)))
-            for value, _, J in entries
-            if value == least
-        )
-        witnesses = {
-            kac.canonical(diagram, kac.from_zero_set(diagram, nodes_of(J)))
-            for _, extremal, J in entries
-            if extremal
-        }
-        if len(witnesses) > 1:
-            raise AssertionError(
-                f"{diagram.spec}: multiple extremal classes at {key_name}={key}: {witnesses}"
+        extremal = m * (r[J] + n) == total
+        if 1 < m < n:
+            by_m.setdefault(m, []).append((r[J], extremal, J))
+        if r[J] in wanted:
+            by_r.setdefault(r[J], []).append((m, extremal, J))
+
+    def rows(key_name: str, groups: dict) -> dict[int, StepRow]:
+        table: dict[int, StepRow] = {}
+        for key, entries in sorted(groups.items()):
+            least = min(value for value, _, _ in entries)
+            achievers = frozenset(
+                factors_type_string(diagram.factors(nodes_of(J)))
+                for value, _, J in entries
+                if value == least
             )
-        table[key] = StepRow(
-            key=key,
-            value=least,
-            achievers=achievers,
-            witness=next(iter(witnesses)) if witnesses else None,
-        )
-    return table
+            witnesses = {
+                kac.canonical(diagram, kac.from_zero_set(diagram, nodes_of(J)))
+                for _, extremal, J in entries
+                if extremal
+            }
+            if len(witnesses) > 1:
+                raise AssertionError(
+                    f"{diagram.spec}: multiple extremal classes at {key_name}={key}: {witnesses}"
+                )
+            table[key] = StepRow(
+                key=key,
+                value=least,
+                achievers=achievers,
+                witness=next(iter(witnesses)) if witnesses else None,
+            )
+        return table
+
+    return rows("m", by_m), rows("r", by_r)

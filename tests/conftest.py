@@ -17,9 +17,10 @@ def rank10_sweep():
     ``reduce_to_z`` and ``greek_decomposition`` of its final state for every
     nonempty proper J of each acyclic classical diagram to rank 10.
 
-    Returns ``(parent, key, child)`` for every child that ``contract``
-    memoised, found by walking each graph's ``_contractions``, the number
-    of contractions the traces made, and each trace's final graph and J."""
+    Returns ``(parent, i, child)`` for every child that ``contract``
+    memoised under its deleted node ``i``, found by walking each graph's
+    ``_contractions``, the number of contractions the traces made, and each
+    trace's final graph and J."""
     named = [build.__wrapped__(d.ident) for d in catalog(10)
              if not d.cyclic and d.ident.family in "ABCD" and d.e in (1, 2)]
     contractions, finals = 0, []
@@ -33,7 +34,7 @@ def rank10_sweep():
     found, todo = [], list(named)
     while todo:
         parent = todo.pop()
-        for key, child in parent._contractions.items():
-            found.append((parent, key, child))
+        for i, child in parent._contractions.items():
+            found.append((parent, i, child))
             todo.append(child)
     return found, contractions, finals

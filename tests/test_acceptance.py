@@ -25,11 +25,10 @@ from kacscope.reductions import (
     switch_step,
 )
 from kacscope.thomae import (
+    extremal_tables,
     f_value,
     proper_subsets,
     scan_diagram,
-    step1_table,
-    step2_table,
     zero_set_data,
 )
 
@@ -90,16 +89,15 @@ def test_criterion_2_equality_locus_matches_classification():
 
 def test_criterion_3_step_tables_bit_exact():
     """r(m) and m(r) rows for the inner E types, achiever sets included."""
-    e6 = step1_table(build_spec("E6"))
-    e7 = step1_table(build_spec("E7"))
-    e8 = step1_table(build_spec("E8"))
+    e6, e6b = extremal_tables(build_spec("E6"))
+    e7, e7b = extremal_tables(build_spec("E7"))
+    e8, e8b = extremal_tables(build_spec("E8"))
     assert [e6[m].value for m in range(2, 6)] == [32, 18, 14, 10]
     assert [e7[m].value for m in range(2, 7)] == [56, 36, 26, 20, 14]
     assert [e8[m].value for m in range(2, 8)] == [112, 72, 52, 40, 32, 28]
-    e8b = step2_table(build_spec("E8"))
     assert [e8b[r].value for r in range(10, 24, 2)] == [14, 12, 12, 10, 10, 9, 8]
-    assert step2_table(build_spec("E6")) == {}
-    assert {r: row.value for r, row in step2_table(build_spec("E7")).items()} == {10: 8}
+    assert e6b == {}
+    assert {r: row.value for r, row in e7b.items()} == {10: 8}
 
     achievers1 = {
         ("E6", 2): {"A5+A1"}, ("E6", 3): {"3A2"},

@@ -306,37 +306,36 @@ def _snapshot(g):
 
 
 def test_contracted_equals_a_fresh_build_for_any_node():
-    """``contract`` on any node toward any neighbour, on a bare copy of each
-    diagram in ``catalog(8)``, leaves its parent unchanged and either
-    refuses or makes a child equal to the same graph built anew:
-    the labels without the deleted node, then its parent's bonds not at
-    that node, in stored order, then the added ones."""
+    """``contract`` on any node, on a bare copy of each diagram in
+    ``catalog(8)``, leaves its parent unchanged and either refuses or makes
+    a child equal to the same graph built anew: the labels without the
+    deleted node, then its parent's bonds not at that node, in stored
+    order, then the added ones."""
     made = 0
     for named in catalog(8):
         d = Diagram(named.e, named.labels, named.bonds)
         for i in d.nodes:
-            for j in nodes_of(d.neighbours[i]):
-                parent = _snapshot(d)
-                try:
-                    child = contract(d, frozenset(), i, j)
-                except ValueError:
-                    child = None
-                assert _snapshot(d) == parent
-                if child is None:
-                    continue
-                kept = tuple(b for b in d.bonds if i not in (b.u, b.v))
-                assert child.bonds[:len(kept)] == kept
-                labels = {u: c for u, c in d.labels.items() if u != i}
-                assert _snapshot(child) == _snapshot(Diagram(d.e, labels, child.bonds))
-                made += 1
-    assert made == 288
+            parent = _snapshot(d)
+            try:
+                child = contract(d, frozenset(), i)
+            except ValueError:
+                child = None
+            assert _snapshot(d) == parent
+            if child is None:
+                continue
+            kept = tuple(b for b in d.bonds if i not in (b.u, b.v))
+            assert child.bonds[:len(kept)] == kept
+            labels = {u: c for u, c in d.labels.items() if u != i}
+            assert _snapshot(child) == _snapshot(Diagram(d.e, labels, child.bonds))
+            made += 1
+    assert made == 151
 
 
 def test_contracted_refuses_a_bond_on_a_joined_pair():
     """A contraction may not add a bond on a pair that a kept bond already
     joins.  In ``catalog(8)`` two neighbours of one node are joined only on
-    the 3-cycle A2: ``contract`` refuses each of its nodes toward either
-    neighbour, on every call, and memoises nothing."""
+    the 3-cycle A2: ``contract`` refuses each of its nodes, on every call,
+    and memoises nothing."""
     joined = []
     for named in catalog(8):
         d = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
@@ -344,9 +343,9 @@ def test_contracted_refuses_a_bond_on_a_joined_pair():
             nbrs = nodes_of(d.neighbours[i])
             if len(nbrs) > 1 and d.neighbours[nbrs[0]] >> nbrs[1] & 1:
                 joined.append((named.spec, i))
-                for j in nbrs * 2:
+                for _ in range(2):
                     with pytest.raises(ValueError, match="loop or repeats a pair"):
-                        contract(d, frozenset(), i, j)
+                        contract(d, frozenset(), i)
                 assert d._contractions == {}
     assert joined == [("A2", 0), ("A2", 1), ("A2", 2)]
 
@@ -361,39 +360,26 @@ def test_diagram_refuses_bonds_the_masks_cannot_hold(labels, bonds, message):
         Diagram(1, labels, bonds)
 
 
-def test_contracted_rejects_a_bond_beyond_the_neighbours():
-    """``contract`` adds bonds only between neighbours of the deleted node:
-    in D6 node 3 may go toward 2 or 4, each giving the one bond (2, 4),
-    and is refused toward 0, which would reach beyond them."""
-    named = build_spec("D6")
-    d = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
-    with pytest.raises(ValueError, match="nodes 3 and 0 are not adjacent"):
-        contract(d, frozenset(), 3, 0)
-    for j in (2, 4):
-        child = contract(d, frozenset(), 3, j)
-        assert child.bonds[-1] == Bond(2, 4)
-        assert not child.neighbours[0] >> 4 & 1
-    assert d._contractions == {3: child}
-
-
 def test_contracted_memoises_one_child_per_key():
-    """``contract`` memoises one child per key: ``i`` for a degree-two node,
-    whichever neighbour is its partner, and ``(i, j)`` for a fork.  A
-    repeated call returns that child whatever ``J``, every check still runs
-    and leaves no entry, and a new child starts with empty memos."""
+    """``contract`` memoises one child per deleted node, a degree-two node
+    or a fork.  A repeated call returns that child whatever ``J``, so long
+    as a partner is off ``J``; every check still runs and leaves no entry,
+    and a new child starts with empty memos."""
     named = build_spec("D6")
     d = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
     J = frozenset({0})
-    child = contract(d, J, 3, 2)
-    assert contract(d, frozenset({5}), 3, 4) is child and contract(d, J, 3, 2) is child
-    fork = contract(d, J, 4, 3)
-    assert contract(d, frozenset({1}), 4, 3) is fork
-    assert d._contractions == {3: child, (4, 3): fork}
+    child = contract(d, J, 3)
+    assert contract(d, frozenset({2}), 3) is child and contract(d, J, 3) is child
+    assert child.bonds[-1] == Bond(2, 4)
+    fork = contract(d, J, 4)
+    assert contract(d, frozenset({1}), 4) is fork
+    assert d._contractions == {3: child, 4: fork}
     assert child._contractions == {} and child._components == {} and child._moves is None
     for call, message in [
-        (lambda: contract(d, frozenset({2}), 3, 2), "off-J nodes only"),
-        (lambda: contract(d, J, 3, 5), "nodes 3 and 5 are not adjacent"),
-        (lambda: contract(d, J, 4, 5), "toward the interior"),
+        (lambda: contract(d, frozenset({3}), 3), "off-J nodes only"),
+        (lambda: contract(d, frozenset({2, 4}), 3), "off-J nodes only"),
+        (lambda: contract(d, frozenset({3}), 4), "off-J nodes only"),
+        (lambda: contract(d, J, 5), "node 5 has degree 1"),
     ]:
         with pytest.raises(ValueError, match=message):
             call()
@@ -403,7 +389,7 @@ def test_contracted_memoises_one_child_per_key():
 def _b4_child():
     """B4 without its degree-two node 3."""
     named = build_spec("B4")
-    return contract(Diagram(named.e, named.labels, named.bonds), frozenset({0}), 3, 2)
+    return contract(Diagram(named.e, named.labels, named.bonds), frozenset({0}), 3)
 
 
 @pytest.mark.parametrize("call, missing", [

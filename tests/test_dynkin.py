@@ -35,6 +35,14 @@ def test_root_counts(family, rank, count):
     assert finite_factor(family, rank).root_count == count
 
 
+@pytest.mark.parametrize("name", ["D1", "A0", "B1", "C3", "E9", "F3", "G3", "H3"])
+def test_finite_factor_refuses_a_shape_of_no_finite_type(name):
+    """The classifier names ``C_k`` as ``B_k``, so ``C3`` is refused with the
+    shapes that are no finite type."""
+    with pytest.raises(ValueError, match=f"no finite Dynkin type {name}$"):
+        finite_factor(name[0], int(name[1:]))
+
+
 @pytest.mark.parametrize(
     "family,rank,expected",
     [
@@ -282,7 +290,7 @@ def test_root_system_oracle_on_the_contracted_graphs(rank10_sweep):
     of their bonds: a contraction stores the bonds it adds last."""
     closure: dict[tuple, int] = {}
     components = 0
-    for _parent, _key, child in rank10_sweep[0]:
+    for _parent, _i, child in rank10_sweep[0]:
         for comp, factor in child._components.items():
             _check_component(closure, child, nodes_of(comp), factor)
         components += len(child._components)

@@ -30,6 +30,7 @@ from test_reductions import (
     check_children_work_out_their_own_spine,
     check_cases_agree_with_decomposition,
     check_end_table_coverage,
+    check_partners_in_J_are_refused,
     check_traces_replay,
 )
 from test_thomae import check_class_fields_agree, check_subset_tables_match_the_component_walk
@@ -148,7 +149,7 @@ def test_induced_bonds_that_see_every_bond_fail_the_changed_bond_check(monkeypat
 def test_the_unchanged_program_passes_the_drop_and_spine_checks(monkeypatch):
     check_a_changed_label_in_J_is_caught(monkeypatch)
     check_a_misreported_balance_drop_is_caught(monkeypatch)
-    assert check_children_work_out_their_own_spine(3) == 10
+    assert check_children_work_out_their_own_spine(3) == 5
 
 
 @pytest.mark.parametrize("kind, check", [
@@ -168,10 +169,24 @@ def test_reduce_to_z_without_a_drop_equality_fails_its_drop_check(monkeypatch, k
 def test_a_child_inheriting_its_parents_spine_fails_the_spine_check(monkeypatch):
     """``contract`` hands each child its parent's memoised spine, so a child
     whose interior the contraction changed keeps the parent's."""
-    _rebuilt(monkeypatch, reductions, "contract", "graph._contractions[key] = child",
-             "graph._contractions[key] = child; child._spine = graph._spine")
+    _rebuilt(monkeypatch, reductions, "contract", "graph._contractions[i] = child",
+             "graph._contractions[i] = child; child._spine = graph._spine")
     with pytest.raises(AssertionError):
         check_children_work_out_their_own_spine(3)
+
+
+def test_the_unchanged_program_passes_the_partner_check():
+    check_partners_in_J_are_refused()
+
+
+def test_a_contraction_without_its_partner_check_fails_the_partner_check(monkeypatch):
+    """``contract`` checks only that ``i`` is off J, so a node whose partners
+    are all in J is deleted, on a memo hit or a miss."""
+    _rebuilt(monkeypatch, reductions, "contract",
+             "i in J or (partners & -partners).bit_length() - 1 in J and "
+             "partners.bit_length() - 1 in J:", "i in J:")
+    with pytest.raises(AssertionError):
+        check_partners_in_J_are_refused()
 
 
 def test_the_unchanged_program_passes_the_replay():
@@ -179,8 +194,10 @@ def test_the_unchanged_program_passes_the_replay():
 
 
 @pytest.mark.parametrize("old, new, max_rank", [
-    # C2 with J = {0} contracts its middle node 1 toward the tip 2, and a tip is no move
-    pytest.param('ReductionStep("contract", i,', 'ReductionStep("contract", j,', 2,
+    # C2 with J = {0} contracts its middle node 1 and records its partner, the tip 2,
+    # read before the move; a tip is no move
+    pytest.param("graph = contract(graph, J, i)",
+                 "graph, i = contract(graph, J, i), nodes_of(graph.neighbours[i])[-1]", 2,
                  id="contraction-records-j"),
     # the first balance step, by rank, is C6's from J = {1, 2, 3, 5}
     pytest.param("tuple(nodes_of(mask))", "tuple(sorted(J))", 6,

@@ -23,7 +23,7 @@ from kacscope.reductions import (
     ReductionTrace,
     balance_step,
     contract,
-    contractible_pair,
+    contractible_node,
     contraction_drop,
     graph_f,
     greek_decomposition,
@@ -79,10 +79,10 @@ def test_contraction_concrete():
     d = build_spec("B6")
     J = frozenset({1, 2, 4})
     g = d
-    pair = contractible_pair(g, J)
-    assert pair == (5, 6)
-    drop = contraction_drop(g, J, pair[0])
-    g2 = contract(g, J, *pair)
+    i = contractible_node(g, J)
+    assert i == 5
+    drop = contraction_drop(g, J, i)
+    g2 = contract(g, J, i)
     assert drop == 11
     assert graph_f(g, J) - graph_f(g2, J) == drop
     assert len(g2.nodes) == len(g.nodes) - 1
@@ -93,12 +93,11 @@ def test_contraction_drop_exact_everywhere():
     for d in _acyclic(7):
         g = d
         for J in _nonempty_proper(d):
-            pair = contractible_pair(g, J)
-            if pair is None:
+            i = contractible_node(g, J)
+            if i is None:
                 continue
-            i, j = pair
-            assert i not in J and j not in J
-            g2 = contract(g, J, i, j)
+            assert i not in J
+            g2 = contract(g, J, i)
             assert graph_f(g, J) - graph_f(g2, J) == contraction_drop(g, J, i)
             assert contraction_drop(g, J, i) >= 0
             checked += 1
@@ -113,14 +112,14 @@ def test_contraction_drop_rejects_node_in_J():
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda g, J: contract(g, J, 99, 0), id="contract"),
-        pytest.param(lambda g, J: contract(g, frozenset({99}), 3, 4), id="contract_J"),
+        pytest.param(lambda g, J: contract(g, J, 99), id="contract"),
+        pytest.param(lambda g, J: contract(g, frozenset({99}), 3), id="contract_J"),
         pytest.param(lambda g, J: contraction_drop(g, J, 99), id="contraction_drop"),
         pytest.param(lambda g, J: switch_step(g, J, 99, 0, 1), id="switch_step"),
         pytest.param(lambda g, J: switch_step(g, frozenset({99}), 4, 5, 3), id="switch_step_J"),
         pytest.param(lambda g, J: greek_decomposition(g, frozenset({99})), id="greek_decomposition"),
         pytest.param(lambda g, J: runs_of(g, frozenset({99})), id="runs_of"),
-        pytest.param(lambda g, J: contractible_pair(g, frozenset({99})), id="contractible_pair"),
+        pytest.param(lambda g, J: contractible_node(g, frozenset({99})), id="contractible_node"),
         pytest.param(lambda g, J: in_Z(g, frozenset({99})), id="in_Z"),
         pytest.param(lambda g, J: switch_sites(g, frozenset({99})), id="switch_sites"),
         pytest.param(lambda g, J: match_case(g, frozenset({99})), id="match_case"),
@@ -142,10 +141,9 @@ def test_contracted_child_equals_a_fresh_build():
     for d in _classical(9):
         for J in _nonempty_proper(d):
             g = d
-            while (pair := contractible_pair(g, J)) is not None:
-                i = pair[0]
+            while (i := contractible_node(g, J)) is not None:
                 parent_masks = (list(g.neighbours), g.node_mask, g.interior_mask)
-                child = contract(g, J, *pair)
+                child = contract(g, J, i)
                 assert (list(g.neighbours), g.node_mask, g.interior_mask) == parent_masks
 
                 kept = tuple(b for b in g.bonds if i not in (b.u, b.v))
@@ -164,36 +162,83 @@ def test_contracted_child_equals_a_fresh_build():
 
 
 def test_contract_shares_one_child_and_checks_every_call():
-    """Contracting the same node returns the same child, whatever ``J``, and
-    for a degree-two node whichever neighbour is its partner: the child is
-    memoised under ``i`` for a degree-two node and ``(i, j)`` for a fork,
-    and no key holds a ``Bond``.  Every refusal of ``contract`` still fires
-    once a child of that node exists."""
+    """Contracting the same node returns the same child, whatever ``J``: the
+    child is memoised under the deleted node alone, a fork's included.
+    Every refusal of ``contract`` still fires once a child of that node
+    exists; :func:`check_partners_in_J_are_refused` has those of a node
+    whose partners are in ``J``."""
     named = build_spec("B6")
     g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
     J = frozenset({1, 2, 4})
-    child = contract(g, J, 5, 6)
-    assert contract(g, J, 5, 6) is child
-    assert contract(g, frozenset({0}), 5, 4) is child  # the same Bond(4, 6, 2) is added
-    fork = contract(g, frozenset({5}), 2, 3)
-    assert contract(g, frozenset({6}), 2, 3) is fork
-    assert g._contractions == {5: child, (2, 3): fork}
+    child = contract(g, J, 5)
+    assert contract(g, J, 5) is child
+    assert contract(g, frozenset({0, 4}), 5) is child  # the partner 6 is off J
+    fork = contract(g, frozenset({5}), 2)
+    assert contract(g, frozenset({6}), 2) is fork
+    assert g._contractions == {5: child, 2: fork}
     # node 1 is a fork whose tip 2 hangs by a double bond
     h = Diagram(1, {u: 1 for u in range(5)},
                 [Bond(0, 1), Bond(1, 2, 2, 2), Bond(1, 3), Bond(3, 4)])
     refusals = [
-        (lambda: contract(g, frozenset({5}), 5, 6), "off-J nodes only"),
-        (lambda: contract(g, frozenset({4}), 5, 4), "off-J nodes only"),
-        (lambda: contract(g, J, 5, 3), "nodes 5 and 3 are not adjacent"),
-        (lambda: contract(g, frozenset({99}), 5, 6), re.escape("not a node subset: [99]")),
-        (lambda: contract(g, frozenset({5}), 2, 0), "toward the interior"),
-        (lambda: contract(g, J, 6, 5), "node 6 has degree 1"),
-        (lambda: contract(h, frozenset({4}), 1, 3), "node 1 is not a plain fork"),
+        (lambda: contract(g, frozenset({5}), 5), "off-J nodes only"),
+        (lambda: contract(g, frozenset({99}), 5), re.escape("not a node subset: [99]")),
+        (lambda: contract(g, J, 6), "node 6 has degree 1"),
+        (lambda: contract(h, frozenset({4}), 1), "node 1 is not a plain fork"),
     ]
     for call, message in refusals:
         with pytest.raises(ValueError, match=message):
             call()
-    assert g._contractions == {5: child, (2, 3): fork} and h._contractions == {}
+    assert g._contractions == {5: child, 2: fork} and h._contractions == {}
+
+
+def check_partners_in_J_are_refused():
+    """On a bare copy of B6, ``contract`` refuses the degree-two node 5 with
+    both its neighbours 4 and 6 in ``J``, and the fork 2 with its neighbour
+    3 of degree >= 2 in ``J``, before and after a valid call has memoised
+    each node's child."""
+    named = build_spec("B6")
+    g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
+    for valid in (False, True):
+        for i, J in ((5, {4, 6}), (2, {3})):
+            if valid:
+                reductions.contract(g, frozenset(), i)
+            try:
+                reductions.contract(g, frozenset(J), i)
+            except ValueError as exc:
+                assert "off-J nodes only" in str(exc), exc
+            else:
+                raise AssertionError(f"contract deleted node {i} with its partners in {J}")
+
+
+def test_contract_refuses_a_node_whose_partners_are_in_J():
+    check_partners_in_J_are_refused()
+
+
+def test_contract_matches_the_partner_rule_everywhere():
+    """``contract`` against ``_contracted``, which reads the partner rule
+    off the bonds, on every (diagram, J, i) of ``catalog(7)``, J = {}
+    included: both refuse or both make the same child.  Each J gets a bare
+    copy of the diagram with empty memos, so every call builds its child,
+    and a second bare copy, shared by every J of the diagram, answers the
+    later J from its memo."""
+    triples = accepted = 0
+    for named in catalog(7):
+        shared = Diagram(named.e, named.labels, named.bonds)
+        for J in proper_subsets(named):
+            fresh = Diagram(named.e, named.labels, named.bonds)
+            for i in named.nodes:
+                want = _contracted(named, J, i)
+                for g in (fresh, shared):
+                    try:
+                        got = contract(g, J, i)
+                    except ValueError:
+                        got = None
+                    assert (got is None) == (want is None), (named.spec, sorted(J), i)
+                    if got is not None:
+                        assert got.bonds == want.bonds, (named.spec, sorted(J), i)
+                        assert list(got.labels.items()) == list(want.labels.items())
+                triples, accepted = triples + 1, accepted + (want is not None)
+    assert (triples, accepted) == (19_183, 4_498)
 
 
 def test_memoised_children_equal_a_fresh_build(rank10_sweep):
@@ -201,21 +246,21 @@ def test_memoised_children_equal_a_fresh_build(rank10_sweep):
     ``Diagram(e, labels, kept + added)`` built anew, with ``kept``
     the parent's bonds not at the deleted node ``i`` in stored order, masks
     included.  The added bonds each join two neighbours of ``i`` in the
-    parent: one bond for a degree-two ``i``, keyed by ``i``, and one per tip
-    of a fork keyed by ``(i, j)``, each ending at ``j``."""
+    parent: one bond for a degree-two ``i``, and one per tip of a fork,
+    each ending at its one neighbour of degree >= 2."""
     found, _contractions, _finals = rank10_sweep
-    for parent, key, child in found:
-        i = key if isinstance(key, int) else key[0]
+    for parent, i, child in found:
         kept = tuple(b for b in parent.bonds if i not in (b.u, b.v))
         added = child.bonds[len(kept):]
         assert child.bonds[:len(kept)] == kept
         nbrs = parent.neighbours[i]
         assert all(nbrs >> b.u & nbrs >> b.v & 1 for b in added)
-        if key == i:
-            assert parent.degree(i) == 2 and len(added) == 1
+        if parent.degree(i) == 2:
+            assert len(added) == 1
         else:
+            (j,) = nodes_of(nbrs & parent.interior_mask)
             assert parent.degree(i) == 3 and len(added) == 2
-            assert all(key[1] in (b.u, b.v) for b in added)
+            assert all(j in (b.u, b.v) for b in added)
         labels = {u: c for u, c in parent.labels.items() if u != i}
         fresh = Diagram(parent.e, labels, kept + added)
         assert list(child.labels.items()) == list(fresh.labels.items())
@@ -234,19 +279,20 @@ def test_reduce_sweep_shares_its_contracted_graphs(rank10_sweep):
     """The 14,436 traces over the classical diagrams to rank 10 make 25,610
     contractions but leave 1,194 memoised children, each made once: a
     degree-two node reached from either neighbour gives one child.  By
-    value there are 1,193 distinct (parent, key): 2A3 and 2D3 are the
+    value there are 1,193 distinct (parent, i): 2A3 and 2D3 are the
     same graph under two names, and each builds its one child."""
     found, contractions, _finals = rank10_sweep
     assert contractions == 25_610
-    assert len({id(child) for _parent, _key, child in found}) == len(found) == 1_194
-    by_value = {(parent.e, tuple(parent.labels.items()), parent.bonds, key)
-                for parent, key, _child in found}
+    assert len({id(child) for _parent, _i, child in found}) == len(found) == 1_194
+    by_value = {(parent.e, tuple(parent.labels.items()), parent.bonds, i)
+                for parent, i, _child in found}
     assert len(by_value) == 1_193
 
 
-def _sorted_contractible_pair(graph, J):
+def _sorted_contractible_node(graph, J):
     """The reference search: sort the bonds by (min, max) of their ends
-    and take the first one where a contraction applies."""
+    and take the first one where a contraction applies; its node of degree
+    two, the lesser if both are, or else its lesser end."""
     interior = {u for u in graph.nodes if graph.degree(u) >= 2}
     for b in sorted(graph.bonds, key=lambda b: (min(b.u, b.v), max(b.u, b.v))):
         u, v = min(b.u, b.v), max(b.u, b.v)
@@ -254,11 +300,11 @@ def _sorted_contractible_pair(graph, J):
             continue
         du, dv = graph.degree(u), graph.degree(v)
         if du == 2:
-            return u, v
+            return u
         if dv == 2:
-            return v, u
+            return v
         if u in interior and v in interior:
-            return u, v
+            return u
     return None
 
 
@@ -272,11 +318,11 @@ def test_contractible_pair_matches_sorted_oracle(monkeypatch):
 
     def checked(graph, J):
         nonlocal states
-        pair = first_move(graph, J)
+        i = first_move(graph, J)
         nodes = frozenset(u for u in graph.nodes if J >> u & 1)
-        assert pair == _sorted_contractible_pair(graph, nodes), (graph.bonds, sorted(nodes))
+        assert i == _sorted_contractible_node(graph, nodes), (graph.bonds, sorted(nodes))
         states += 1
-        return pair
+        return i
 
     monkeypatch.setattr(reductions, "_first_move", checked)
     for d in _classical(9):
@@ -323,28 +369,25 @@ def test_run_split_matches_connected_components(monkeypatch):
 
 def test_contract_memoises_each_validated_pair_once():
     """A repeated ``contract`` returns the same child, memoised once per
-    graph and deleted degree-two node; every refusal raises on every call,
-    before and after a valid call on the same graph, and leaves no memo
-    entry."""
+    graph and deleted node; every refusal raises on every call, before and
+    after a valid call on the same graph, and leaves no memo entry."""
     named = build_spec("B6")
     g = Diagram(named.e, named.labels, named.bonds)  # a bare copy with empty memos
     J = frozenset({1, 2, 4})
     h = Diagram(1, {u: 1 for u in range(5)},
                 [Bond(0, 1), Bond(1, 2, 2, 2), Bond(1, 3), Bond(3, 4)])
     refusals = [
-        (lambda: contract(g, frozenset({5}), 5, 6), "off-J nodes only"),
-        (lambda: contract(g, frozenset({6}), 5, 6), "off-J nodes only"),
-        (lambda: contract(g, J, 5, 3), "nodes 5 and 3 are not adjacent"),
-        (lambda: contract(g, J, 99, 5), re.escape("not a node subset: [99]")),
-        (lambda: contract(g, frozenset({-1}), 5, 6), re.escape("not a node subset: [-1]")),
-        (lambda: contract(h, frozenset({4}), 1, 3), "node 1 is not a plain fork"),
-        (lambda: contract(h, frozenset({4}), 3, 4), "off-J nodes only"),
+        (lambda: contract(g, frozenset({5}), 5), "off-J nodes only"),
+        (lambda: contract(g, J, 99), re.escape("not a node subset: [99]")),
+        (lambda: contract(g, frozenset({-1}), 5), re.escape("not a node subset: [-1]")),
+        (lambda: contract(h, frozenset({4}), 1), "node 1 is not a plain fork"),
+        (lambda: contract(h, frozenset({1, 4}), 3), "off-J nodes only"),
     ]
     for valid in (False, True):
         if valid:
-            child = contract(g, J, 5, 6)
-            assert contract(g, J, 5, 6) is child and contract(g, frozenset({0}), 5, 6) is child
-            path = contract(h, frozenset({0}), 3, 4)
+            child = contract(g, J, 5)
+            assert contract(g, J, 5) is child and contract(g, frozenset({0}), 5) is child
+            path = contract(h, frozenset({0}), 3)
             assert path.bonds[-1] == Bond(1, 4)
         for call, message in refusals:
             with pytest.raises(ValueError, match=message):
@@ -355,7 +398,7 @@ def test_contract_memoises_each_validated_pair_once():
 @pytest.mark.parametrize("spec", ["B6", "D7", "2A9"])
 def test_contractible_pair_ignores_bond_order(spec):
     """Bonds stored last to first, every other one written high end first,
-    give the same pairs as the built diagram."""
+    give the same moves as the built diagram."""
     d = build_spec(spec)
     shuffled = Diagram(d.e, d.labels, [
         Bond(b.v, b.u, b.mult, b.tip) if t % 2 else b
@@ -363,8 +406,8 @@ def test_contractible_pair_ignores_bond_order(spec):
     ])
     assert any(b.u > b.v for b in shuffled.bonds)
     for J in _nonempty_proper(d):
-        pair = contractible_pair(shuffled, J)
-        assert pair == _sorted_contractible_pair(shuffled, J) == contractible_pair(d, J)
+        i = contractible_node(shuffled, J)
+        assert i == _sorted_contractible_node(shuffled, J) == contractible_node(d, J)
 
 
 def _spine_oracle(graph):
@@ -389,13 +432,12 @@ def test_spine_and_bond_masks_match_oracles(rank10_sweep):
     also made again from a copy of its parent whose spine is already
     worked out, and must work out its own."""
     rng = random.Random(23)
-    graphs = catalog(12) + [child for _parent, _key, child in rank10_sweep[0]]
-    for parent, key, _child in rank10_sweep[0]:
-        i, j = key if isinstance(key, tuple) else (key, nodes_of(parent.neighbours[key])[0])
+    graphs = catalog(12) + [child for _parent, _i, child in rank10_sweep[0]]
+    for parent, i, _child in rank10_sweep[0]:
         fresh = Diagram(parent.e, parent.labels, parent.bonds)
         reductions._spine(fresh)
-        child = contract(fresh, frozenset(), i, j)
-        assert reductions._spine(child) == _spine_oracle(child), (parent.bonds, key)
+        child = contract(fresh, frozenset(), i)
+        assert reductions._spine(child) == _spine_oracle(child), (parent.bonds, i)
     for g in graphs:
         assert reductions._spine(g) == reductions._spine(g) == _spine_oracle(g), g.bonds
         subsets = [{u} for u in g.nodes] + [{b.u, b.v} for b in g.bonds]
@@ -418,13 +460,12 @@ def check_children_work_out_their_own_spine(max_rank):
         parent = affine.build.__wrapped__(d.ident)
         reductions._spine(parent)
         for i in parent.nodes:
-            for j in nodes_of(parent.neighbours[i]):
-                try:
-                    child = reductions.contract(parent, frozenset(), i, j)
-                except ValueError:  # not a move at i toward j
-                    continue
-                assert reductions._spine(child) == _spine_oracle(child), (d.spec, i, j)
-                children += 1
+            try:
+                child = reductions.contract(parent, frozenset(), i)
+            except ValueError:  # not a move at i
+                continue
+            assert reductions._spine(child) == _spine_oracle(child), (d.spec, i)
+            children += 1
     return children
 
 
@@ -502,11 +543,11 @@ def test_induced_bonds_agree_with_reclassification():
         for J in _nonempty_proper(d):
             factors0, inside0 = d.factors(J), d.induced_bonds(J)
             g = d
-            while (pair := contractible_pair(g, J)) is not None:
-                g = contract(g, J, *pair)
+            while (i := contractible_node(g, J)) is not None:
+                g = contract(g, J, i)
                 same_bonds = g.induced_bonds(J) == inside0
                 assert same_bonds == (g.factors(J) == factors0)
-                assert same_bonds, (d.spec, sorted(J), pair)
+                assert same_bonds, (d.spec, sorted(J), i)
                 steps += 1
                 if inside0:
                     dropped = Diagram(g.e, g.labels, [b for b in g.bonds if b != inside0[0]])
@@ -525,8 +566,8 @@ def check_a_changed_bond_in_J_is_caught(monkeypatch, change):
     assert [step.kind for step in reduce_to_z(d, J).steps] == ["contract"]
     real = reductions.contract
 
-    def tampering(graph, J, i, j):
-        g = real(graph, J, i, j)
+    def tampering(graph, J, i):
+        g = real(graph, J, i)
         b = next(c for c in g.bonds if c.u in J and c.v in J)
         bonds = [c for c in g.bonds if c != b]
         if change == "multiply":
@@ -555,8 +596,8 @@ def check_a_changed_label_in_J_is_caught(monkeypatch):
     matches."""
     real = reductions.contract
 
-    def relabelling(graph, J, i, j):
-        g = real(graph, J, i, j)
+    def relabelling(graph, J, i):
+        g = real(graph, J, i)
         labels = dict(g.labels)
         labels[min(J)] += 1
         return Diagram(g.e, labels, g.bonds)
@@ -605,8 +646,7 @@ def test_contraction_preserves_zero_set_factors():
     d = build_spec("D7")
     J = frozenset({2, 5})
     g = d
-    pair = contractible_pair(g, J)
-    g2 = contract(g, J, *pair)
+    g2 = contract(g, J, contractible_node(g, J))
     # J is untouched: same induced subdiagram before and after
     _, cJ_before, _ = zero_set_data(d, J)
     assert sum(g2.labels[i] for i in J) == cJ_before
@@ -642,7 +682,7 @@ def test_balance_step_exact():
     for d in _classical(9):
         g = d
         for J in _nonempty_proper(d):
-            if contractible_pair(g, J) is not None:
+            if contractible_node(g, J) is not None:
                 continue
             if in_Z(g, J):
                 continue
@@ -704,7 +744,7 @@ def test_in_z_examples():
     # membership needs every off-J node to resist contraction, so sparse
     # zero sets are not yet terminal
     assert not in_Z(g, frozenset({2}))
-    assert contractible_pair(g, frozenset({2})) is not None
+    assert contractible_node(g, frozenset({2})) is not None
     assert in_Z(g, frozenset({0, 2, 4}))
     assert in_Z(g, frozenset({1, 3, 5}))
     b6 = build_spec("B6")
@@ -756,32 +796,39 @@ def _trace_line(tr) -> str:
     ])
 
 
-def _replayed_child(g, i):
-    """``g`` with the node ``i`` contracted away, rebuilt from ``i`` alone and
-    not by ``contract``: a degree-two ``i`` becomes one bond between its two
-    neighbours, of the higher multiplicity, or 4 when both are multiple; a
-    fork hands its plain pendant tips, in stored order, to its one neighbour
-    of degree >= 2.  The bonds not at ``i`` keep their stored order, and the
-    added ones follow."""
+def _contracted(g, J, i):
+    """``g`` with the node ``i`` contracted away, rebuilt from ``J`` and ``i``
+    alone and not by ``contract``, or None where no move applies.  ``i``
+    must be off ``J``.  A degree-two ``i`` with a neighbour off ``J``
+    becomes one bond between its two neighbours, of the higher
+    multiplicity, or 4 when both are multiple; a fork with two pendant tips
+    on single bonds and one neighbour of degree >= 2, off ``J``, hands its
+    tips, in stored order, to that neighbour.  The bonds not at ``i`` keep
+    their stored order, and the added ones follow; an added bond on a pair
+    that a kept bond joins is no move."""
+    degree = Counter(u for b in g.bonds for u in (b.u, b.v))
     ends = [(b.v if b.u == i else b.u, b.mult) for b in g.bonds if i in (b.u, b.v)]
-    assert len(ends) in (2, 3), (i, ends)
-    if len(ends) == 2:
+    hubs = [v for v, _ in ends if degree[v] >= 2]
+    if i in J:
+        return None
+    if len(ends) == 2 and not (ends[0][0] in J and ends[1][0] in J):
         (j, mj), (k, mk) = ends
         added = [Bond(min(j, k), max(j, k), 4 if min(mj, mk) > 1 else max(mj, mk))]
+    elif len(ends) == 3 and len(hubs) == 1 and hubs[0] not in J and all(
+            m == 1 for t, m in ends if t != hubs[0]):
+        added = [Bond(min(t, hubs[0]), max(t, hubs[0])) for t, _ in ends if t != hubs[0]]
     else:
-        hubs = [v for v, _ in ends if g.degree(v) >= 2]
-        assert len(hubs) == 1, (i, ends)
-        tips = [(t, m) for t, m in ends if t != hubs[0]]
-        assert all(g.degree(t) == 1 and m == 1 for t, m in tips), (i, ends)
-        added = [Bond(min(t, hubs[0]), max(t, hubs[0])) for t, _ in tips]
-    kept = [b for b in g.bonds if i not in (b.u, b.v)]
-    return Diagram(g.e, {u: c for u, c in g.labels.items() if u != i}, kept + added)
+        return None
+    bonds = [b for b in g.bonds if i not in (b.u, b.v)] + added
+    if len({frozenset((b.u, b.v)) for b in bonds}) < len(bonds):
+        return None
+    return Diagram(g.e, {u: c for u, c in g.labels.items() if u != i}, bonds)
 
 
 def _replay(d, J, tr):
     """Check the trace ``tr`` of ``(d, J)`` from its moves alone, with
     ``Diagram``, ``Bond`` and ``f_value``: each contraction is rebuilt by
-    ``_replayed_child`` from an off-J node, each balance step takes its new
+    ``_contracted`` from J and its node, each balance step takes its new
     J, f is recomputed after every step and must fall by the recorded drop,
     which is positive, to the recorded ``f_after``; the end must be the
     recorded final J, labels, bonds in stored order and f."""
@@ -789,8 +836,9 @@ def _replay(d, J, tr):
     assert (tr.spec, tr.start, tr.f_start) == (d.spec, tuple(sorted(J)), f)
     for step in tr.steps:
         if step.kind == "contract":
-            assert type(step.move) is int and step.move not in J, step
-            g = _replayed_child(g, step.move)
+            assert type(step.move) is int, step
+            g = _contracted(g, J, step.move)
+            assert g is not None, (d.spec, step)
         else:
             assert step.kind == "balance" and step.move == tuple(sorted(set(step.move))), step
             J = frozenset(step.move)

@@ -14,11 +14,10 @@ from kacscope.dynkin import connected_components, factors_type_string, nodes_of,
 from kacscope.kac import enumerate_classes, from_zero_set
 from kacscope.thomae import (
     check_class,
+    extremal_tables,
     f_value,
     proper_subsets,
     scan_diagram,
-    step1_table,
-    step2_table,
     subset_tables,
     zero_set_data,
 )
@@ -405,21 +404,21 @@ def _assert_table(table, expected):
 
 
 def test_step1_tables():
-    _assert_table(step1_table(build_spec("E6")), E6_STEP1)
-    _assert_table(step1_table(build_spec("E7")), E7_STEP1)
-    _assert_table(step1_table(build_spec("E8")), E8_STEP1)
+    _assert_table(extremal_tables(build_spec("E6"))[0], E6_STEP1)
+    _assert_table(extremal_tables(build_spec("E7"))[0], E7_STEP1)
+    _assert_table(extremal_tables(build_spec("E8"))[0], E8_STEP1)
 
 
 def test_step2_tables():
-    assert step2_table(build_spec("E6")) == {}
-    _assert_table(step2_table(build_spec("E7")), E7_STEP2)
-    _assert_table(step2_table(build_spec("E8")), E8_STEP2)
+    assert extremal_tables(build_spec("E6"))[1] == {}
+    _assert_table(extremal_tables(build_spec("E7"))[1], E7_STEP2)
+    _assert_table(extremal_tables(build_spec("E8"))[1], E8_STEP2)
 
 
 def test_step_witness_vectors():
-    t6 = step1_table(build_spec("E6"))
+    t6 = extremal_tables(build_spec("E6"))[0]
     assert t6[3].witness == (0, 0, 1, 0, 0, 0, 0)
-    t8 = step1_table(build_spec("E8"))
+    t8 = extremal_tables(build_spec("E8"))[0]
     assert t8[2].witness == (0, 0, 0, 0, 0, 0, 0, 1, 0)
     assert t8[3].witness == (0, 0, 0, 0, 0, 0, 0, 0, 1)
     assert t8[5].witness == (0, 0, 0, 0, 1, 0, 0, 0, 0)
@@ -430,7 +429,7 @@ def test_step1_bound_meaning():
     exactly on witness rows."""
     for spec in ("E6", "E7", "E8"):
         d = build_spec(spec)
-        for m, row in step1_table(d).items():
+        for m, row in extremal_tables(d)[0].items():
             lhs = m * (row.value + d.n_e)
             assert lhs >= d.base_root_count
             assert (lhs == d.base_root_count) == (row.witness is not None)
@@ -439,7 +438,7 @@ def test_step1_bound_meaning():
 def test_step2_bound_meaning():
     for spec in ("E7", "E8"):
         d = build_spec(spec)
-        for r, row in step2_table(d).items():
+        for r, row in extremal_tables(d)[1].items():
             lhs = row.value * (r + d.n_e)
             assert lhs >= d.base_root_count
             assert (lhs == d.base_root_count) == (row.witness is not None)
@@ -448,7 +447,7 @@ def test_step2_bound_meaning():
 def test_step_tables_reject_other_types():
     for spec in ("F4", "G2", "2E6", "D8"):
         with pytest.raises(ValueError):
-            step1_table(build_spec(spec))
+            extremal_tables(build_spec(spec))
 
 
 # ---------------------------------------------------------------------------
