@@ -153,17 +153,16 @@ def _classify_component(comp: int, neighbours: Sequence[int],
         raise UnsupportedSubdiagramError(nodes_of(comp), "contains a cycle")
 
     inside = [b for b in bonds if b.mult >= 2 and comp >> b.u & comp >> b.v & 1]
-    if any(b.mult >= 4 for b in inside):
-        raise UnsupportedSubdiagramError(nodes_of(comp), "quadruple bond is not finite type")
-    if any(b.mult == 3 for b in inside):
-        if size == 2 and len(inside) == 1:
-            return finite_factor("G", 2)
-        raise UnsupportedSubdiagramError(
-            nodes_of(comp), "triple bond in a component larger than G2")
-    if len(inside) > 1:
-        raise UnsupportedSubdiagramError(nodes_of(comp), "more than one double bond")
-
     if inside:
+        if any(b.mult >= 4 for b in inside):
+            raise UnsupportedSubdiagramError(nodes_of(comp), "quadruple bond is not finite type")
+        if any(b.mult == 3 for b in inside):
+            if size == 2 and len(inside) == 1:
+                return finite_factor("G", 2)
+            raise UnsupportedSubdiagramError(
+                nodes_of(comp), "triple bond in a component larger than G2")
+        if len(inside) > 1:
+            raise UnsupportedSubdiagramError(nodes_of(comp), "more than one double bond")
         if branch_nodes:
             raise UnsupportedSubdiagramError(nodes_of(comp), "double bond on a branched component")
         # A path: the double bond is at an end of it or, in F4, in the middle.

@@ -57,8 +57,9 @@ def is_admissible(s: Sequence[int]) -> bool:
 
 
 def apply_perm(perm: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
-    """Pull back s along a node permutation (perm[i] = image of node i)."""
-    return tuple(s[perm[i]] for i in range(len(s)))
+    """Pull back s along a node permutation (perm[i] = image of node i) of
+    the same length as s."""
+    return tuple(map(s.__getitem__, perm))
 
 
 def orbit(diagram: AffineDiagram, s: Sequence[int]) -> set[tuple[int, ...]]:

@@ -141,12 +141,41 @@ def in_Z(graph: Diagram, J: frozenset[int]) -> bool:
     return not sizes or sizes[0] - sizes[-1] <= 1
 
 
+def _partners(graph: Diagram, J: frozenset[int], i: int) -> int:
+    """The partner mask of ``i``: both neighbours of a degree-two ``i``, else its
+    neighbours of degree >= 2.  Raises ``ValueError`` unless ``i`` and ``J`` are
+    nodes, ``i`` is off ``J`` and the least or the greatest partner is off ``J``."""
+    if not (i in graph.labels and graph.labels.keys() >= J):
+        graph.mask_of((i, *J))  # raises, naming every non-node
+    nbrs = graph.neighbours[i]
+    partners = nbrs if nbrs.bit_count() == 2 else nbrs & graph.interior_mask
+    if i in J or (partners & -partners).bit_length() - 1 in J and partners.bit_length() - 1 in J:
+        raise ValueError("contraction applies to off-J nodes only")
+    return partners
+
+
+def _added_bonds(graph: Diagram, i: int, partners: int) -> list[Bond]:
+    """The bonds replacing those at ``i``; ``ValueError`` unless ``i`` has
+    degree two, off a 3-cycle, or is a plain fork."""
+    mult_to = {b.v if b.u == i else b.u: b.mult for b in graph.bonds if i in (b.u, b.v)}
+    if (deg := len(mult_to)) == 2:
+        (j, mj), (k, mk) = mult_to.items()
+        if graph.neighbours[j] >> k & 1:  # a 3-cycle: the child would repeat a pair
+            raise ValueError(f"bond ({min(j, k)}, {max(j, k)}) is a loop or repeats a pair")
+        return [Bond(min(j, k), max(j, k), 4 if min(mj, mk) > 1 else max(mj, mk))]
+    if deg != 3:
+        raise ValueError(f"node {i} has degree {deg}; contraction needs 2 or 3")
+    j = partners.bit_length() - 1
+    if partners.bit_count() != 1 or any(
+            graph.degree(t) != 1 or mult_to[t] != 1 for t in mult_to if t != j):
+        raise ValueError(f"node {i} is not a plain fork")
+    return [Bond(min(t, j), max(t, j)) for t in mult_to if t != j]
+
+
 def contraction_drop(graph: Diagram, J: frozenset[int], i: int) -> int:
     """Exact decrease of ``f`` when the off-``J`` node ``i`` is contracted
-    away."""
-    graph.mask_of((i,))
-    if i in J:
-        raise ValueError("contraction applies to off-J nodes only")
+    away; refuses, as :func:`contract` does, where no contraction applies."""
+    _added_bonds(graph, i, _partners(graph, J, i))
     r_j, c_j, _c_up = zero_set_data(graph, J)
     return graph.labels[i] * r_j - c_j
 
@@ -168,31 +197,12 @@ def contract(graph: Diagram, J: frozenset[int], i: int) -> Diagram:
     The nodes and ``J`` are checked on every call; the checks on the shape
     around ``i`` run once, before its child is stored.
     """
-    labels = graph.labels
-    if not (i in labels and labels.keys() >= J):
-        graph.mask_of((i, *J))  # raises, naming every non-node
-    nbrs = graph.neighbours[i]
-    partners = nbrs if nbrs.bit_count() == 2 else nbrs & graph.interior_mask
-    if i in J or (partners & -partners).bit_length() - 1 in J and partners.bit_length() - 1 in J:
-        raise ValueError("contraction applies to off-J nodes only")
+    partners = _partners(graph, J, i)
     if (child := graph._contractions.get(i)) is not None:
         return child
-    mult_to = {b.v if b.u == i else b.u: b.mult for b in graph.bonds if i in (b.u, b.v)}
-    deg = len(mult_to)
-    added: list[Bond] = []
-    if deg == 2:
-        (j, mj), (k, mk) = mult_to.items()
-        added.append(Bond(min(j, k), max(j, k), 4 if min(mj, mk) > 1 else max(mj, mk)))
-    elif deg == 3:
-        j = partners.bit_length() - 1
-        for t in (v for v in mult_to if v != j):
-            if partners.bit_count() != 1 or graph.degree(t) != 1 or mult_to[t] != 1:
-                raise ValueError(f"node {i} is not a plain fork")
-            added.append(Bond(min(t, j), max(t, j)))
-    else:
-        raise ValueError(f"node {i} has degree {deg}; contraction needs 2 or 3")
     kept = [b for b in graph.bonds if i != b.u and i != b.v]
-    child = Diagram(graph.e, {u: c for u, c in labels.items() if u != i}, kept + added)
+    child = Diagram(graph.e, {u: c for u, c in graph.labels.items() if u != i},
+                    kept + _added_bonds(graph, i, partners))
     graph._contractions[i] = child
     return child
 

@@ -18,6 +18,7 @@ Everything here is exact integer / rational arithmetic; no floats.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -141,23 +142,35 @@ def proper_subsets(diagram: AffineDiagram) -> Iterator[frozenset[int]]:
             yield frozenset(combo)
 
 
-def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
-    """Root counts and label sums of every proper node subset, by node mask.
+class SubsetTables(NamedTuple):
+    """What :func:`subset_tables` returns; every J is a node mask."""
+
+    r: list[int]            # r[J] = |R_J|
+    c: list[int]            # c[J] = c_J
+    min_f: int              # the least f over nonempty J
+    minimisers: list[int]   # every nonempty J with f = min_f
+    zeros: list[int]        # every J with f = 0, the empty set first
+
+
+def subset_tables(diagram: AffineDiagram) -> SubsetTables:
+    """Root counts and label sums of every proper node subset, by node mask,
+    with f evaluated on each entry as it is written.
 
     The diagram must be connected on the nodes ``0..N-1`` (else
     ``ValueError``), so that ``full = diagram.node_mask`` is ``2^N - 1``.
-    Returns ``(r, c)`` with ``r[J] = |R_J|`` and ``c[J] = c_J`` for every
-    node mask ``0 <= J < full``.  Each entry is written once, from the
-    connected component C of J holding its lowest node i and the rest
-    ``sub = J - C``: ``r[J] = |R_C| + r[sub]`` and ``c[J] = c_C + c[sub]``.
-    The nodes i are taken in decreasing order, so ``sub``, whose lowest node
-    is above i, is filled before it is read.  For each i the connected sets
-    C with lowest node i are grown from ``{i}`` one neighbour above i at a
-    time, and each is classified once, through the component memo of
+    Each entry ``0 <= J < full`` is written once, from the connected
+    component C of J holding its lowest node i and the rest ``sub = J - C``:
+    ``r[J] = |R_C| + r[sub]`` and ``c[J] = c_C + c[sub]``.  The nodes i are
+    taken in decreasing order, so ``sub``, whose lowest node is above i, is
+    filled before it is read.  For each i the connected sets C with lowest
+    node i are grown from ``{i}`` one neighbour above i at a time, and each
+    is classified once, through the component memo of
     :meth:`Diagram.factors`, so an unsupported shape still raises; ``sub``
     then runs over the submasks of the nodes above i that are neither in C
-    nor next to it (``sub = (sub - 1) & allowed``).  The tables live only
-    as long as the caller holds them.
+    nor next to it (``sub = (sub - 1) & allowed``), ending with ``sub = 0``,
+    J = C itself.  Each f is compared with the least so far and with zero as
+    soon as its entry is written, so no table is walked twice and no f is
+    stored.  The tables live only as long as the caller holds them.
     """
     full = diagram.node_mask
     parts = len(diagram.components(full))
@@ -165,8 +178,9 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
         raise ValueError(f"subset tables need a diagram connected on the nodes 0..N-1, "
                          f"not one on the nodes {list(diagram.nodes)} in {parts} component(s)")
     neighbours, labels = diagram.neighbours, diagram.labels
-    r = [0] * full
-    c = [0] * full
+    n, label_sum = diagram.n_e, diagram.label_sum
+    r, c = [0] * full, [0] * full
+    min_f, minimisers, zeros = math.inf, [], [0]  # f(empty set) = 0
     for i in reversed(range(full.bit_length())):
         above = full & -(2 << i)
         stack = [(1 << i, neighbours[i], labels[i])]
@@ -185,55 +199,47 @@ def subset_tables(diagram: AffineDiagram) -> tuple[list[int], list[int]]:
                 continue
             roots = diagram._factors_of([C])[0].root_count
             allowed = above & ~C & ~near
-            r[C] = roots
-            c[C] = c_C
             sub = allowed
-            while sub:
+            while True:
                 J = C | sub
-                r[J] = roots + r[sub]
-                c[J] = c_C + c[sub]
+                r[J] = r_j = roots + r[sub]
+                c[J] = c_j = c_C + c[sub]
+                f = (label_sum - c_j) * r_j - n * c_j
+                if f <= min_f:
+                    if f < min_f:
+                        min_f, minimisers = f, []
+                    minimisers.append(J)
+                if not f:
+                    zeros.append(J)
+                if not sub:
+                    break
                 sub = (sub - 1) & allowed
-    return r, c
+    return SubsetTables(r, c, min_f, minimisers, zeros)
 
 
 def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
-    """Certify ``f(J) >= 0`` over every proper subset and collect equality.
+    """Certify ``f(J) >= 0`` over every proper subset and collect equality
+    from the least f, its minimisers and the zeros of f that
+    :func:`subset_tables` kept; no table is walked again.
 
     ``min_f_zero_set`` is the first minimiser in the order of
     :func:`proper_subsets`: fewest nodes, then the least sorted tuple.
     """
     n = diagram.n_e
-    label_sum = diagram.label_sum
-    r, c = subset_tables(diagram)
-    min_f: Optional[int] = None
-    minimisers: list[int] = []
+    r, c, min_f, minimisers, zeros = subset_tables(diagram)
     equality: dict[tuple[int, ...], EqualityClass] = {}
-    for J, (r_j, c_j) in enumerate(zip(r, c)):
-        c_up = label_sum - c_j
-        f = c_up * r_j - n * c_j
-        if J and (min_f is None or f <= min_f):
-            if f != min_f:
-                min_f = f
-                minimisers = []
-            minimisers.append(J)
-        if f == 0:
-            members = nodes_of(J)
-            s = kac.canonical(diagram, kac.from_zero_set(diagram, members))
-            if s not in equality:
-                equality[s] = EqualityClass(
-                    m=diagram.e * c_up,
-                    s=s,
-                    fixed_type=factors_type_string(diagram.factors(members)),
-                    fixed_dim=n + r_j,
-                )
-    classes = tuple(
-        sorted(equality.values(), key=lambda c: (-c.m, c.s))
-    )
-    assert min_f is not None
-    min_J = min(
-        (tuple(nodes_of(J)) for J in minimisers),
-        key=lambda J: (len(J), J),
-    )
+    for J in zeros:
+        members = nodes_of(J)
+        s = kac.canonical(diagram, kac.from_zero_set(diagram, members))
+        if s not in equality:
+            equality[s] = EqualityClass(
+                m=diagram.e * (diagram.label_sum - c[J]),
+                s=s,
+                fixed_type=factors_type_string(diagram.factors(members)),
+                fixed_dim=n + r[J],
+            )
+    classes = tuple(sorted(equality.values(), key=lambda cls: (-cls.m, cls.s)))
+    min_J = min((tuple(nodes_of(J)) for J in minimisers), key=lambda J: (len(J), J))
     return DiagramScan(
         spec=diagram.spec,
         h_e=diagram.coxeter,
@@ -287,7 +293,7 @@ def extremal_tables(diagram: AffineDiagram) -> tuple[dict[int, StepRow], dict[in
     n = diagram.n_e
     total = diagram.base_root_count
     wanted = range(10, diagram.coxeter - n + 1, 2)
-    r, c = subset_tables(diagram)
+    r, c, *_ = subset_tables(diagram)
     by_m: dict[int, list[tuple[int, bool, int]]] = {}
     by_r: dict[int, list[tuple[int, bool, int]]] = {}
     for J in range(1, len(r)):

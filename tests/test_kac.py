@@ -11,6 +11,7 @@ import pytest
 
 from kacscope import kac
 from kacscope.affine import build_spec, catalog
+from kacscope.ellreg import expected_classes
 from kacscope.kac import (
     canonical,
     enumerate_classes,
@@ -106,6 +107,18 @@ def test_canonical_picks_orbit_representative():
     rep = canonical(a4, s)
     assert rep in orbit(a4, s)
     assert all(canonical(a4, t) == rep for t in orbit(a4, s))
+
+
+def test_apply_perm_matches_the_positional_pull_back():
+    """Every Omega permutation of the default catalog, applied to each of the
+    diagram's predicted equality classes, gives ``s[perm[i]]`` at each i."""
+    pulled = 0
+    for d in catalog(12):
+        for s in (row.s for row in expected_classes(d)):
+            for perm in d.omega:
+                assert kac.apply_perm(perm, s) == tuple(s[perm[i]] for i in range(len(s)))
+                pulled += 1
+    assert pulled == 463
 
 
 def test_orbit_sizes_divide_group_order():

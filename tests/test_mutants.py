@@ -182,7 +182,7 @@ def test_the_unchanged_program_passes_the_partner_check():
 def test_a_contraction_without_its_partner_check_fails_the_partner_check(monkeypatch):
     """``contract`` checks only that ``i`` is off J, so a node whose partners
     are all in J is deleted, on a memo hit or a miss."""
-    _rebuilt(monkeypatch, reductions, "contract",
+    _rebuilt(monkeypatch, reductions, "_partners",
              "i in J or (partners & -partners).bit_length() - 1 in J and "
              "partners.bit_length() - 1 in J:", "i in J:")
     with pytest.raises(AssertionError):
@@ -243,13 +243,24 @@ def test_the_unchanged_program_passes_the_subset_table_check():
     # the rest may hold a neighbour of C, so on every diagram some J = C | sub
     # is the full mask, one past the end of the tables
     pytest.param("above & ~C & ~near", "above & ~C", IndexError, id="rest-next-to-C"),
-    pytest.param("r[J] = roots + r[sub]", "r[J] = r[sub]", AssertionError,
+    pytest.param("r[J] = r_j = roots + r[sub]", "r[J] = r_j = r[sub]", AssertionError,
                  id="roots-of-C-dropped"),
 ])
 def test_a_changed_subset_kernel_fails_the_component_walk_check(monkeypatch, old, new, error):
     _rebuilt(monkeypatch, thomae, "subset_tables", old, new)
     with pytest.raises(error):
         check_subset_tables_match_the_component_walk(2)
+
+
+def test_f_skipped_at_each_connected_set_fails_the_component_walk_check(monkeypatch):
+    """The kernel writes the entry J = C but leaves the submask loop before
+    f is evaluated there, so f is kept only for sets with a nonempty rest.
+    On A1 both nonempty proper zero sets are connected: no f is kept at all."""
+    f_line = "                f = (label_sum - c_j) * r_j - n * c_j\n"
+    _rebuilt(monkeypatch, thomae, "subset_tables", f_line,
+             "                if not sub:\n                    break\n" + f_line)
+    with pytest.raises(AssertionError):
+        check_subset_tables_match_the_component_walk(1)
 
 
 def test_no_gcd_check_in_enumerate_fails_the_generator_fault_check(capsys, monkeypatch):

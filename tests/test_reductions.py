@@ -109,6 +109,34 @@ def test_contraction_drop_rejects_node_in_J():
         contraction_drop(build_spec("D6"), frozenset({2}), 2)
 
 
+def test_contraction_drop_rejects_a_tip_whose_partner_is_in_J():
+    """The tip 0 of D6 has one partner, the fork 2; with 2 in J no
+    contraction deletes 0, so there is no drop to report."""
+    d6 = build_spec("D6")
+    for call in (contract, contraction_drop):
+        with pytest.raises(ValueError, match="off-J nodes only"):
+            call(d6, frozenset({2}), 0)
+
+
+def test_contraction_drop_refuses_exactly_where_the_partner_rule_does():
+    """On every (diagram, J, i) of ``catalog(7)``, ``contraction_drop``
+    refuses where ``_contracted`` finds no contraction, with the message
+    ``contract`` gives, and otherwise returns the drop of ``graph_f``."""
+    refused = 0
+    for d in catalog(7):
+        for J in proper_subsets(d):
+            for i in d.nodes:
+                if (child := _contracted(d, J, i)) is not None:
+                    assert contraction_drop(d, J, i) == graph_f(d, J) - graph_f(child, J)
+                    continue
+                with pytest.raises(ValueError) as caught:
+                    contract(d, J, i)
+                with pytest.raises(ValueError, match=re.escape(str(caught.value))):
+                    contraction_drop(d, J, i)
+                refused += 1
+    assert refused == 19_183 - 4_498
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -657,13 +685,13 @@ def test_arrows_never_reach_root_counts():
     a contraction makes need no arrow."""
     reversed_arrows = 0
     for d in catalog(12):
-        roots, _ = subset_tables(d)
+        roots = subset_tables(d).r
         for t, b in enumerate(d.bonds):
             if b.mult < 2 or b.tip is None:
                 continue
             flipped = Bond(b.u, b.v, b.mult, b.u if b.tip == b.v else b.v)
             bonds = d.bonds[:t] + (flipped,) + d.bonds[t + 1:]
-            assert subset_tables(Diagram(d.e, d.labels, bonds))[0] == roots, (d.spec, b)
+            assert subset_tables(Diagram(d.e, d.labels, bonds)).r == roots, (d.spec, b)
             reversed_arrows += 1
     assert reversed_arrows == 73
 
@@ -1252,12 +1280,10 @@ def test_every_equality_zero_set_is_matched():
     split forks."""
     found = []
     for d in _classical(12):
-        r, c = subset_tables(d)
-        for mask, (r_j, c_j) in enumerate(zip(r, c)):
-            if mask and (d.label_sum - c_j) * r_j == d.n_e * c_j:
-                J = frozenset(nodes_of(mask))
-                assert in_Z(d, J), (d.spec, sorted(J))
-                found.append((d.spec, sorted(J), match_case(d, J)))
+        for mask in sorted(subset_tables(d).zeros)[1:]:  # the empty set is first
+            J = frozenset(nodes_of(mask))
+            assert in_Z(d, J), (d.spec, sorted(J))
+            found.append((d.spec, sorted(J), match_case(d, J)))
     assert len(found) == 94
     assert [(spec, J) for spec, J, m in found if m is None] == [("2A2", [1])]
     assert sum("split" in m.name for _, _, m in found if m) == 14

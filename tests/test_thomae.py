@@ -234,24 +234,34 @@ def test_scan_counts_proper_subsets():
 
 def test_subset_tables_match_the_oracle_everywhere():
     """The bitmask kernel against the frozenset oracle on all 75,066
-    proper subsets of the default catalog, and the scan's minimum against
-    a brute-force minimum in the same pass."""
+    proper subsets of the default catalog: both tables, the least f over
+    nonempty zero sets with every mask attaining it, and every mask with
+    f = 0; and the scan's minimiser against a brute-force one in the same
+    pass."""
     subsets = 0
     for d in catalog(12):
-        r, c = subset_tables(d)
+        r, c, min_f, minimisers, zeros = subset_tables(d)
         assert len(r) == len(c) == 2 ** len(d.nodes) - 1
-        min_f, min_J = None, None
+        least, least_at, least_J, zero_at = None, [], None, []
         for J in proper_subsets(d):
             mask = d.mask_of(J)
             r_j, c_j, _c_up = zero_set_data(d, J)
             assert (r[mask], c[mask]) == (r_j, c_j), (d.spec, sorted(J))
             f = f_value(d, J)
             assert (d.label_sum - c[mask]) * r[mask] - d.n_e * c[mask] == f
-            if J and (min_f is None or f < min_f):
-                min_f, min_J = f, tuple(sorted(J))
+            if J and (least is None or f <= least):
+                if f != least:
+                    least, least_at, least_J = f, [], tuple(sorted(J))
+                least_at.append(mask)
+            if f == 0:
+                zero_at.append(mask)
             subsets += 1
+        assert min_f == least, d.spec
+        assert sorted(minimisers) == sorted(least_at), d.spec
+        assert sorted(zeros) == sorted(zero_at), d.spec
+        assert len(set(minimisers)) == len(minimisers) and len(set(zeros)) == len(zeros)
         scan = scan_diagram(d)
-        assert (scan.min_f, scan.min_f_zero_set) == (min_f, min_J), d.spec
+        assert (scan.min_f, scan.min_f_zero_set) == (least, least_J), d.spec
     assert subsets == 75_066
 
 
@@ -262,7 +272,9 @@ def _component_walk_tables(d):
     Masks are filled in increasing order: ``c[J]`` adds the label of J's
     lowest node to ``c`` of J without it, and ``r[J]`` adds the root
     count of the component C of J holding that node, found by a
-    breadth-first walk, to ``r[J - C]``."""
+    breadth-first walk, to ``r[J - C]``.  The least f over nonempty J,
+    the masks attaining it and the masks with f = 0 are then read from a
+    second pass over the finished tables, in mask order."""
     neighbours = [0] * len(d.labels)
     for b in d.bonds:
         neighbours[b.u] |= 1 << b.v
@@ -289,20 +301,27 @@ def _component_walk_tables(d):
         if roots is None:
             roots = component_roots[component] = total_root_count(d.factors(nodes_of(component)))
         r[J] = roots + r[J ^ component]
-    return r, c
+    f = [(d.label_sum - c_j) * r_j - d.n_e * c_j for r_j, c_j in zip(r, c)]
+    min_f = min(f[1:])
+    return (r, c, min_f, [J for J in range(1, full) if f[J] == min_f],
+            [J for J in range(full) if f[J] == 0])
 
 
 def check_subset_tables_match_the_component_walk(max_rank):
     """The submask kernel against the per-subset component walk on every
-    proper subset of every diagram of rank <= ``max_rank``; returns the
-    numbers of diagrams and of subsets.  The kernel is read through its
-    module, so that a mutant patched there is the one checked."""
+    proper subset of every diagram of rank <= ``max_rank``: the tables, the
+    least f, and the sets of its minimisers and of the zeros of f (the
+    kernel lists them in the order it writes them).  Returns the numbers of
+    diagrams and of subsets.  The kernel is read through its module, so
+    that a mutant patched there is the one checked."""
     diagrams = catalog(max_rank)
     subsets = 0
     for d in diagrams:
-        tables = thomae.subset_tables(d)
-        assert tables == _component_walk_tables(d), d.spec
-        subsets += len(tables[0])
+        r, c, min_f, minimisers, zeros = thomae.subset_tables(d)
+        walk = _component_walk_tables(d)
+        assert (r, c, min_f) == walk[:3], d.spec
+        assert sorted(minimisers) == walk[3] and sorted(zeros) == walk[4], d.spec
+        subsets += len(r)
     return len(diagrams), subsets
 
 
