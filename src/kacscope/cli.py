@@ -157,16 +157,16 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
     for diagram in diagrams:
         scan = thomae.scan_diagram(diagram)
         match = ellreg_mod.crosscheck(diagram, scan)
-        results.append((scan, match, scan.min_f < 0 or not match.ok))
-    failed = any(bad for _, _, bad in results)
+        results.append((diagram, scan, match, scan.min_f < 0 or not match.ok))
+    failed = any(bad for *_, bad in results)
 
     doc = {
         "diagrams": [
             {
                 "spec": scan.spec,
-                "h_e": scan.h_e,
-                "n_e": scan.n_e,
-                "dim_g": scan.dim_g,
+                "h_e": diagram.coxeter,
+                "n_e": diagram.n_e,
+                "dim_g": diagram.base_dim,
                 "classes_checked": scan.subsets_checked,
                 "min_f": scan.min_f,
                 "equality_classes": [
@@ -180,20 +180,20 @@ def _cmd_verify(args: argparse.Namespace) -> Report:
                 ],
                 "ellreg_match": match.ok,
             }
-            for scan, match, _ in results
+            for diagram, scan, match, _ in results
         ]
     }
 
     def text() -> list[str]:
         lines = [
-            f"{scan.spec:<6} h_e={scan.h_e:<3} n_e={scan.n_e:<3} "
-            f"dim={scan.dim_g:<4} subsets={scan.subsets_checked:<6} "
+            f"{scan.spec:<6} h_e={diagram.coxeter:<3} n_e={diagram.n_e:<3} "
+            f"dim={diagram.base_dim:<4} subsets={scan.subsets_checked:<6} "
             f"min_f={scan.min_f:<5} equality={len(scan.equality_classes):<3} "
             f"classification={'match' if match.ok else 'MISMATCH'} "
             f"{'FAIL' if bad else 'ok'}"
-            for scan, match, bad in results
+            for diagram, scan, match, bad in results
         ]
-        total = sum(scan.subsets_checked for scan, _, _ in results)
+        total = sum(scan.subsets_checked for _, scan, _, _ in results)
         lines.append(
             f"{len(diagrams)} diagram(s), {total} subsets checked, "
             + ("counterexample found" if failed else "bound holds everywhere")

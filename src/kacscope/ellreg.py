@@ -8,8 +8,9 @@ routes separate turns their comparison (:func:`crosscheck`) into a real
 test rather than a tautology.
 
 Every generated vector is validated on the way out: it must be an
-admissible Kac vector of the stated order whose zero set has certificate
-value ``f = 0``.  A bad generator therefore fails loudly here, before any
+admissible Kac vector with one entry per node whose
+:func:`kacscope.thomae.check_class` report gives the stated order and
+``f = 0``.  A bad generator therefore fails loudly here, before any
 comparison runs.
 
 Every classical class is a 0/1 vector with evenly spaced ones.  A fork's
@@ -43,9 +44,7 @@ Where two rules give one vector, the first keeps it.
 from typing import NamedTuple
 
 from .affine import AffineDiagram
-from .dynkin import factors_type_string
-from . import kac
-from .thomae import DiagramScan, f_value
+from . import kac, thomae
 
 
 class ClassRow(NamedTuple):
@@ -186,10 +185,11 @@ _EXCEPTIONAL: dict[str, tuple[tuple[int, tuple[int, ...]], ...]] = {
 def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
     """Predicted equality classes for ``diagram``, validated and sorted.
 
-    Each entry's vector is checked to be admissible, of the stated order,
-    and to have ``f = 0`` on its zero set, whose type the row records;
-    vectors are put in canonical form under the diagram symmetry (which
-    keeps that type).  Sorted by decreasing order, then by vector.
+    Each entry's vector is checked to be admissible, and its
+    :func:`~kacscope.thomae.check_class` report to give the stated order and
+    ``f = 0``; the row records the report's type of the zero set.  Vectors
+    are put in canonical form under the diagram symmetry (which keeps that
+    type).  Sorted by decreasing order, then by vector.
     """
     if diagram.spec in _EXCEPTIONAL:
         raw = [(m, s, "table") for m, s in _EXCEPTIONAL[diagram.spec]]
@@ -211,14 +211,12 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
             )
         if not kac.is_admissible(s):
             raise AssertionError(f"{diagram.spec}: inadmissible vector {s}")
-        if kac.order_of(diagram, s) != m:
+        report = thomae.check_class(diagram, s)
+        if report.m != m:
             raise AssertionError(
-                f"{diagram.spec}: vector {s} has order "
-                f"{kac.order_of(diagram, s)}, expected {m}"
+                f"{diagram.spec}: vector {s} has order {report.m}, expected {m}"
             )
-        J = kac.zero_set(diagram, s)
-        factors = diagram.factors(J)
-        if f_value(diagram, J, factors) != 0:
+        if report.f != 0:
             raise AssertionError(
                 f"{diagram.spec}: vector {s} does not attain the bound"
             )
@@ -226,7 +224,7 @@ def expected_classes(diagram: AffineDiagram) -> list[ClassRow]:
         if canon in seen:
             raise AssertionError(f"{diagram.spec}: duplicate class {canon}")
         seen.add(canon)
-        out.append(ClassRow(diagram.spec, m, canon, factors_type_string(factors), provenance))
+        out.append(ClassRow(diagram.spec, m, canon, report.fixed_type, provenance))
     out.sort(key=lambda c: (-c.m, c.s))
     return out
 
@@ -250,7 +248,7 @@ class Crosscheck(NamedTuple):
         return set(self.scanned) - set(self.expected)
 
 
-def crosscheck(diagram: AffineDiagram, scan: DiagramScan) -> Crosscheck:
+def crosscheck(diagram: AffineDiagram, scan: thomae.DiagramScan) -> Crosscheck:
     """Compare the predicted equality classes with ``scan``, the
     exhaustive scan of ``diagram``."""
     if scan.spec != diagram.spec:

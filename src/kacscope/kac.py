@@ -13,7 +13,7 @@ of the subdiagram induced on J.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd
 from operator import mul, not_
 from typing import Iterable, Optional, Sequence
@@ -63,13 +63,14 @@ def apply_perm(perm: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
 
 
 def orbit(diagram: AffineDiagram, s: Sequence[int]) -> set[tuple[int, ...]]:
-    s = tuple(s)
+    _require_length(diagram, s)
     return {apply_perm(p, s) for p in diagram.omega}
 
 
 def canonical(diagram: AffineDiagram, s: Sequence[int]) -> tuple[int, ...]:
     """Lexicographically least representative of the Omega orbit."""
-    return min(orbit(diagram, s))
+    _require_length(diagram, s)
+    return min(map(apply_perm, diagram.omega, repeat(s)))
 
 
 def enumerate_classes(diagram: AffineDiagram, m: int) -> list[tuple[int, ...]]:

@@ -96,42 +96,30 @@ def check_class(diagram: AffineDiagram, s: tuple[int, ...]) -> ClassReport:
             f"{','.join(str(v) for v in s)!r} is not an admissible Kac vector for "
             f"{diagram.spec} ({len(labels)} non-negative entries with gcd 1)"
         )
-    J = frozenset(compress(labels, map(not_, s)))
+    J = tuple(compress(labels, map(not_, s)))  # sorted, as the labels are
     fixed_type, r_j = _type_and_roots(diagram.factors(J))
     c_j, fixed_dim = diagram.label_sum_of(J), diagram.n_e + r_j
     return ClassReport(diagram.spec, diagram.e * sum(map(mul, labels.values(), s)), s,
-                       tuple(sorted(J)), fixed_type, fixed_dim,
+                       J, fixed_type, fixed_dim,
                        Fraction(fixed_dim, diagram.base_root_count),
                        (diagram.label_sum - c_j) * r_j - diagram.n_e * c_j)
 
 
-class EqualityClass(NamedTuple):
-    """A torsion class attaining ``1/m = dim g^theta / dim(g/t)`` exactly."""
-
-    m: int
-    s: tuple[int, ...]
-    fixed_type: str
-    fixed_dim: int
-
-
 class DiagramScan(NamedTuple):
-    """Result of exhaustively certifying one diagram.
+    """What an exhaustive scan of one diagram found.
 
     ``min_f`` is taken over nonempty proper zero sets (the empty zero set
     always gives ``f = 0``: the principal class).  ``equality_classes``
-    lists, up to diagram symmetry and in decreasing order, every torsion
-    class attaining the bound; the empty zero set contributes the
-    principal class of order ``h_e``.
+    holds the :func:`check_class` report of each torsion class attaining
+    the bound, up to diagram symmetry and in decreasing order; the empty
+    zero set gives the principal class of order ``h_e``.
     """
 
     spec: str
-    h_e: int
-    n_e: int
-    dim_g: int
     subsets_checked: int
     min_f: int
     min_f_zero_set: tuple[int, ...]
-    equality_classes: tuple[EqualityClass, ...]
+    equality_classes: tuple[ClassReport, ...]
 
 
 def proper_subsets(diagram: AffineDiagram) -> Iterator[frozenset[int]]:
@@ -220,31 +208,22 @@ def subset_tables(diagram: AffineDiagram) -> SubsetTables:
 def scan_diagram(diagram: AffineDiagram) -> DiagramScan:
     """Certify ``f(J) >= 0`` over every proper subset and collect equality
     from the least f, its minimisers and the zeros of f that
-    :func:`subset_tables` kept; no table is walked again.
+    :func:`subset_tables` kept; no table is walked again.  The canonical
+    class of each zero is evaluated once, by :func:`check_class`.
 
     ``min_f_zero_set`` is the first minimiser in the order of
     :func:`proper_subsets`: fewest nodes, then the least sorted tuple.
     """
-    n = diagram.n_e
-    r, c, min_f, minimisers, zeros = subset_tables(diagram)
-    equality: dict[tuple[int, ...], EqualityClass] = {}
+    r, _, min_f, minimisers, zeros = subset_tables(diagram)
+    equality: dict[tuple[int, ...], ClassReport] = {}
     for J in zeros:
-        members = nodes_of(J)
-        s = kac.canonical(diagram, kac.from_zero_set(diagram, members))
+        s = kac.canonical(diagram, kac.from_zero_set(diagram, nodes_of(J)))
         if s not in equality:
-            equality[s] = EqualityClass(
-                m=diagram.e * (diagram.label_sum - c[J]),
-                s=s,
-                fixed_type=factors_type_string(diagram.factors(members)),
-                fixed_dim=n + r[J],
-            )
+            equality[s] = check_class(diagram, s)
     classes = tuple(sorted(equality.values(), key=lambda cls: (-cls.m, cls.s)))
     min_J = min((tuple(nodes_of(J)) for J in minimisers), key=lambda J: (len(J), J))
     return DiagramScan(
         spec=diagram.spec,
-        h_e=diagram.coxeter,
-        n_e=n,
-        dim_g=diagram.base_dim,
         subsets_checked=len(r),
         min_f=min_f,
         min_f_zero_set=min_J,
@@ -283,22 +262,22 @@ def extremal_tables(diagram: AffineDiagram) -> tuple[dict[int, StepRow], dict[in
     The second holds the minimal complement sums ``m(r)`` for even
     ``10 <= r <= h - n``.  Each row holds the least value over the nonempty
     proper zero sets with its key, the type strings of the zero sets
-    attaining it, and the class of the unique zero set with
-    ``c^J * (|R_J| + n) = |R|``, if there is one.
+    attaining it, and the class of the unique zero set with ``f = 0``
+    (there ``n * h = |R|`` makes this ``c^J * (|R_J| + n) = |R|``), if any.
     """
     if diagram.e != 1 or diagram.ident.family != "E":
         raise ValueError(
             f"extremal tables are defined for E6, E7, E8 only, not {diagram.spec}"
         )
     n = diagram.n_e
-    total = diagram.base_root_count
     wanted = range(10, diagram.coxeter - n + 1, 2)
-    r, c, *_ = subset_tables(diagram)
+    r, c, _, _, zeros = subset_tables(diagram)
+    zeros = set(zeros)
     by_m: dict[int, list[tuple[int, bool, int]]] = {}
     by_r: dict[int, list[tuple[int, bool, int]]] = {}
     for J in range(1, len(r)):
         m = diagram.label_sum - c[J]
-        extremal = m * (r[J] + n) == total
+        extremal = J in zeros
         if 1 < m < n:
             by_m.setdefault(m, []).append((r[J], extremal, J))
         if r[J] in wanted:

@@ -170,8 +170,7 @@ def test_verify_reports_counterexample_with_exit_1(capsys, monkeypatch):
 
     real = scan_diagram(build_spec("G2"))
     broken = type(real)(
-        spec=real.spec, h_e=real.h_e, n_e=real.n_e, dim_g=real.dim_g,
-        subsets_checked=real.subsets_checked, min_f=-1,
+        spec=real.spec, subsets_checked=real.subsets_checked, min_f=-1,
         min_f_zero_set=real.min_f_zero_set, equality_classes=real.equality_classes,
     )
     monkeypatch.setattr(cli.thomae, "scan_diagram", lambda d: broken)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import kacscope
-from kacscope import affine, dynkin, ellreg, reductions, thomae
+from kacscope import dynkin
 from kacscope.affine import Bond, DiagramId
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,22 +40,25 @@ def test_each_module_imports_on_its_own(module):
         assert proc.stdout.splitlines() == [" ".join(["kacscope", *used]), ""]
 
 
-_RECORDS = [affine.Bond, affine.DiagramId, ellreg.ClassRow, ellreg.Crosscheck,
-            thomae.EqualityClass, thomae.DiagramScan, thomae.StepRow,
-            reductions.SwitchResult, reductions.CaseMatch, dynkin.FiniteFactor]
+# every class defined in a kacscope module, and the named tuples among them
+_CLASSES = [cls for module in (importlib.import_module(f"kacscope.{info.name}")
+                               for info in pkgutil.iter_modules(kacscope.__path__))
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__]
+_RECORDS = [cls for cls in _CLASSES if issubclass(cls, tuple) and hasattr(cls, "_fields")]
 
 
 def test_only_the_reduction_trace_is_a_dataclass():
     """Building a dataclass costs about 1 ms of start-up in every process,
     a named tuple about a tenth of that, and every run of kacscope starts a
     process.  ``ReductionTrace`` stays one for ``dataclasses.replace``; the
-    CLI does not load ``reductions``."""
-    modules = [importlib.import_module(f"kacscope.{info.name}")
-               for info in pkgutil.iter_modules(kacscope.__path__)]
-    found = {name for module in modules for name, cls in inspect.getmembers(module, inspect.isclass)
-             if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)}
-    assert found == {"ReductionTrace"}
-    assert all(issubclass(cls, tuple) and cls._fields for cls in _RECORDS)
+    CLI does not load ``reductions``.  Every other record is a named tuple."""
+    assert {cls.__name__ for cls in _CLASSES if dataclasses.is_dataclass(cls)} == {"ReductionTrace"}
+    assert {cls.__name__ for cls in _RECORDS} == {
+        "Bond", "DiagramId", "End", "FiniteFactor", "ClassRow", "Crosscheck", "ClassReport",
+        "DiagramScan", "StepRow", "SubsetTables", "CaseMatch", "GreekData", "ReductionStep",
+        "SwitchResult",
+    }
     assert dynkin.FiniteFactor._fields == ("family", "rank", "root_count", "display_key")
 
 

@@ -71,7 +71,7 @@ def test_order_and_zero_set_need_one_coordinate_per_node(s):
     # an extra coordinate must not be ignored, nor a missing one read
     # past the end of the vector
     g2 = build_spec("G2")
-    for read in (order_of, zero_set):
+    for read in (order_of, zero_set, canonical, orbit):
         with pytest.raises(ValueError, match=f"G2 takes 3 coordinates, got {len(s)}$"):
             read(g2, s)
 
@@ -111,12 +111,16 @@ def test_canonical_picks_orbit_representative():
 
 def test_apply_perm_matches_the_positional_pull_back():
     """Every Omega permutation of the default catalog, applied to each of the
-    diagram's predicted equality classes, gives ``s[perm[i]]`` at each i."""
+    diagram's predicted equality classes, gives ``s[perm[i]]`` at each i, and
+    ``canonical`` of each pull-back is the least tuple of the orbit."""
     pulled = 0
     for d in catalog(12):
         for s in (row.s for row in expected_classes(d)):
+            least = min(orbit(d, s))
             for perm in d.omega:
-                assert kac.apply_perm(perm, s) == tuple(s[perm[i]] for i in range(len(s)))
+                t = kac.apply_perm(perm, s)
+                assert t == tuple(s[perm[i]] for i in range(len(s)))
+                assert canonical(d, t) == least, (d.spec, s, perm)
                 pulled += 1
     assert pulled == 463
 

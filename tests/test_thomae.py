@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kacscope import affine, thomae
+from kacscope import affine, kac, thomae
 from kacscope.affine import Bond, Diagram, build_spec, catalog
 from kacscope.dynkin import connected_components, factors_type_string, nodes_of, total_root_count
 from kacscope.kac import enumerate_classes, from_zero_set
@@ -132,14 +132,18 @@ def check_class_fields_agree(max_rank: int) -> int:
     """On every proper J of ``catalog(max_rank)``, the fields of ``check_class``
     that depend only on J equal those of the independent functions: f from
     :func:`f_value`, the type string from ``factors_type_string``, the fixed
-    dimension n_e + |R_J| and the bound fixed_dim / |R|.  Returns how many
+    dimension n_e + |R_J| and the bound fixed_dim / |R|; the order is that of
+    :func:`kac.order_of` and the vector is the one given.  Returns how many
     zero sets were checked."""
     checked = 0
     for d in catalog(max_rank):
         for J in proper_subsets(d):
-            r = check_class(d, from_zero_set(d, J))
+            s = from_zero_set(d, J)
+            r = check_class(d, s)
             factors = d.factors(J)
             fixed_dim = d.n_e + total_root_count(factors)
+            assert r.m == kac.order_of(d, s), (d.spec, J)
+            assert r.s == s, (d.spec, J)
             assert r.zero_set == tuple(sorted(J)), (d.spec, J)
             assert r.f == f_value(d, J), (d.spec, J)
             assert r.fixed_type == factors_type_string(factors), (d.spec, J)
@@ -205,8 +209,9 @@ def test_rank_four_inner_data(spec, s, roots, c_up, c_down, eq):
 
 
 def test_scan_g2():
-    scan = scan_diagram(build_spec("G2"))
-    assert scan.h_e == 6 and scan.n_e == 2 and scan.dim_g == 14
+    g2 = build_spec("G2")
+    scan = scan_diagram(g2)
+    assert g2.coxeter == 6 and g2.n_e == 2 and g2.base_dim == 14
     assert scan.subsets_checked == 7
     assert scan.min_f == 0
     assert scan.min_f >= 0
@@ -224,6 +229,8 @@ def test_scan_equality_dims_divide_roots():
         assert scan.min_f >= 0
         for cls in scan.equality_classes:
             assert cls.fixed_dim * cls.m == d.base_root_count
+            assert cls.f == 0 and cls.is_equality and cls.holds, (d.spec, cls)
+            assert cls.zero_set == tuple(i for i, v in zip(d.nodes, cls.s) if v == 0), (d.spec, cls)
 
 
 def test_scan_counts_proper_subsets():
